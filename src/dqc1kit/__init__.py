@@ -28,6 +28,8 @@ from .randomness import (
     SeedSpec,
     apply_circuit,
     circuit_unitary,
+    evolve_columns,
+    haar_product_unitary,
     haar_unitary,
     random_density_matrix,
     random_two_qubit_circuit,

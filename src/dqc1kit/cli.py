@@ -29,16 +29,17 @@ from .correlation_analysis import (
     rank_bound_scan,
     truncation_experiment,
 )
-from .dqc1_model import Dqc1Config, normalized_trace, simulate_trace_estimation
+from .dqc1_model import Dqc1Config, simulate_trace_estimation
 from .fileio import FileFormatError, read_circuit, read_unitary_cmat, render_csv, render_json
 from .randomness import (
     DENSE_LIMIT,
     SeedSpec,
     apply_circuit,
+    haar_product_unitary,
     haar_unitary,
     random_two_qubit_circuit,
 )
-from .tensor_core import Bipartition, DenseOperator, basis_state
+from .tensor_core import Bipartition, basis_state
 
 
 class UsageError(Exception):
@@ -142,10 +143,7 @@ def _build_unitary(args: argparse.Namespace, n: int, seed: SeedSpec):
     if args.unitary == "product":
         if n > DENSE_LIMIT:
             raise UsageError(f"product mode needs n <= {DENSE_LIMIT}")
-        mat = np.array([[1.0 + 0.0j]])
-        for k in range(n):
-            mat = np.kron(mat, haar_unitary(1, seed.child(k)).matrix)
-        return DenseOperator(n, mat)
+        return haar_product_unitary(n, seed)
     gates = args.gates if args.gates is not None else 4 * n
     if gates < 1:
         raise UsageError("--gates must be >= 1")
@@ -254,8 +252,8 @@ def _cmd_trace_estimate(args: argparse.Namespace) -> CommandResult:
         raise UsageError("--shots must be >= 1")
     master = _master_seed(args)
     config = Dqc1Config(unitary.num_qubits, args.tau, unitary)
-    exact = normalized_trace(unitary)
     estimate = simulate_trace_estimation(config, args.shots, master.child(0))
+    exact = estimate.exact
     meta = _base_meta(args, "trace-estimate")
     meta.update(
         n=unitary.num_qubits,

@@ -18,11 +18,14 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 import numpy as np
 
 from .dqc1_model import (
+    COLUMN_BLOCK_ENTRIES,
     Dqc1Config,
     ProductStateIndex,
-    apply_to_product,
     evolved_basis_reduction,
     final_state,
+    probe_from_column,
+    probe_key,
+    register_columns,
     top_on_side_a,
 )
 from .tensor_core import (
@@ -241,10 +244,9 @@ def rank_bound_scan(
                     break
                 r -= count
 
-    def evaluate(task: tuple[int, tuple[int, tuple[int, ...]]]) -> CutRecord:
-        task_id, (a, labels) = task
+    probes = []
+    for task_id, (a, labels) in enumerate(tasks):
         cut = Bipartition(n + 1, (0,) + labels)
-        window = min(a, n - a)
         if randomize_index:
             rng = seed.child(task_id).generator() if seed else np.random.default_rng(task_id)
             idx = ProductStateIndex(
@@ -254,21 +256,46 @@ def rank_bound_scan(
             )
         else:
             idx = index
-        psi = apply_to_product(config, cut, idx)
-        spectrum = schmidt_decompose(psi, cut)
-        rank = rank_of(spectrum, rel_tol)
-        floor = 2**window
-        return CutRecord(
-            side_a=cut.side_a,
-            window_size=window,
-            rank=rank,
-            log2_rank=math.log2(rank) if rank else float("-inf"),
-            spectrum_head=_spectrum_head(spectrum),
-            rank_floor=floor,
-            meets_floor=rank >= floor,
-        )
+        probes.append((cut, min(a, n - a), probe_key(config, cut, idx)))
 
-    records = parallel_map(evaluate, list(enumerate(tasks)), workers)
+    # Each distinct column W|x> is evolved once.  The columns of each
+    # direction (U or U-dagger) go through the gates in blocks of at most
+    # COLUMN_BLOCK_ENTRIES amplitudes; a block's cuts are scanned while it is held.
+    per_block = max(1, COLUMN_BLOCK_ENTRIES >> n)
+    distinct: dict[bool, list[int]] = {False: [], True: []}
+    position: dict[tuple[bool, int], int] = {}
+    block_tasks: dict[tuple[bool, int], list[int]] = {}
+    for task_id, (_, _, key) in enumerate(probes):
+        adjoint, x = key
+        if key not in position:
+            position[key] = len(distinct[adjoint])
+            distinct[adjoint].append(x)
+        block_tasks.setdefault((adjoint, position[key] // per_block), []).append(task_id)
+
+    records: list[Optional[CutRecord]] = [None] * len(probes)
+    for (adjoint, b), task_ids in block_tasks.items():
+        xs = distinct[adjoint][b * per_block : (b + 1) * per_block]
+        evolved = register_columns(config.unitary, xs, adjoint)
+        columns = {x: evolved[:, j] for j, x in enumerate(xs)}
+
+        def evaluate(task_id: int) -> CutRecord:
+            cut, window, key = probes[task_id]
+            psi = probe_from_column(config, key, columns[key[1]])
+            spectrum = schmidt_decompose(psi, cut)
+            rank = rank_of(spectrum, rel_tol)
+            floor = 2**window
+            return CutRecord(
+                side_a=cut.side_a,
+                window_size=window,
+                rank=rank,
+                log2_rank=math.log2(rank) if rank else float("-inf"),
+                spectrum_head=_spectrum_head(spectrum),
+                rank_floor=floor,
+                meets_floor=rank >= floor,
+            )
+
+        for task_id, record in zip(task_ids, parallel_map(evaluate, task_ids, workers)):
+            records[task_id] = record
     return RankScanReport(tuple(records), rel_tol, exhaustive)
 
 

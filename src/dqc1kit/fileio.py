@@ -115,13 +115,8 @@ def read_circuit(path: str, num_qubits: int) -> Circuit:
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{lineno}: bad number") from exc
             mat = np.array(values[0::2]) + 1j * np.array(values[1::2])
-            mat = mat.reshape(4, 4)
-            if not is_unitary(mat, LOAD_UNITARY_TOL):
-                raise FileFormatError(
-                    f"{path}:{lineno}: gate is not unitary within {LOAD_UNITARY_TOL}"
-                )
             try:
-                gates.append(GateSpec((q1, q2), mat))
+                gates.append(GateSpec((q1, q2), mat.reshape(4, 4)))
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
     try:

@@ -6,11 +6,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import DenseOperator, PureState, apply_two_qubit_gate
+from .tensor_core import DenseOperator, PureState, is_unitary
 
 # Keeping full circuit unitaries dense above this register size is a memory
 # hazard (2^24 complex entries at 12 qubits is the practical desk limit).
 DENSE_LIMIT = 12
+
+# Gates are checked once, when a GateSpec is built, at the tolerance that
+# circuit files document; the kernels that apply them do not check again.
+GATE_UNITARY_TOL = 1e-8
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -70,6 +74,19 @@ def haar_unitary(num_qubits: int, seed: SeedSpec) -> DenseOperator:
     return DenseOperator(num_qubits, _haar_matrix(2**num_qubits, seed.generator()))
 
 
+def haar_product_unitary(num_qubits: int, seed: SeedSpec) -> DenseOperator:
+    """Tensor product of independent Haar single-qubit unitaries.
+
+    Qubit k's factor is drawn from ``seed.child(k)``.
+    """
+    if num_qubits < 1:
+        raise ValueError("num_qubits must be >= 1")
+    mat = np.array([[1.0 + 0.0j]])
+    for k in range(num_qubits):
+        mat = np.kron(mat, haar_unitary(1, seed.child(k)).matrix)
+    return DenseOperator(num_qubits, mat)
+
+
 def random_density_matrix(num_qubits: int, seed: SeedSpec) -> DenseOperator:
     """Haar eigenbasis with a flat-Dirichlet spectrum; Hermitian, trace 1."""
     basis = haar_unitary(num_qubits, seed.child(0)).matrix
@@ -79,7 +96,11 @@ def random_density_matrix(num_qubits: int, seed: SeedSpec) -> DenseOperator:
 
 @dataclass(frozen=True)
 class GateSpec:
-    """One 4x4 unitary applied to an ordered pair of distinct qubits."""
+    """One 4x4 unitary applied to an ordered pair of distinct qubits.
+
+    Construction rejects a matrix that is not unitary within
+    ``GATE_UNITARY_TOL``.
+    """
 
     targets: tuple[int, int]
     matrix: np.ndarray
@@ -91,6 +112,11 @@ class GateSpec:
         mat = np.asarray(self.matrix, dtype=np.complex128)
         if mat.shape != (4, 4):
             raise ValueError("gate matrix must be 4x4")
+        # Both products are checked, so the adjoint that Circuit.inverse
+        # builds passes this same check.
+        adjoint = mat.conj().T
+        if not (is_unitary(mat, GATE_UNITARY_TOL) and is_unitary(adjoint, GATE_UNITARY_TOL)):
+            raise ValueError(f"gate is not unitary within {GATE_UNITARY_TOL}")
         object.__setattr__(self, "targets", (int(q1), int(q2)))
         object.__setattr__(self, "matrix", mat)
 
@@ -143,15 +169,36 @@ def random_two_qubit_circuit(num_qubits: int, num_gates: int, seed: SeedSpec) ->
     return Circuit(num_qubits, tuple(gates))
 
 
+def evolve_columns(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
+    """Run the gate list on every column of a ``(2^n, k)`` block at once.
+
+    Column j of the result is ``C @ columns[:, j]``, bit for bit what the
+    gates give one column at a time.  Gates were checked for unitarity when
+    their ``GateSpec`` was built, so none is checked here.
+    """
+    n = circuit.num_qubits
+    columns = np.asarray(columns, dtype=np.complex128)
+    if columns.ndim != 2 or columns.shape[0] != 2**n:
+        raise ValueError(
+            f"columns must have shape (2^{n}, k), got shape {columns.shape}"
+        )
+    # The final axis indexes the input column.
+    t = columns.reshape((2,) * n + (columns.shape[1],))
+    for gate in circuit.gates:
+        q1, q2 = gate.targets
+        t = np.tensordot(gate.matrix.reshape(2, 2, 2, 2), t, axes=[(2, 3), (q1, q2)])
+        t = np.moveaxis(t, (0, 1), (q1, q2))
+    return np.ascontiguousarray(t).reshape(columns.shape)
+
+
 def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
     """Run the circuit on a state of the same register size."""
     if state.num_qubits != circuit.num_qubits:
         raise ValueError(
             f"state has {state.num_qubits} qubits, circuit expects {circuit.num_qubits}"
         )
-    for gate in circuit.gates:
-        state = apply_two_qubit_gate(state, gate.matrix, gate.targets)
-    return state
+    evolved = evolve_columns(circuit, state.amplitudes[:, np.newaxis])
+    return PureState(circuit.num_qubits, evolved[:, 0])
 
 
 def circuit_unitary(circuit: Circuit) -> DenseOperator:
@@ -161,13 +208,4 @@ def circuit_unitary(circuit: Circuit) -> DenseOperator:
         raise ValueError(
             f"refusing to build a dense 2^{n} x 2^{n} unitary (limit {DENSE_LIMIT})"
         )
-    dim = 2**n
-    columns = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
-    # Batch all basis columns through the gate sequence at once; the final
-    # axis indexes the input column.
-    t = columns
-    for gate in circuit.gates:
-        q1, q2 = gate.targets
-        t = np.tensordot(gate.matrix.reshape(2, 2, 2, 2), t, axes=[(2, 3), (q1, q2)])
-        t = np.moveaxis(t, (0, 1), (q1, q2))
-    return DenseOperator(n, np.ascontiguousarray(t).reshape(dim, dim))
+    return DenseOperator(n, evolve_columns(circuit, np.eye(2**n, dtype=np.complex128)))

@@ -26,6 +26,7 @@ from dqc1kit import (
     circuit_unitary,
     concentration_report,
     final_state,
+    haar_product_unitary,
     haar_unitary,
     majorant_distribution,
     majorizes,
@@ -136,16 +137,9 @@ def test_pure_state_operator_rank_square():
     )
 
 
-def _product_unitary(n: int, seed: SeedSpec) -> DenseOperator:
-    mat = np.array([[1.0 + 0.0j]])
-    for k in range(n):
-        mat = np.kron(mat, haar_unitary(1, seed.child(k)).matrix)
-    return DenseOperator(n, mat)
-
-
 def _product_cut_ranks(n: int, seed: SeedSpec) -> list[tuple[Bipartition, int]]:
     """Operator rank on every top-on-A cut of the joint state for a product U."""
-    config = Dqc1Config(n, 1.0, _product_unitary(n, seed))
+    config = Dqc1Config(n, 1.0, haar_product_unitary(n, seed))
     rho = final_state(config)
     ranks = []
     for size in range(0, n):

@@ -7,7 +7,6 @@ import pytest
 from dqc1kit import (
     Bipartition,
     ClaimFalsified,
-    DenseOperator,
     Dqc1Config,
     ProductStateIndex,
     PureState,
@@ -19,6 +18,7 @@ from dqc1kit import (
     basis_state,
     concentration_report,
     final_state,
+    haar_product_unitary,
     haar_unitary,
     majorant_distribution,
     majorizes,
@@ -27,6 +27,7 @@ from dqc1kit import (
     operator_schmidt_decompose,
     random_degree3_tree,
     random_zero_sum_shifts,
+    random_two_qubit_circuit,
     rank_bound_scan,
     rank_of,
     robust_rank_bound,
@@ -37,13 +38,6 @@ from dqc1kit import (
 from dqc1kit.correlation_analysis import _unrank_combination, parallel_map
 
 import oracles
-
-
-def product_unitary(n: int, seed: SeedSpec) -> DenseOperator:
-    mat = np.array([[1.0 + 0.0j]])
-    for k in range(n):
-        mat = np.kron(mat, haar_unitary(1, seed.child(k)).matrix)
-    return DenseOperator(n, mat)
 
 
 def test_balanced_window_values():
@@ -142,8 +136,89 @@ def test_rank_bound_scan_sampled_mode():
     assert again == report
 
 
+def _scan_index(seed: SeedSpec, task_id: int, reg_a: int, n: int) -> ProductStateIndex:
+    """The probe index a randomized scan draws for its task_id-th cut."""
+    rng = seed.child(task_id).generator()
+    return ProductStateIndex(
+        int(rng.integers(2)), int(rng.integers(2**reg_a)), int(rng.integers(2 ** (n - reg_a)))
+    )
+
+
+def _oracle_register_index(n: int, side_a: tuple[int, ...], idx: ProductStateIndex) -> int:
+    """Register basis index of probe (t,i,j), assembled bit by bit."""
+    side_b = [q for q in range(1, n + 1) if q not in side_a]
+    reg_a = [q for q in side_a if q != 0]
+    x = 0
+    for k, q in enumerate(reg_a):
+        x |= ((idx.i >> (len(reg_a) - 1 - k)) & 1) << (n - q)
+    for k, q in enumerate(side_b):
+        x |= ((idx.j >> (len(side_b) - 1 - k)) & 1) << (n - q)
+    return x
+
+
+def _oracle_probe(u: np.ndarray, tau: float, side_a: tuple[int, ...], idx) -> np.ndarray:
+    """Column (t,i,j) of the dense joint state."""
+    n = u.shape[0].bit_length() - 1
+    dim = 2**n
+    rho = np.eye(2 * dim, dtype=np.complex128)
+    rho[:dim, dim:] = tau * u.conj().T
+    rho[dim:, :dim] = tau * u
+    return rho[:, idx.t * dim + _oracle_register_index(n, side_a, idx)] / (2 * dim)
+
+
+@pytest.mark.parametrize("randomize", [False, True])
+def test_circuit_rank_bound_scan_matches_per_cut_oracle(randomize):
+    n, tau, seed = 7, 0.7, SeedSpec(69)
+    circuit = random_two_qubit_circuit(n, 4 * n, SeedSpec(70))
+    u = np.eye(2**n, dtype=np.complex128)
+    for gate in circuit.gates:
+        u = oracles.embed_gate(gate.matrix, gate.targets, n) @ u
+    config = Dqc1Config(n, tau, circuit)
+    report = rank_bound_scan(config, num_cuts=25, seed=seed, randomize_index=randomize)
+    assert rank_bound_scan(
+        config, num_cuts=25, seed=seed, randomize_index=randomize, workers=4
+    ) == report
+    indices = set()
+    for task_id, record in enumerate(report.records):
+        reg_a = len(record.side_a) - 1
+        idx = _scan_index(seed, task_id, reg_a, n) if randomize else ProductStateIndex(0, 0, 0)
+        indices.add(idx.t)
+        psi = _oracle_probe(u, tau, record.side_a, idx)
+        coeffs = oracles.schmidt_coefficients(psi, n + 1, record.side_a)
+        assert np.abs(coeffs[:4] - record.spectrum_head).max() < 1e-12
+        # the Gram-matrix oracle resolves coefficients to ~1e-8 relative
+        assert record.rank == np.count_nonzero(coeffs > 1e-6 * coeffs[0])
+    assert indices == ({0, 1} if randomize else {0})
+
+
+def test_default_index_circuit_scan_evolves_one_column(monkeypatch):
+    from dqc1kit import dqc1_model
+
+    evolved = []
+    kernel = dqc1_model.evolve_columns
+
+    def counting(circuit, columns):
+        evolved.append(columns.shape[1])
+        return kernel(circuit, columns)
+
+    monkeypatch.setattr(dqc1_model, "evolve_columns", counting)
+    config = Dqc1Config(10, 1.0, random_two_qubit_circuit(10, 40, SeedSpec(71)))
+    report = rank_bound_scan(config, num_cuts=20, seed=SeedSpec(72), workers=2)
+    assert len(report.records) == 20
+    assert evolved == [1]
+    evolved.clear()
+    seed = SeedSpec(73)
+    report = rank_bound_scan(config, num_cuts=20, seed=seed, randomize_index=True)
+    keys = set()
+    for task_id, record in enumerate(report.records):
+        idx = _scan_index(seed, task_id, len(record.side_a) - 1, 10)
+        keys.add((idx.t, _oracle_register_index(10, record.side_a, idx)))
+    # every distinct column once, in one pass per direction (U and U-dagger)
+    assert sum(evolved) == len(keys) and len(evolved) == 2
+
+
 def test_rank_bound_scan_product_unitary_collapses():
-    config = Dqc1Config(6, 1.0, product_unitary(6, SeedSpec(66)))
+    config = Dqc1Config(6, 1.0, haar_product_unitary(6, SeedSpec(66)))
     report = rank_bound_scan(config, exhaustive=True)
     assert report.min_rank <= 2
     assert not report.all_meet_floor

@@ -3,6 +3,8 @@ import pytest
 
 from dqc1kit import (
     Bipartition,
+    Circuit,
+    GateSpec,
     DenseOperator,
     Dqc1Config,
     ProductStateIndex,
@@ -17,9 +19,12 @@ from dqc1kit import (
     probe_reduction,
     qubit_permutation,
     random_two_qubit_circuit,
+    read_circuit,
     simulate_trace_estimation,
     top_on_side_a,
+    write_circuit,
 )
+from dqc1kit.tensor_core import is_unitary
 from dqc1kit.dqc1_model import _streamed_normalized_trace
 from dqc1kit.randomness import DENSE_LIMIT
 
@@ -246,6 +251,19 @@ def test_normalized_trace_dense_and_streamed_agree():
     assert abs(dense - streamed) < 1e-12
 
 
+def test_trace_of_near_unitary_circuit_file_agrees_dense_and_streamed(tmp_path):
+    gate = haar_unitary(2, SeedSpec(45)).matrix.copy()
+    gate[1, 2] += 5e-10  # unitary within the 1e-8 file tolerance, not within 1e-10
+    assert not is_unitary(gate, 1e-10)
+    gates = (GateSpec((0, 3), gate),) + random_two_qubit_circuit(5, 10, SeedSpec(46)).gates
+    path = tmp_path / "near.txt"
+    write_circuit(path, Circuit(5, gates))
+    circuit = read_circuit(path, 5)
+    dense = normalized_trace(circuit)
+    streamed = _streamed_normalized_trace(circuit)
+    assert abs(dense - streamed) < 1e-12
+
+
 def test_trace_estimation_identity_is_exact():
     est = simulate_trace_estimation(identity_config(3, 1.0), 10**6, SeedSpec(46))
     assert est.estimate.real == pytest.approx(1.0, abs=1e-12)
@@ -262,6 +280,7 @@ def test_trace_estimation_tracks_exact_value():
     assert abs(est.estimate.real - exact.real) < limit
     assert abs(est.estimate.imag - exact.imag) < limit
     assert est.std_error > 0
+    assert est.exact == exact
 
 
 def test_trace_estimation_rejects_zero_polarization():

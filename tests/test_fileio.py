@@ -108,8 +108,8 @@ def test_circuit_file_errors(tmp_path):
     with pytest.raises(FileFormatError):
         read_circuit(path, 2)  # target out of range
     non_unitary = "0 1 " + " ".join(["1 0"] * 16)
-    path.write_text(non_unitary + "\n")
-    with pytest.raises(FileFormatError):
+    path.write_text("# header\n" + non_unitary + "\n")
+    with pytest.raises(FileFormatError, match=f"{path}:2: gate is not unitary within 1e-08"):
         read_circuit(path, 2)
     path.write_text("0 x " + " ".join(["1 0"] * 16) + "\n")
     with pytest.raises(FileFormatError):

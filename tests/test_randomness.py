@@ -10,6 +10,7 @@ from dqc1kit import (
     apply_circuit,
     basis_state,
     circuit_unitary,
+    evolve_columns,
     haar_unitary,
     random_density_matrix,
     random_two_qubit_circuit,
@@ -132,7 +133,15 @@ def test_apply_circuit_matches_dense_oracle():
     for gate in circuit.gates:
         dense = oracles.embed_gate(gate.matrix, gate.targets, 6) @ dense
     assert np.allclose(got, dense @ v, atol=1e-10)
-    assert np.allclose(circuit_unitary(circuit).matrix, dense, atol=1e-10)
+    evolved = evolve_columns(circuit, np.eye(64, dtype=np.complex128))
+    assert np.array_equal(evolved, circuit_unitary(circuit).matrix)
+    assert np.abs(evolved - dense).max() < 1e-12
+    block = evolve_columns(circuit, np.eye(64, dtype=np.complex128)[:, [5, 0, 63]])
+    for j, x in enumerate((5, 0, 63)):
+        column = apply_circuit(circuit, basis_state(6, x)).amplitudes
+        assert np.array_equal(block[:, j], column)
+    with pytest.raises(ValueError):
+        evolve_columns(circuit, np.eye(32, dtype=np.complex128))
 
 
 def test_apply_circuit_linear():
@@ -177,6 +186,16 @@ def test_circuit_validation():
         GateSpec((0, 1), np.eye(3))
     with pytest.raises(ValueError):
         Circuit(2, (GateSpec((0, 2), np.eye(4)),))
+    with pytest.raises(ValueError, match="not unitary"):
+        GateSpec((0, 1), np.ones((4, 4)))
+    off = np.eye(4, dtype=np.complex128)
+    off[0, 0] += 1e-7
+    with pytest.raises(ValueError, match="not unitary"):
+        GateSpec((0, 1), off)
+    # Inside the documented 1e-8 tolerance: accepted, and so is its adjoint.
+    off[0, 0] = 1.0 + 5e-10
+    circuit = Circuit(2, (GateSpec((0, 1), off),))
+    assert circuit.inverse().gates[0].matrix[0, 0] == off[0, 0]
 
 
 def test_random_density_matrix_properties():

@@ -152,7 +152,7 @@ def _build_unitary(args: argparse.Namespace, n: int, seed: SeedSpec):
 
 def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
     if args.n < 5:
-        raise UsageError("--n must be >= 5 (no balanced window below that)")
+        raise UsageError("--n must be >= 5 (the scan's policy minimum)")
     if not 0.0 <= args.tau <= 1.0:
         raise UsageError("--tau must lie in [0, 1]")
     master = _master_seed(args)

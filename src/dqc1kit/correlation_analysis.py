@@ -13,7 +13,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,11 +46,6 @@ from .randomness import SeedSpec
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-# Sampling cuts without replacement materializes index arrays; above this
-# population size fall back to independent draws.
-_NO_REPLACEMENT_LIMIT = 2_000_000
-
-
 class ClaimFalsified(Exception):
     """A property the toolkit certifies numerically failed to hold."""
 
@@ -71,7 +66,11 @@ def parallel_map(
 
 
 def balanced_window(num_register_qubits: int) -> tuple[int, int]:
-    """Inclusive [ceil(n/5), floor(2n/5)] window; empty below n = 5."""
+    """Inclusive [ceil(n/5), floor(2n/5)] window; empty below n = 3.
+
+    It is [1, 1] at n = 3 and 4.  The n >= 5 minimum of
+    :func:`rank_bound_scan` is a policy, not a property of the window.
+    """
     n = num_register_qubits
     return -(-n // 5), (2 * n) // 5
 
@@ -132,8 +131,51 @@ class RankScanReport:
         return all(r.meets_floor for r in self.records if r.meets_floor is not None)
 
 
-def _spectrum_head(spectrum: SchmidtSpectrum, count: int = 4) -> tuple[float, ...]:
-    return tuple(float(c) for c in spectrum.coefficients[:count])
+def _sample_cuts(
+    m: int, sizes: Sequence[int], count: Optional[int], seed: Optional[SeedSpec]
+) -> tuple[list[tuple[int, ...]], bool]:
+    """Side-A labels (0,) + (1 + a k-subset of range(m)) for k in ``sizes``.
+
+    Returns the cuts in (size, lexicographic) order and whether they are
+    the whole population.  With ``count`` set below the population size,
+    that many cuts are drawn uniformly without replacement.
+    """
+    blocks = [(k, math.comb(m, k)) for k in sizes]
+    total = sum(block for _, block in blocks)
+    if count is None or count >= total:
+        combos = [combo for k in sizes for combo in combinations(range(m), k)]
+        exhaustive = True
+    else:
+        if seed is None:
+            raise ValueError("sampled mode needs a seed")
+        combos = []
+        for pick in np.sort(seed.generator().choice(total, size=count, replace=False)):
+            r = int(pick)
+            for k, block in blocks:
+                if r < block:
+                    combos.append(_unrank_combination(r, m, k))
+                    break
+                r -= block
+        exhaustive = False
+    return [(0,) + tuple(q + 1 for q in combo) for combo in combos], exhaustive
+
+
+def _cut_record(
+    psi: PureState, cut: Bipartition, window: int, rel_tol: float, floored: bool
+) -> CutRecord:
+    """Schmidt rank of ``psi`` across ``cut``, with floor 2^window if ``floored``."""
+    spectrum = schmidt_decompose(psi, cut)
+    rank = rank_of(spectrum, rel_tol)
+    floor = 2**window if floored else None
+    return CutRecord(
+        side_a=cut.side_a,
+        window_size=window,
+        rank=rank,
+        log2_rank=math.log2(rank) if rank else float("-inf"),
+        spectrum_head=tuple(float(c) for c in spectrum.coefficients[:4]),
+        rank_floor=floor,
+        meets_floor=None if floor is None else rank >= floor,
+    )
 
 
 def min_rank_over_equipartitions(
@@ -153,50 +195,14 @@ def min_rank_over_equipartitions(
     if n % 2 != 0:
         raise ValueError("equipartition scan requires an even qubit count")
     half = n // 2
-    total = math.comb(n - 1, half - 1)
     if partition_cap is not None and partition_cap < 1:
         raise ValueError("partition_cap must be >= 1")
-    if partition_cap is None or partition_cap >= total:
-        chosen: Iterable[tuple[int, ...]] = combinations(range(1, n), half - 1)
-        exhaustive = True
-    else:
-        if seed is None:
-            raise ValueError("sampled mode needs a seed")
-        rng = seed.generator()
-        picks = np.sort(rng.choice(total, size=partition_cap, replace=False))
-        chosen = [
-            tuple(q + 1 for q in _unrank_combination(int(r), n - 1, half - 1))
-            for r in picks
-        ]
-        exhaustive = False
+    cuts, exhaustive = _sample_cuts(n - 1, [half - 1], partition_cap, seed)
 
-    def evaluate(rest: tuple[int, ...]) -> CutRecord:
-        cut = Bipartition(n, (0,) + rest)
-        spectrum = schmidt_decompose(state, cut)
-        rank = rank_of(spectrum, rel_tol)
-        return CutRecord(
-            side_a=cut.side_a,
-            window_size=half,
-            rank=rank,
-            log2_rank=math.log2(rank) if rank else float("-inf"),
-            spectrum_head=_spectrum_head(spectrum),
-        )
+    def evaluate(side_a: tuple[int, ...]) -> CutRecord:
+        return _cut_record(state, Bipartition(n, side_a), half, rel_tol, floored=False)
 
-    records = parallel_map(evaluate, list(chosen), workers)
-    return RankScanReport(tuple(records), rel_tol, exhaustive)
-
-
-def _window_cut_blocks(num_register_qubits: int) -> list[tuple[int, int]]:
-    """(side-A register count, cut count) for every in-window block."""
-    n = num_register_qubits
-    if n < 5:
-        raise ValueError(f"n = {n} is too small to admit the balanced window (need n >= 5)")
-    low, high = balanced_window(n)
-    blocks = []
-    for a in range(1, n):
-        if low <= min(a, n - a) <= high:
-            blocks.append((a, math.comb(n, a)))
-    return blocks
+    return RankScanReport(tuple(parallel_map(evaluate, cuts, workers)), rel_tol, exhaustive)
 
 
 def rank_bound_scan(
@@ -214,39 +220,22 @@ def rank_bound_scan(
     Each evaluated cut keeps the top qubit on side A and has window size
     inside the balanced window.  The probe vector's Schmidt rank lower
     bounds the operator Schmidt rank of the joint state across the same
-    cut, and the per-cut floor is 2^window_size.
+    cut, and the per-cut floor is 2^window_size.  Registers below n = 5
+    are refused as a policy (see :func:`balanced_window`).
     """
     n = config.num_register_qubits
-    blocks = _window_cut_blocks(n)
-    total = sum(count for _, count in blocks)
-    if exhaustive:
-        tasks: list[tuple[int, tuple[int, ...]]] = []
-        for a, _ in blocks:
-            tasks.extend((a, combo) for combo in combinations(range(1, n + 1), a))
-    else:
-        if num_cuts < 1:
-            raise ValueError("num_cuts must be >= 1")
-        if seed is None:
-            raise ValueError("sampled mode needs a seed")
-        rng = seed.generator()
-        size = min(num_cuts, total)
-        if total <= _NO_REPLACEMENT_LIMIT:
-            picks = np.sort(rng.choice(total, size=size, replace=False))
-        else:
-            picks = np.sort(rng.integers(0, total, size=num_cuts))
-        tasks = []
-        for pick in picks:
-            r = int(pick)
-            for a, count in blocks:
-                if r < count:
-                    labels = _unrank_combination(r, n, a)
-                    tasks.append((a, tuple(q + 1 for q in labels)))
-                    break
-                r -= count
+    if n < 5:
+        raise ValueError(f"n = {n} is below the scan's policy minimum (need n >= 5)")
+    if not exhaustive and num_cuts < 1:
+        raise ValueError("num_cuts must be >= 1")
+    low, high = balanced_window(n)
+    sizes = [a for a in range(1, n) if low <= min(a, n - a) <= high]
+    cuts, exhaustive = _sample_cuts(n, sizes, None if exhaustive else num_cuts, seed)
 
     probes = []
-    for task_id, (a, labels) in enumerate(tasks):
-        cut = Bipartition(n + 1, (0,) + labels)
+    for task_id, side_a in enumerate(cuts):
+        cut = Bipartition(n + 1, side_a)
+        a = len(side_a) - 1
         if randomize_index:
             rng = seed.child(task_id).generator() if seed else np.random.default_rng(task_id)
             idx = ProductStateIndex(
@@ -281,18 +270,7 @@ def rank_bound_scan(
         def evaluate(task_id: int) -> CutRecord:
             cut, window, key = probes[task_id]
             psi = probe_from_column(config, key, columns[key[1]])
-            spectrum = schmidt_decompose(psi, cut)
-            rank = rank_of(spectrum, rel_tol)
-            floor = 2**window
-            return CutRecord(
-                side_a=cut.side_a,
-                window_size=window,
-                rank=rank,
-                log2_rank=math.log2(rank) if rank else float("-inf"),
-                spectrum_head=_spectrum_head(spectrum),
-                rank_floor=floor,
-                meets_floor=rank >= floor,
-            )
+            return _cut_record(psi, cut, window, rel_tol, floored=True)
 
         for task_id, record in zip(task_ids, parallel_map(evaluate, task_ids, workers)):
             records[task_id] = record

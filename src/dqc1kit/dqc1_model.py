@@ -19,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .randomness import DENSE_LIMIT, Circuit, SeedSpec, circuit_unitary, evolve_columns
-from .tensor_core import Bipartition, DenseOperator, PureState
+from .tensor_core import Bipartition, DenseOperator, PureState, cut_matrix
 
 UnitarySource = Union[DenseOperator, Circuit]
 
@@ -212,9 +212,7 @@ def probe_reduction(
         raise ValueError(
             f"side B has {cut.n_b} qubits, dense reduction limit is {DENSE_LIMIT}"
         )
-    psi = apply_to_product(config, cut, idx)
-    axes = cut.side_a + cut.side_b
-    m = psi.tensor().transpose(axes).reshape(cut.dim_a, cut.dim_b)
+    m = cut_matrix(apply_to_product(config, cut, idx).amplitudes, cut)
     return DenseOperator(cut.n_b, np.einsum("ab,ac->bc", m, m.conj()))
 
 
@@ -246,41 +244,28 @@ def evolved_basis_reduction(
     register_index = _scatter_bits(i, register_cut.side_a, n) | _scatter_bits(
         j, register_cut.side_b, n
     )
-    evolved = register_columns(unitary, [register_index], adjoint)[:, 0]
-    axes = register_cut.side_a + register_cut.side_b
-    m = evolved.reshape((2,) * n).transpose(axes).reshape(
-        register_cut.dim_a, register_cut.dim_b
-    )
+    m = cut_matrix(register_columns(unitary, [register_index], adjoint)[:, 0], register_cut)
     return DenseOperator(register_cut.n_b, np.einsum("ab,ac->bc", m, m.conj()))
 
 
-def _streamed_normalized_trace(circuit: Circuit) -> complex:
-    """Sum <x|U|x> over blocks of basis columns; O(4^n * gates) time.
-
-    The diagonal entries are added one at a time in order of x, so the sum
-    does not depend on the block size.
-    """
-    dim = 2**circuit.num_qubits
-    step = max(1, COLUMN_BLOCK_ENTRIES // dim)
-    total = 0.0 + 0.0j
-    for start in range(0, dim, step):
-        xs = range(start, min(start + step, dim))
-        block = register_columns(circuit, xs, adjoint=False)
-        for j, x in enumerate(xs):
-            total += block[x, j]
-    return total / dim
-
-
 def normalized_trace(unitary: UnitarySource) -> complex:
-    """Exact Tr(U)/2^n; streams the diagonal when U is a large circuit."""
+    """Exact Tr(U)/2^n.
+
+    A circuit's diagonal is gathered over blocks of basis columns, so the
+    unitary is never materialized; that costs O(4^n * gates) time.
+    """
     n = unitary.num_qubits
     if isinstance(unitary, DenseOperator):
         return complex(np.trace(unitary.matrix) / 2**n)
-    if n <= DENSE_LIMIT:
-        return complex(np.trace(circuit_unitary(unitary).matrix) / 2**n)
-    if n <= STREAM_LIMIT:
-        return _streamed_normalized_trace(unitary)
-    raise ValueError(f"register of {n} qubits exceeds streaming limit {STREAM_LIMIT}")
+    if n > STREAM_LIMIT:
+        raise ValueError(f"register of {n} qubits exceeds streaming limit {STREAM_LIMIT}")
+    dim = 2**n
+    step = max(1, COLUMN_BLOCK_ENTRIES // dim)
+    diag = np.empty(dim, dtype=np.complex128)
+    for start in range(0, dim, step):
+        xs = np.arange(start, min(start + step, dim))
+        diag[xs] = register_columns(unitary, xs, adjoint=False)[xs, xs - start]
+    return complex(diag.sum() / dim)
 
 
 def simulate_trace_estimation(

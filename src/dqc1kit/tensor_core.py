@@ -201,13 +201,25 @@ def _check_register(name: str, num_qubits: int, cut: Bipartition) -> None:
         )
 
 
+def cut_matrix(amplitudes: np.ndarray, cut: Bipartition) -> np.ndarray:
+    """Amplitudes over the cut's qubits as a dim_a x dim_b matrix (side A rows)."""
+    t = np.asarray(amplitudes).reshape((2,) * cut.total_qubits)
+    return t.transpose(cut.side_a + cut.side_b).reshape(cut.dim_a, cut.dim_b)
+
+
 def schmidt_decompose(state: PureState, cut: Bipartition) -> SchmidtSpectrum:
     """Singular values of the state reindexed as a dim_a x dim_b matrix."""
     _check_register("schmidt_decompose", state.num_qubits, cut)
-    axes = cut.side_a + cut.side_b
-    mat = state.tensor().transpose(axes).reshape(cut.dim_a, cut.dim_b)
-    coeffs = np.linalg.svd(mat, compute_uv=False)
+    coeffs = np.linalg.svd(cut_matrix(state.amplitudes, cut), compute_uv=False)
     return SchmidtSpectrum(coeffs, state.norm)
+
+
+def _realign_axes(cut: Bipartition) -> list[int]:
+    """Axis order (rA, cA, rB, cB) of an operator tensor with rows first."""
+    n = cut.total_qubits
+    a = list(cut.side_a)
+    b = list(cut.side_b)
+    return a + [n + q for q in a] + b + [n + q for q in b]
 
 
 def realign(matrix: np.ndarray, cut: Bipartition) -> np.ndarray:
@@ -216,23 +228,15 @@ def realign(matrix: np.ndarray, cut: Bipartition) -> np.ndarray:
     The result is a dim_a^2 x dim_b^2 matrix whose singular values are the
     operator Schmidt coefficients of the input across the cut.
     """
-    n = cut.total_qubits
-    t = np.asarray(matrix, dtype=np.complex128).reshape((2,) * (2 * n))
-    a = list(cut.side_a)
-    b = list(cut.side_b)
-    order = a + [n + q for q in a] + b + [n + q for q in b]
-    return t.transpose(order).reshape(cut.dim_a**2, cut.dim_b**2)
+    t = np.asarray(matrix, dtype=np.complex128).reshape((2,) * (2 * cut.total_qubits))
+    return t.transpose(_realign_axes(cut)).reshape(cut.dim_a**2, cut.dim_b**2)
 
 
 def unrealign(realigned: np.ndarray, cut: Bipartition) -> np.ndarray:
     """Inverse of :func:`realign`; returns the ordinary 2^n x 2^n matrix."""
     n = cut.total_qubits
-    a = list(cut.side_a)
-    b = list(cut.side_b)
-    order = a + [n + q for q in a] + b + [n + q for q in b]
-    inverse = np.argsort(order)
     t = np.asarray(realigned, dtype=np.complex128).reshape((2,) * (2 * n))
-    return t.transpose(inverse).reshape(2**n, 2**n)
+    return t.transpose(np.argsort(_realign_axes(cut))).reshape(2**n, 2**n)
 
 
 def operator_schmidt_decompose(op: DenseOperator, cut: Bipartition) -> SchmidtSpectrum:

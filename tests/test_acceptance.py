@@ -47,7 +47,6 @@ from dqc1kit import (
     write_cmat,
 )
 from dqc1kit.cli import main as cli_main
-from dqc1kit.dqc1_model import _streamed_normalized_trace
 
 from conftest import record_verdict
 
@@ -282,25 +281,23 @@ def test_trace_estimation_accuracy():
     shots = 10_000
     threshold = 4 / np.sqrt(shots)
     within = 0
-    max_path_gap = 0.0
+    path_mismatches = 0
     for run in range(100):
         seed = MASTER.child(run)
         circuit = random_two_qubit_circuit(6, 12, seed.child(0))
         exact = normalized_trace(circuit)
-        dense = normalized_trace(circuit_unitary(circuit))
-        streamed = _streamed_normalized_trace(circuit)
-        max_path_gap = max(max_path_gap, abs(exact - dense), abs(exact - streamed))
+        path_mismatches += exact != normalized_trace(circuit_unitary(circuit))
         config = Dqc1Config(6, 1.0, circuit)
         estimate = simulate_trace_estimation(config, shots, seed.child(1))
         delta = estimate.estimate - exact
         if abs(delta.real) <= threshold and abs(delta.imag) <= threshold:
             within += 1
-    ok = within >= 95 and max_path_gap <= 1e-12
+    ok = within >= 95 and path_mismatches == 0
     verdict(
         "shot-based trace estimates land within 4/sqrt(shots) of the exact value",
         ok,
         f"{within}/100 runs within {threshold:.3f} componentwise (need >= 95); "
-        f"dense/circuit/streamed paths agree to {max_path_gap:.1e}",
+        f"streamed circuit trace differs from the dense trace in {path_mismatches}/100",
     )
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -35,7 +36,8 @@ from dqc1kit import (
     truncation_experiment,
     truncation_fidelity,
 )
-from dqc1kit.correlation_analysis import _unrank_combination, parallel_map
+from dqc1kit.cli import main as cli_main
+from dqc1kit.correlation_analysis import _sample_cuts, _unrank_combination, parallel_map
 
 import oracles
 
@@ -54,6 +56,53 @@ def test_unrank_combination_is_lexicographic():
     assert got == want
     with pytest.raises(ValueError):
         _unrank_combination(math.comb(8, 3), 8, 3)
+
+
+def test_cut_sampler_draws_distinct_cuts_above_two_million():
+    n = 23
+    low, high = balanced_window(n)
+    sizes = [a for a in range(1, n) if low <= min(a, n - a) <= high]
+    assert sum(math.comb(n, a) for a in sizes) > 2_000_000
+    cuts, exhaustive = _sample_cuts(n, sizes, 10**4, SeedSpec(76))
+    assert not exhaustive
+    assert len(set(cuts)) == len(cuts) == 10**4
+    assert cuts == sorted(cuts, key=lambda c: (len(c), c))
+    assert all(c[0] == 0 and low <= min(len(c) - 1, n + 1 - len(c)) <= high for c in cuts)
+
+
+# The cuts (side_a lists) three sampled scans choose.  They are integers and
+# do not depend on BLAS, so any change to cut sampling shows here exactly.
+PINNED_BOUND_SCAN_N10 = [
+    [0, 2, 4, 8], [0, 2, 7, 9], [0, 3, 5, 10], [0, 5, 7, 8], [0, 1, 3, 4, 6],
+    [0, 2, 7, 8, 10], [0, 6, 7, 9, 10], [0, 1, 2, 3, 4, 5, 9], [0, 1, 2, 3, 7, 8, 9],
+    [0, 1, 2, 3, 8, 9, 10], [0, 1, 3, 4, 7, 8, 10], [0, 1, 4, 5, 7, 8, 10],
+    [0, 2, 3, 4, 8, 9, 10], [0, 2, 3, 7, 8, 9, 10], [0, 2, 4, 5, 6, 8, 10],
+    [0, 3, 4, 5, 7, 8, 9], [0, 3, 5, 6, 8, 9, 10], [0, 1, 2, 3, 4, 7, 8, 9],
+    [0, 2, 3, 4, 5, 6, 8, 9], [0, 1, 3, 4, 6, 7, 8, 9, 10],
+]
+PINNED_CIRCUIT_SCAN_N14 = [
+    [0, 2, 3, 4], [0, 4, 9, 11], [0, 1, 2, 8, 9, 14], [0, 1, 3, 4, 7, 8],
+    [0, 1, 3, 6, 7, 12], [0, 2, 4, 8, 10, 11], [0, 4, 7, 8, 11, 14],
+    [0, 1, 2, 3, 4, 5, 7, 10, 11, 12], [0, 1, 2, 4, 5, 6, 7, 9, 10, 13],
+    [0, 1, 2, 4, 5, 6, 9, 10, 11, 14], [0, 1, 2, 7, 8, 9, 11, 12, 13, 14],
+    [0, 1, 3, 4, 6, 7, 8, 10, 13, 14], [0, 2, 3, 5, 6, 7, 8, 10, 13, 14],
+    [0, 2, 3, 5, 7, 10, 11, 12, 13, 14], [0, 4, 5, 8, 9, 10, 11, 12, 13, 14],
+    [0, 1, 3, 4, 5, 6, 7, 9, 11, 12, 14], [0, 1, 4, 5, 6, 8, 10, 11, 12, 13, 14],
+    [0, 1, 5, 7, 8, 9, 10, 11, 12, 13, 14], [0, 2, 4, 5, 6, 9, 10, 11, 12, 13, 14],
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13],
+]
+PINNED_EQUIPARTITIONS_N8 = [
+    [0, 1, 2, 4], [0, 1, 2, 5], [0, 1, 3, 5], [0, 1, 5, 6], [0, 2, 3, 4],
+    [0, 2, 4, 7], [0, 2, 6, 7], [0, 3, 5, 6], [0, 3, 6, 7], [0, 4, 5, 6],
+]
+
+
+def test_circuit_scan_cut_choice_is_pinned(tmp_path):
+    out = tmp_path / "scan.json"
+    argv = ["bound-scan", "--unitary", "circuit", "--n", "14", "--cuts", "20"]
+    assert cli_main(argv + ["--randomize-index", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["side_a"] for row in rows] == PINNED_CIRCUIT_SCAN_N14
 
 
 def test_parallel_map_preserves_order():
@@ -91,7 +140,7 @@ def test_min_rank_sampled_subset_matches_exhaustive():
     full = min_rank_over_equipartitions(state)
     sampled = min_rank_over_equipartitions(state, partition_cap=10, seed=SeedSpec(61))
     assert not sampled.exhaustive
-    assert len(sampled.records) == 10
+    assert [list(r.side_a) for r in sampled.records] == PINNED_EQUIPARTITIONS_N8
     ranks_by_cut = {r.side_a: r.rank for r in full.records}
     assert all(ranks_by_cut[r.side_a] == r.rank for r in sampled.records)
     again = min_rank_over_equipartitions(state, partition_cap=10, seed=SeedSpec(61))
@@ -124,12 +173,15 @@ def test_rank_bound_scan_exhaustive_count_and_floors():
         assert record.rank_floor == 2**record.window_size
         assert record.side_a[0] == 0
     assert report.all_meet_floor
+    assert report.exhaustive
+    # asking for the whole population is the exhaustive scan
+    assert rank_bound_scan(config, num_cuts=expected, seed=SeedSpec(63)) == report
 
 
 def test_rank_bound_scan_sampled_mode():
     config = Dqc1Config(10, 1.0, haar_unitary(10, SeedSpec(64)))
     report = rank_bound_scan(config, num_cuts=20, seed=SeedSpec(65))
-    assert len(report.records) == 20
+    assert [list(r.side_a) for r in report.records] == PINNED_BOUND_SCAN_N10
     assert report.all_meet_floor
     assert report.min_rank >= 4  # 2^ceil(10/5)
     again = rank_bound_scan(config, num_cuts=20, seed=SeedSpec(65), workers=4)

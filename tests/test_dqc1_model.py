@@ -25,7 +25,6 @@ from dqc1kit import (
     write_circuit,
 )
 from dqc1kit.tensor_core import is_unitary
-from dqc1kit.dqc1_model import _streamed_normalized_trace
 from dqc1kit.randomness import DENSE_LIMIT
 
 
@@ -243,12 +242,10 @@ def test_normalized_trace_cases():
 
 
 def test_normalized_trace_dense_and_streamed_agree():
-    circuit = random_two_qubit_circuit(6, 12, SeedSpec(45))
-    dense = normalized_trace(circuit_unitary(circuit))
-    via_circuit = normalized_trace(circuit)
-    streamed = _streamed_normalized_trace(circuit)
-    assert abs(dense - via_circuit) < 1e-12
-    assert abs(dense - streamed) < 1e-12
+    # n = 10 streams the diagonal over 16 blocks of basis columns
+    for n in (6, 10):
+        circuit = random_two_qubit_circuit(n, 2 * n, SeedSpec(45))
+        assert normalized_trace(circuit) == normalized_trace(circuit_unitary(circuit))
 
 
 def test_trace_of_near_unitary_circuit_file_agrees_dense_and_streamed(tmp_path):
@@ -259,9 +256,7 @@ def test_trace_of_near_unitary_circuit_file_agrees_dense_and_streamed(tmp_path):
     path = tmp_path / "near.txt"
     write_circuit(path, Circuit(5, gates))
     circuit = read_circuit(path, 5)
-    dense = normalized_trace(circuit)
-    streamed = _streamed_normalized_trace(circuit)
-    assert abs(dense - streamed) < 1e-12
+    assert normalized_trace(circuit) == normalized_trace(circuit_unitary(circuit))
 
 
 def test_trace_estimation_identity_is_exact():

@@ -14,7 +14,6 @@ from .tensor_core import (
     fidelity,
     majorizes,
     operator_schmidt_decompose,
-    partial_trace,
     qubit_permutation,
     rank_of,
     realign,
@@ -39,10 +38,8 @@ from .dqc1_model import (
     ProductStateIndex,
     TraceEstimate,
     apply_to_product,
-    evolved_basis_reduction,
     final_state,
     normalized_trace,
-    probe_reduction,
     simulate_trace_estimation,
     top_on_side_a,
 )

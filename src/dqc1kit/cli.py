@@ -348,7 +348,9 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
     common.add_argument("--workers", type=int, default=1, help="thread count (default 1)")
-    common.add_argument("--tol", type=float, default=1e-10, help="relative rank tolerance")
+    common.add_argument(
+        "--tol", type=float, default=1e-10, help="relative rank tolerance in (0, 1)"
+    )
     common.add_argument("--out", default="-", help="output path, '-' for stdout")
     common.add_argument("--format", choices=["csv", "json"], default=None)
 
@@ -436,6 +438,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         if args.workers < 1:
             raise UsageError("--workers must be >= 1")
+        if not 0 < args.tol < 1:
+            raise UsageError("--tol must lie in (0, 1)")
         result = args.run(args)
         text = _serialize(result, args.format)
         if args.out == "-":

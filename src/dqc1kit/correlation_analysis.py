@@ -21,7 +21,6 @@ from .dqc1_model import (
     COLUMN_BLOCK_ENTRIES,
     Dqc1Config,
     ProductStateIndex,
-    evolved_basis_reduction,
     final_state,
     probe_from_column,
     probe_key,
@@ -31,15 +30,13 @@ from .dqc1_model import (
 from .tensor_core import (
     DEFAULT_RANK_TOL,
     Bipartition,
-    DenseOperator,
     ProbabilityVector,
     PureState,
     SchmidtSpectrum,
-    fidelity,
+    operator_schmidt_decompose,
     rank_of,
-    realign,
     schmidt_decompose,
-    unrealign,
+    truncation_fidelity,
 )
 from .randomness import SeedSpec
 
@@ -390,10 +387,8 @@ def concentration_report(
         v = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
         v /= np.linalg.norm(v)
         sing = np.linalg.svd(v.reshape(d_a, d_b), compute_uv=False)
-        spectrum = sing**2
-        deviation = float(np.max(np.abs(spectrum * d_a - 1.0)))
-        nonzero = int(np.count_nonzero(sing > rel_tol * sing[0]))
-        return deviation, nonzero
+        deviation = float(np.max(np.abs(sing**2 * d_a - 1.0)))
+        return deviation, rank_of(SchmidtSpectrum(sing, 1.0), rel_tol)
 
     results = parallel_map(sample, list(range(samples)), workers)
     deviations = tuple(dev for dev, _ in results)
@@ -453,11 +448,12 @@ def truncation_experiment(
 ) -> tuple[TruncationRow, ...]:
     """Truncate the joint state across a balanced cut and check the floor.
 
-    For each rank r the best rank-r approximation (by realigned SVD) is
-    reconstructed, its fidelity F to the full state measured, and the
-    floor robust_rank_bound(1-F, delta_hat, window).linear_bound compared
-    against r.  delta_hat is measured from the evolved-basis reduction of
-    the same cut rather than assumed.
+    For each rank r the fidelity F of the best rank-r approximation is
+    read from the operator Schmidt spectrum across the cut,
+    sqrt(sum_{i<=r} s_i^2 / sum_i s_i^2), and the floor
+    robust_rank_bound(1-F, delta_hat, window).linear_bound is compared
+    against r.  delta_hat is measured from the reduction of U|0> across
+    the register part of the same cut rather than assumed.
     """
     n = config.num_register_qubits
     if n > 8:
@@ -472,15 +468,15 @@ def truncation_experiment(
         raise ValueError(
             f"cut window {window} outside the balanced range [{low}, {high}]"
         )
-    rho = final_state(config)
-    u, sing, vt = np.linalg.svd(realign(rho.matrix, cut))
-    full_rank = int(np.count_nonzero(sing > rel_tol * sing[0]))
+    spectrum = operator_schmidt_decompose(final_state(config), cut)
+    full_rank = rank_of(spectrum, rel_tol)
 
+    # The squared Schmidt coefficients of U|0> across the register cut are
+    # the nonzero eigenvalues of its reduction; there are 2^window of them.
     register_cut = Bipartition(n, tuple(q - 1 for q in cut.side_a if q != 0))
-    q_op = evolved_basis_reduction(config.unitary, register_cut, 0, 0)
-    q_spectrum = np.sort(np.linalg.eigvalsh(q_op.matrix))[::-1]
-    d_eff = 2**window
-    delta_hat = float(np.max(np.abs(q_spectrum[:d_eff] * d_eff - 1.0)))
+    column = PureState(n, register_columns(config.unitary, [0], False)[:, 0])
+    q_spectrum = schmidt_decompose(column, register_cut).coefficients ** 2
+    delta_hat = float(np.max(np.abs(q_spectrum * 2**window - 1.0)))
 
     sweep = list(ranks) if ranks is not None else list(range(1, full_rank + 1))
     for r in sweep:
@@ -489,8 +485,7 @@ def truncation_experiment(
 
     rows = []
     for r in sweep:
-        approx = unrealign((u[:, :r] * sing[:r]) @ vt[:r], cut)
-        f = fidelity(rho, DenseOperator(n + 1, approx))
+        f = truncation_fidelity(spectrum, r)
         eps = max(0.0, 1.0 - f)
         bound = robust_rank_bound(eps, delta_hat, window)
         rows.append(

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .randomness import DENSE_LIMIT, Circuit, SeedSpec, circuit_unitary, evolve_columns
-from .tensor_core import Bipartition, DenseOperator, PureState, cut_matrix
+from .tensor_core import Bipartition, DenseOperator, PureState
 
 UnitarySource = Union[DenseOperator, Circuit]
 
@@ -201,51 +201,6 @@ def apply_to_product(
     key = probe_key(config, cut, idx)
     evolved = register_columns(config.unitary, [key[1]], adjoint=key[0])[:, 0]
     return probe_from_column(config, key, evolved)
-
-
-def probe_reduction(
-    config: Dqc1Config, cut: Bipartition, idx: ProductStateIndex
-) -> DenseOperator:
-    """B-side reduction of the probe projector, Tr_A |psi><psi|."""
-    cut = top_on_side_a(cut)
-    if cut.n_b > DENSE_LIMIT:
-        raise ValueError(
-            f"side B has {cut.n_b} qubits, dense reduction limit is {DENSE_LIMIT}"
-        )
-    m = cut_matrix(apply_to_product(config, cut, idx).amplitudes, cut)
-    return DenseOperator(cut.n_b, np.einsum("ab,ac->bc", m, m.conj()))
-
-
-def evolved_basis_reduction(
-    unitary: UnitarySource,
-    register_cut: Bipartition,
-    i: int,
-    j: int,
-    adjoint: bool = False,
-) -> DenseOperator:
-    """Tr_A[W|i,j><i,j|W†] over the register only; PSD, trace 1, rank <= d_A.
-
-    ``register_cut`` is a cut of the n register qubits (no top qubit); i
-    indexes the side-A labels, j the side-B labels.
-    """
-    n = unitary.num_qubits
-    if register_cut.total_qubits != n:
-        raise ValueError(
-            f"register cut is over {register_cut.total_qubits} qubits, "
-            f"unitary acts on {n}"
-        )
-    if register_cut.n_b > DENSE_LIMIT:
-        raise ValueError(
-            f"side B has {register_cut.n_b} qubits, "
-            f"dense reduction limit is {DENSE_LIMIT}"
-        )
-    if not 0 <= i < register_cut.dim_a or not 0 <= j < register_cut.dim_b:
-        raise ValueError(f"basis indices ({i}, {j}) out of range for the cut")
-    register_index = _scatter_bits(i, register_cut.side_a, n) | _scatter_bits(
-        j, register_cut.side_b, n
-    )
-    m = cut_matrix(register_columns(unitary, [register_index], adjoint)[:, 0], register_cut)
-    return DenseOperator(register_cut.n_b, np.einsum("ab,ac->bc", m, m.conj()))
 
 
 def normalized_trace(unitary: UnitarySource) -> complex:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -201,16 +201,11 @@ def _check_register(name: str, num_qubits: int, cut: Bipartition) -> None:
         )
 
 
-def cut_matrix(amplitudes: np.ndarray, cut: Bipartition) -> np.ndarray:
-    """Amplitudes over the cut's qubits as a dim_a x dim_b matrix (side A rows)."""
-    t = np.asarray(amplitudes).reshape((2,) * cut.total_qubits)
-    return t.transpose(cut.side_a + cut.side_b).reshape(cut.dim_a, cut.dim_b)
-
-
 def schmidt_decompose(state: PureState, cut: Bipartition) -> SchmidtSpectrum:
     """Singular values of the state reindexed as a dim_a x dim_b matrix."""
     _check_register("schmidt_decompose", state.num_qubits, cut)
-    coeffs = np.linalg.svd(cut_matrix(state.amplitudes, cut), compute_uv=False)
+    m = state.tensor().transpose(cut.side_a + cut.side_b).reshape(cut.dim_a, cut.dim_b)
+    coeffs = np.linalg.svd(m, compute_uv=False)
     return SchmidtSpectrum(coeffs, state.norm)
 
 
@@ -244,26 +239,6 @@ def operator_schmidt_decompose(op: DenseOperator, cut: Bipartition) -> SchmidtSp
     _check_register("operator_schmidt_decompose", op.num_qubits, cut)
     coeffs = np.linalg.svd(realign(op.matrix, cut), compute_uv=False)
     return SchmidtSpectrum(coeffs, op.frobenius_norm())
-
-
-def partial_trace(op: DenseOperator, traced: Iterable[int]) -> DenseOperator:
-    """Trace out the given qubits, keeping the remaining labels in order."""
-    traced_list = sorted(set(int(q) for q in traced))
-    n = op.num_qubits
-    if not traced_list:
-        raise ValueError("must trace out at least one qubit")
-    if any(q < 0 or q >= n for q in traced_list):
-        raise ValueError("traced labels out of range")
-    if len(traced_list) == n:
-        raise ValueError("cannot trace out the whole register")
-    keep = [q for q in range(n) if q not in traced_list]
-    t = op.matrix.reshape((2,) * (2 * n))
-    order = keep + traced_list + [n + q for q in keep] + [n + q for q in traced_list]
-    dim_keep = 2 ** len(keep)
-    dim_traced = 2 ** len(traced_list)
-    folded = t.transpose(order).reshape(dim_keep, dim_traced, dim_keep, dim_traced)
-    reduced = np.einsum("aibi->ab", folded)
-    return DenseOperator(len(keep), reduced)
 
 
 def rank_of(spectrum: SchmidtSpectrum, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -335,14 +310,6 @@ def apply_two_qubit_gate(
     out = np.tensordot(gate.reshape(2, 2, 2, 2), state.tensor(), axes=[(2, 3), (q1, q2)])
     out = np.moveaxis(out, (0, 1), (q1, q2))
     return PureState(n, np.ascontiguousarray(out).reshape(-1))
-
-
-def eigenvalue_distribution(op: DenseOperator) -> ProbabilityVector:
-    """Eigenvalues of a trace-1 Hermitian operator, clipped and sorted."""
-    if not is_hermitian(op.matrix, 1e-10):
-        raise ValueError("operator is not Hermitian within 1e-10")
-    values = np.linalg.eigvalsh(op.matrix)
-    return ProbabilityVector(np.sort(values)[::-1])
 
 
 def truncation_fidelity(spectrum: SchmidtSpectrum, rank: int) -> float:

@@ -228,3 +228,20 @@ def test_out_flag_unwritable_path_is_io_error(capsys):
 def test_workers_must_be_positive(capsys):
     code, _out, _err = run(capsys, ["tree-edge", "--workers", "0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("tol", ["0", "1", "1.5", "nan"])
+def test_tol_must_lie_in_open_unit_interval(capsys, tol):
+    # trace-estimate names a missing file: without the tol check it exits 3
+    for argv in (
+        ["rank-scaling", "--n-list", "4", "--seeds", "1"],
+        ["bound-scan", "--n", "5", "--cuts", "2"],
+        ["concentration", "--na", "1", "--nb", "2", "--samples", "2"],
+        ["trace-estimate", "--cmat", "missing.cmat"],
+        ["tree-edge", "--leaves", "6", "--trees", "1"],
+        ["truncation", "--n", "5"],
+    ):
+        code, out, err = run(capsys, argv + ["--tol", tol])
+        assert code == 1, argv
+        assert out == ""
+        assert "--tol" in err

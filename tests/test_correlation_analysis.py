@@ -426,6 +426,32 @@ def test_truncation_experiment_endpoints():
         truncation_experiment(config, Bipartition(7, (0, 1)), ranks=[1])  # window 1 < 2
 
 
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("tau", [1.0, 0.6])
+def test_truncation_experiment_matches_reconstruction_oracle(n, tau):
+    # every row against the rank-r SVD reconstruction of the entrywise
+    # realigned state, and delta_hat against the Gram-matrix Schmidt
+    # coefficients of U|0> across the register cut
+    u = haar_unitary(n, SeedSpec(81).child(n))
+    config = Dqc1Config(n, tau, u)
+    side_a = tuple(range(balanced_window(n)[0] + 1))
+    rows = truncation_experiment(config, Bipartition(n + 1, side_a))
+    realigned = oracles.realign_entrywise(final_state(config).matrix, n + 1, side_a)
+    left, sing, right = np.linalg.svd(realigned)
+    norm = np.linalg.norm(realigned)
+    window = min(len(side_a) - 1, n + 1 - len(side_a))
+    register_side = tuple(q - 1 for q in side_a if q != 0)
+    coeffs = oracles.schmidt_coefficients(u.matrix[:, 0], n, register_side)
+    delta_hat = float(np.max(np.abs(coeffs[: 2**window] ** 2 * 2**window - 1.0)))
+    assert [row.rank for row in rows] == list(range(1, len(rows) + 1))
+    for row in rows:
+        r = row.rank
+        truncated = (left[:, :r] * sing[:r]) @ right[:r]
+        want = np.vdot(realigned, truncated).real / (norm * np.linalg.norm(truncated))
+        assert abs(row.fidelity - want) <= 1e-12
+        assert abs(row.delta_hat - delta_hat) <= 1e-14
+
+
 def test_truncation_experiment_flips_cut_automatically():
     config = Dqc1Config(5, 1.0, haar_unitary(5, SeedSpec(78)))
     rows_direct = truncation_experiment(config, Bipartition(6, (0, 1)), ranks=[2, 5])

@@ -12,11 +12,9 @@ from dqc1kit import (
     apply_to_product,
     basis_state,
     circuit_unitary,
-    evolved_basis_reduction,
     final_state,
     haar_unitary,
     normalized_trace,
-    probe_reduction,
     qubit_permutation,
     random_two_qubit_circuit,
     read_circuit,
@@ -24,12 +22,28 @@ from dqc1kit import (
     top_on_side_a,
     write_circuit,
 )
+from dqc1kit.dqc1_model import register_columns
 from dqc1kit.tensor_core import is_unitary
 from dqc1kit.randomness import DENSE_LIMIT
+
+import oracles
 
 
 def identity_config(n: int, tau: float) -> Dqc1Config:
     return Dqc1Config(n, tau, DenseOperator(n, np.eye(2**n)))
+
+
+def side_b_reduction(vec: np.ndarray, num_qubits: int, side_a: tuple[int, ...]) -> np.ndarray:
+    """Tr_A |v><v| from the oracle's bit-by-bit amplitude split."""
+    m = oracles.split_amplitudes(vec, num_qubits, side_a)
+    return m.T @ m.conj()
+
+
+def probe_reduction(config: Dqc1Config, cut: Bipartition, idx: ProductStateIndex) -> np.ndarray:
+    """B-side reduction of the probe projector, cut taken with the top qubit on A."""
+    cut = top_on_side_a(cut)
+    psi = apply_to_product(config, cut, idx)
+    return side_b_reduction(psi.amplitudes, config.total_qubits, cut.side_a)
 
 
 def test_config_validation():
@@ -132,7 +146,7 @@ def test_apply_to_product_index_out_of_range():
 def test_probe_reduction_identity_unitary_rank_two():
     config = identity_config(3, 1.0)
     sigma = probe_reduction(config, Bipartition(4, (0, 1)), ProductStateIndex(0, 1, 0))
-    eigs = np.linalg.eigvalsh(sigma.matrix)
+    eigs = np.linalg.eigvalsh(sigma)
     assert np.sum(eigs > 1e-12 * eigs.max()) <= 2
 
 
@@ -144,7 +158,8 @@ def test_probe_reduction_block_identity():
     config = Dqc1Config(n, tau, u)
     cut = Bipartition(n + 1, (0, 1, 2))
     i, j = 2, 5
-    sigma = probe_reduction(config, cut, ProductStateIndex(0, i, j))
+    psi = apply_to_product(config, cut, ProductStateIndex(0, i, j)).amplitudes
+    sigma = oracles.partial_trace_entrywise(np.outer(psi, psi.conj()), n + 1, cut.side_a)
     # independent Q: evolve the basis column and trace out side A by hand
     column = (i << 3) | j  # side-A register labels {1,2}, side-B {3,4,5}
     phi = u.matrix[:, column].reshape(4, 8)
@@ -152,10 +167,8 @@ def test_probe_reduction_block_identity():
     want = np.zeros((8, 8), dtype=complex)
     want[j, j] = 1.0
     want = (want + tau**2 * q) / 4 ** (n + 1)
-    assert np.allclose(sigma.matrix, want, atol=1e-14)
-    assert np.trace(sigma.matrix).real == pytest.approx(
-        (1 + tau**2) / 4 ** (n + 1), rel=1e-12
-    )
+    assert np.allclose(sigma, want, atol=1e-14)
+    assert np.trace(sigma).real == pytest.approx((1 + tau**2) / 4 ** (n + 1), rel=1e-12)
 
 
 def test_probe_reduction_spectrum_matches_flipped_side():
@@ -166,7 +179,7 @@ def test_probe_reduction_spectrum_matches_flipped_side():
     from dqc1kit import schmidt_decompose
 
     coeffs = schmidt_decompose(psi, cut).coefficients
-    sigma_spectrum = np.sort(np.linalg.eigvalsh(probe_reduction(config, cut, idx).matrix))[::-1]
+    sigma_spectrum = np.sort(np.linalg.eigvalsh(probe_reduction(config, cut, idx)))[::-1]
     head = coeffs.size
     assert np.allclose(coeffs**2, sigma_spectrum[:head], atol=1e-12)
     assert np.allclose(sigma_spectrum[head:], 0.0, atol=1e-14)
@@ -176,37 +189,43 @@ def test_probe_reduction_haar_min_side_rank():
     # 2 register qubits on side A: rank is d_A + 1 = 5 >= d_A.
     config = Dqc1Config(8, 1.0, haar_unitary(8, SeedSpec(40)))
     sigma = probe_reduction(config, Bipartition(9, (0, 1, 2)), ProductStateIndex(0, 0, 0))
-    eigs = np.linalg.eigvalsh(sigma.matrix)
+    eigs = np.linalg.eigvalsh(sigma)
     rank = int(np.sum(eigs > 1e-10 * eigs.max()))
     assert rank >= 4
 
 
 def test_evolved_basis_reduction_identity():
-    q = evolved_basis_reduction(
-        DenseOperator(3, np.eye(8)), Bipartition(3, (0,)), 1, 2
-    )
+    column = register_columns(DenseOperator(3, np.eye(8)), [0b110], False)  # i = 1, j = 2
+    q = side_b_reduction(column[:, 0], 3, (0,))
     want = np.zeros((4, 4))
     want[2, 2] = 1.0
-    assert np.allclose(q.matrix, want, atol=1e-15)
+    assert np.allclose(q, want, atol=1e-15)
 
 
 def test_evolved_basis_reduction_properties():
+    # Tr_A[W|x><x|W-dagger] over the register: PSD, trace 1, rank <= d_A,
+    # the same for a circuit and its dense unitary, and for W = U-dagger.
     u = haar_unitary(5, SeedSpec(41))
-    register_cut = Bipartition(5, (0, 3))
-    q = evolved_basis_reduction(u, register_cut, 1, 4)
-    eigs = np.linalg.eigvalsh(q.matrix)
+    side_a = (0, 3)
+    x = 0b01010  # i = 1 on register qubits {0, 3}, j = 4 on {1, 2, 4}
+
+    def reduction(unitary, adjoint=False):
+        return side_b_reduction(register_columns(unitary, [x], adjoint)[:, 0], 5, side_a)
+
+    q = reduction(u)
+    eigs = np.linalg.eigvalsh(q)
     assert eigs.min() > -1e-12
     assert np.sum(eigs).real == pytest.approx(1.0, abs=1e-12)
-    assert np.sum(eigs > 1e-10) <= register_cut.dim_a
+    assert np.sum(eigs > 1e-10) <= 2 ** len(side_a)
     circuit = random_two_qubit_circuit(5, 10, SeedSpec(42))
-    q_circ = evolved_basis_reduction(circuit, register_cut, 1, 4)
-    q_dense = evolved_basis_reduction(circuit_unitary(circuit), register_cut, 1, 4)
-    assert np.allclose(q_circ.matrix, q_dense.matrix, atol=1e-12)
-    adj = evolved_basis_reduction(u, register_cut, 1, 4, adjoint=True)
-    adj_dense = evolved_basis_reduction(
-        DenseOperator(5, u.matrix.conj().T), register_cut, 1, 4
+    assert np.allclose(reduction(circuit), reduction(circuit_unitary(circuit)), atol=1e-12)
+    adj_dense = reduction(DenseOperator(5, u.matrix.conj().T))
+    assert np.allclose(reduction(u, adjoint=True), adj_dense, atol=1e-12)
+    assert np.allclose(
+        reduction(circuit, adjoint=True),
+        reduction(DenseOperator(5, circuit_unitary(circuit).matrix.conj().T)),
+        atol=1e-12,
     )
-    assert np.allclose(adj.matrix, adj_dense.matrix, atol=1e-12)
 
 
 def test_probe_reduction_permutation_covariance():
@@ -219,13 +238,9 @@ def test_probe_reduction_permutation_covariance():
     permuted_side = (0,) + tuple(sorted(perm[q - 1] + 1 for q in cut.side_a if q))
     idx = ProductStateIndex(0, 0, 0)
 
-    spec = np.linalg.eigvalsh(
-        probe_reduction(Dqc1Config(n, 1.0, u), cut, idx).matrix
-    )
+    spec = np.linalg.eigvalsh(probe_reduction(Dqc1Config(n, 1.0, u), cut, idx))
     spec_perm = np.linalg.eigvalsh(
-        probe_reduction(
-            Dqc1Config(n, 1.0, u_perm), Bipartition(n + 1, permuted_side), idx
-        ).matrix
+        probe_reduction(Dqc1Config(n, 1.0, u_perm), Bipartition(n + 1, permuted_side), idx)
     )
     assert np.allclose(np.sort(spec), np.sort(spec_perm), atol=1e-10)
 

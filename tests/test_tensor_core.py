@@ -12,7 +12,6 @@ from dqc1kit import (
     fidelity,
     majorizes,
     operator_schmidt_decompose,
-    partial_trace,
     qubit_permutation,
     rank_of,
     realign,
@@ -20,7 +19,7 @@ from dqc1kit import (
     truncation_fidelity,
     unrealign,
 )
-from dqc1kit.tensor_core import eigenvalue_distribution
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
@@ -147,52 +146,47 @@ def test_operator_schmidt_squares_sum_to_frobenius():
     )
 
 
+# The partial-trace checks pin the entrywise oracle that the probe
+# reduction tests in test_dqc1_model.py take their reductions from.
 def test_partial_trace_bell_is_maximally_mixed():
     bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    reduced = partial_trace(DenseOperator(2, np.outer(bell, bell)), (0,))
-    assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
+    reduced = oracles.partial_trace_entrywise(np.outer(bell, bell), 2, (0,))
+    assert np.allclose(reduced, np.eye(2) / 2, atol=1e-14)
 
 
 def test_partial_trace_product_operator():
     rng = np.random.default_rng(6)
     sigma = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    op = DenseOperator(3, np.kron(np.diag([1.0, 0.0]), sigma))
-    reduced = partial_trace(op, (1, 2))
-    assert np.allclose(reduced.matrix, np.diag([1.0, 0.0]) * np.trace(sigma), atol=1e-12)
+    reduced = oracles.partial_trace_entrywise(np.kron(np.diag([1.0, 0.0]), sigma), 3, (1, 2))
+    assert np.allclose(reduced, np.diag([1.0, 0.0]) * np.trace(sigma), atol=1e-12)
 
 
 def test_partial_trace_sides_share_spectrum():
     state = random_state(6, 7)
-    proj = DenseOperator(6, np.outer(state.amplitudes, state.amplitudes.conj()))
-    spec_b = np.linalg.eigvalsh(partial_trace(proj, (0, 1, 2)).matrix)
-    spec_a = np.linalg.eigvalsh(partial_trace(proj, (3, 4, 5)).matrix)
+    proj = np.outer(state.amplitudes, state.amplitudes.conj())
+    spec_b = np.linalg.eigvalsh(oracles.partial_trace_entrywise(proj, 6, (0, 1, 2)))
+    spec_a = np.linalg.eigvalsh(oracles.partial_trace_entrywise(proj, 6, (3, 4, 5)))
     assert np.allclose(np.sort(spec_a)[::-1], np.sort(spec_b)[::-1], atol=1e-10)
 
 
 def test_partial_trace_iterated_equals_combined():
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    op = DenseOperator(4, mat)
-    combined = partial_trace(op, (1, 3))
-    stepwise = partial_trace(partial_trace(op, (3,)), (1,))
-    assert np.allclose(combined.matrix, stepwise.matrix, atol=1e-12)
-    assert np.trace(combined.matrix) == pytest.approx(np.trace(mat), abs=1e-12)
+    combined = oracles.partial_trace_entrywise(mat, 4, (1, 3))
+    stepwise = oracles.partial_trace_entrywise(
+        oracles.partial_trace_entrywise(mat, 4, (3,)), 3, (1,)
+    )
+    assert np.allclose(combined, stepwise, atol=1e-12)
+    assert np.trace(combined) == pytest.approx(np.trace(mat), abs=1e-12)
 
 
 def test_partial_trace_matches_entrywise_oracle():
-    rng = np.random.default_rng(9)
-    mat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    got = partial_trace(DenseOperator(4, mat), (0, 2)).matrix
-    want = oracles.partial_trace_entrywise(mat, 4, (0, 2))
-    assert np.allclose(got, want, atol=1e-12)
-
-
-def test_partial_trace_validation():
-    op = DenseOperator(2, np.eye(4))
-    with pytest.raises(ValueError):
-        partial_trace(op, ())
-    with pytest.raises(ValueError):
-        partial_trace(op, (0, 1))
+    # the two oracle routes to a pure state's reduction agree
+    state = random_state(4, 9)
+    m = oracles.split_amplitudes(state.amplitudes, 4, (0, 2))
+    proj = np.outer(state.amplitudes, state.amplitudes.conj())
+    want = oracles.partial_trace_entrywise(proj, 4, (0, 2))
+    assert np.allclose(m.T @ m.conj(), want, atol=1e-12)
 
 
 def test_fidelity_self_and_projectors():
@@ -305,8 +299,51 @@ def test_apply_two_qubit_gate_matches_embedding_oracle():
         assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_eigenvalue_distribution_requires_hermitian():
-    with pytest.raises(ValueError):
-        eigenvalue_distribution(DenseOperator(1, np.array([[0, 1], [0, 0]])))
-    dist = eigenvalue_distribution(DenseOperator(1, np.diag([0.25, 0.75])))
-    assert np.allclose(dist.entries, [0.75, 0.25])
+@st.composite
+def operators_on_cuts(draw):
+    """A random operator on 2-4 qubits, generic, Hermitian or a product, and a cut."""
+    n = draw(st.integers(2, 4))
+    side_a = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))))
+    kind = draw(st.sampled_from(["generic", "hermitian", "product"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(dim: int) -> np.ndarray:
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    if kind == "product":
+        mat = np.ones((1, 1))
+        for _ in range(n):
+            mat = np.kron(mat, gaussian(2))
+    else:
+        mat = gaussian(2**n)
+        if kind == "hermitian":
+            mat = mat + mat.conj().T
+    return n, side_a, mat
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=50)
+
+
+@PROPERTY_SETTINGS
+@given(operators_on_cuts())
+def test_realign_and_unrealign_match_entrywise_oracle_property(case):
+    n, side_a, mat = case
+    cut = Bipartition(n, side_a)
+    got = realign(mat, cut)
+    # realignment only moves entries, so both directions are exact
+    assert np.array_equal(got, oracles.realign_entrywise(mat, n, side_a))
+    assert np.array_equal(unrealign(got, cut), mat)
+
+
+@PROPERTY_SETTINGS
+@given(operators_on_cuts())
+def test_truncation_fidelity_matches_svd_reconstruction_property(case):
+    n, side_a, mat = case
+    spectrum = operator_schmidt_decompose(DenseOperator(n, mat), Bipartition(n, side_a))
+    realigned = oracles.realign_entrywise(mat, n, side_a)
+    u, s, vh = np.linalg.svd(realigned)
+    for r in range(1, s.size + 1):
+        truncated = (u[:, :r] * s[:r]) @ vh[:r]
+        overlap = np.vdot(realigned, truncated).real
+        direct = overlap / (np.linalg.norm(realigned) * np.linalg.norm(truncated))
+        assert truncation_fidelity(spectrum, r) == pytest.approx(direct, abs=1e-12)

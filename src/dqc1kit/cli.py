@@ -134,6 +134,8 @@ def _cmd_rank_scaling(args: argparse.Namespace) -> CommandResult:
 
 
 def _build_unitary(args: argparse.Namespace, n: int, seed: SeedSpec):
+    if args.gates is not None and args.unitary != "circuit":
+        raise UsageError("--gates applies only to --unitary circuit")
     if args.unitary == "haar":
         if n > DENSE_LIMIT:
             raise UsageError(
@@ -215,6 +217,8 @@ def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_concentration(args: argparse.Namespace) -> CommandResult:
+    if not 0.0 <= args.delta < np.inf:
+        raise UsageError("--delta must be a finite number >= 0")
     master = _master_seed(args)
     report = concentration_report(
         args.na, args.nb, args.delta, args.samples, master, workers=args.workers,

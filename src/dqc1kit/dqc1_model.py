@@ -125,7 +125,7 @@ def register_columns(
 ) -> np.ndarray:
     """Columns W|x> for every listed x, as a (2^n, k) block; W = U or U-dagger.
 
-    A circuit evolves all k basis columns in one pass over its gates.
+    A circuit evolves all k basis columns in one pass over its fused blocks.
     """
     indices = np.asarray(register_indices, dtype=np.intp)
     if isinstance(unitary, DenseOperator):
@@ -134,7 +134,7 @@ def register_columns(
         return unitary.matrix[:, indices]
     basis = np.zeros((2**unitary.num_qubits, indices.size), dtype=np.complex128)
     basis[indices, np.arange(indices.size)] = 1.0
-    return evolve_columns(unitary.inverse() if adjoint else unitary, basis)
+    return evolve_columns(unitary, basis, adjoint)
 
 
 def final_state(config: Dqc1Config) -> DenseOperator:

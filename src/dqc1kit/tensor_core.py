@@ -165,13 +165,6 @@ class SchmidtSpectrum:
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "source_norm", float(self.source_norm))
 
-    def normalized(self) -> np.ndarray:
-        """Coefficients rescaled so their squares sum to 1."""
-        total = np.linalg.norm(self.coefficients)
-        if total == 0:
-            raise ValueError("cannot normalize an all-zero spectrum")
-        return self.coefficients / total
-
 
 @dataclass(frozen=True)
 class ProbabilityVector:

@@ -38,6 +38,17 @@ def test_bound_scan_small_n_rejected(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("unitary", ["haar", "product"])
+def test_bound_scan_gates_needs_circuit_mode(capsys, unitary):
+    argv = ["bound-scan", "--n", "6", "--cuts", "2", "--unitary", unitary, "--gates", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "--gates" in err
+    code, _out, _err = run(capsys, argv[:-2])
+    assert code in (0, 2)
+
+
 def test_bound_scan_passes_and_is_deterministic(capsys):
     argv = ["bound-scan", "--n", "6", "--cuts", "6", "--seed", "7"]
     code_a, out_a, _ = run(capsys, argv)
@@ -103,6 +114,15 @@ def test_concentration_json(capsys):
     assert payload["d_a"] == 2
     assert payload["all_counts_equal_d_a"] is True
     assert len(payload["rows"]) == 8
+
+
+@pytest.mark.parametrize("delta", ["nan", "-1", "inf"])
+def test_concentration_delta_must_be_finite_and_nonnegative(capsys, delta):
+    argv = ["concentration", "--na", "1", "--nb", "2", "--samples", "2"]
+    code, out, err = run(capsys, argv + ["--delta", delta])
+    assert code == 1
+    assert out == ""
+    assert "--delta" in err
 
 
 def test_trace_estimate_from_cmat(tmp_path, capsys):

@@ -25,6 +25,7 @@ from dqc1kit import (
     majorizes,
     max_overlap_with_rank_limit,
     min_rank_over_equipartitions,
+    normalized_trace,
     operator_schmidt_decompose,
     random_degree3_tree,
     random_zero_sum_shifts,
@@ -249,9 +250,9 @@ def test_default_index_circuit_scan_evolves_one_column(monkeypatch):
     evolved = []
     kernel = dqc1_model.evolve_columns
 
-    def counting(circuit, columns):
+    def counting(circuit, columns, adjoint=False):
         evolved.append(columns.shape[1])
-        return kernel(circuit, columns)
+        return kernel(circuit, columns, adjoint)
 
     monkeypatch.setattr(dqc1_model, "evolve_columns", counting)
     config = Dqc1Config(10, 1.0, random_two_qubit_circuit(10, 40, SeedSpec(71)))
@@ -267,6 +268,35 @@ def test_default_index_circuit_scan_evolves_one_column(monkeypatch):
         keys.add((idx.t, _oracle_register_index(10, record.side_a, idx)))
     # every distinct column once, in one pass per direction (U and U-dagger)
     assert sum(evolved) == len(keys) and len(evolved) == 2
+
+
+def test_fused_plan_is_built_once_per_circuit(monkeypatch):
+    from dqc1kit import dqc1_model, randomness
+
+    planned = []
+    planner = randomness.plan_blocks
+
+    def counting_planner(gates):
+        planned.append(len(gates))
+        return planner(gates)
+
+    directions = []
+    kernel = dqc1_model.evolve_columns
+
+    def counting_kernel(circuit, columns, adjoint=False):
+        directions.append(adjoint)
+        return kernel(circuit, columns, adjoint)
+
+    monkeypatch.setattr(randomness, "plan_blocks", counting_planner)
+    monkeypatch.setattr(dqc1_model, "evolve_columns", counting_kernel)
+    circuit = random_two_qubit_circuit(10, 40, SeedSpec(74))
+    config = Dqc1Config(10, 1.0, circuit)
+    report = rank_bound_scan(config, num_cuts=300, seed=SeedSpec(75), randomize_index=True)
+    assert len(report.records) == 300
+    # several column blocks in each direction, then the streamed trace
+    assert directions.count(False) >= 2 and directions.count(True) >= 2
+    normalized_trace(circuit)
+    assert planned == [40]
 
 
 def test_rank_bound_scan_product_unitary_collapses():

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from dqc1kit import (
@@ -15,7 +18,7 @@ from dqc1kit import (
     random_density_matrix,
     random_two_qubit_circuit,
 )
-from dqc1kit.randomness import DENSE_LIMIT, _mix64
+from dqc1kit.randomness import DENSE_LIMIT, _mix64, plan_blocks
 
 import oracles
 
@@ -175,8 +178,9 @@ def test_disjoint_gates_commute():
 def test_circuit_inverse():
     circuit = random_two_qubit_circuit(5, 10, SeedSpec(21))
     state = basis_state(5, 11)
-    round_trip = apply_circuit(circuit.inverse(), apply_circuit(circuit, state))
-    assert np.allclose(round_trip.amplitudes, state.amplitudes, atol=1e-10)
+    forward = apply_circuit(circuit, state).amplitudes[:, np.newaxis]
+    round_trip = evolve_columns(circuit, forward, adjoint=True)[:, 0]
+    assert np.allclose(round_trip, state.amplitudes, atol=1e-10)
 
 
 def test_circuit_validation():
@@ -194,8 +198,8 @@ def test_circuit_validation():
         GateSpec((0, 1), off)
     # Inside the documented 1e-8 tolerance: accepted, and so is its adjoint.
     off[0, 0] = 1.0 + 5e-10
-    circuit = Circuit(2, (GateSpec((0, 1), off),))
-    assert circuit.inverse().gates[0].matrix[0, 0] == off[0, 0]
+    assert GateSpec((0, 1), off).matrix[0, 0] == off[0, 0]
+    assert GateSpec((0, 1), off.conj().T).matrix[0, 0] == off[0, 0]
 
 
 def test_random_density_matrix_properties():
@@ -204,3 +208,49 @@ def test_random_density_matrix_properties():
         assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho.matrix).min() > -1e-12
+
+
+def _circuit_on(num_qubits, targets, seed):
+    gates = tuple(
+        GateSpec(pair, haar_unitary(2, SeedSpec(seed).child(k)).matrix)
+        for k, pair in enumerate(targets)
+    )
+    return Circuit(num_qubits, gates)
+
+
+@st.composite
+def fusable_circuits(draw):
+    """0-30 gates on ordered qubit pairs (either label first) of 2-7 qubits."""
+    n = draw(st.integers(2, 7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    return _circuit_on(n, draw(st.lists(pair, max_size=30)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(fusable_circuits())
+# a repeated pair, layers of disjoint pairs, and reversed target order
+@example(_circuit_on(3, [(0, 1)] * 6, 1))
+@example(_circuit_on(7, [(0, 1), (2, 3), (4, 5), (6, 0), (1, 2), (3, 4), (5, 6)] * 3, 2))
+@example(_circuit_on(5, [(3, 1), (1, 3), (4, 0), (3, 1), (2, 4), (1, 0)], 3))
+def test_fused_blocks_match_dense_gate_product_property(circuit):
+    n, gates = circuit.num_qubits, circuit.gates
+    dense = np.eye(2**n, dtype=np.complex128)
+    for gate in gates:
+        dense = oracles.embed_gate(gate.matrix, gate.targets, n) @ dense
+    identity = np.eye(2**n, dtype=np.complex128)
+    assert np.abs(evolve_columns(circuit, identity) - dense).max() < 1e-12
+    assert np.abs(evolve_columns(circuit, identity, adjoint=True) - dense.conj().T).max() < 1e-12
+
+    plan = plan_blocks(gates)
+    assert len(circuit.fused_blocks) == len(plan)
+    place = {}
+    for b, (qubits, members) in enumerate(plan):
+        assert len(qubits) <= 5
+        assert set(qubits) == {q for i in members for q in gates[i].targets}
+        for position, i in enumerate(members):
+            assert i not in place
+            place[i] = (b, position)
+    assert sorted(place) == list(range(len(gates)))
+    for i, j in combinations(range(len(gates)), 2):
+        if set(gates[i].targets) & set(gates[j].targets):
+            assert place[i] < place[j]

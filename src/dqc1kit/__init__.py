@@ -6,15 +6,12 @@ from .tensor_core import (
     DEFAULT_RANK_TOL,
     Bipartition,
     DenseOperator,
-    ProbabilityVector,
     PureState,
     SchmidtSpectrum,
     apply_two_qubit_gate,
     basis_state,
     fidelity,
-    majorizes,
     operator_schmidt_decompose,
-    qubit_permutation,
     rank_of,
     realign,
     schmidt_decompose,
@@ -30,7 +27,6 @@ from .randomness import (
     evolve_columns,
     haar_product_unitary,
     haar_unitary,
-    random_density_matrix,
     random_two_qubit_circuit,
 )
 from .dqc1_model import (
@@ -65,14 +61,10 @@ from .correlation_analysis import (
     balanced_tree_edge,
     balanced_window,
     concentration_report,
-    majorant_distribution,
-    max_overlap_with_rank_limit,
     min_rank_over_equipartitions,
     rank_bound_scan,
     random_degree3_tree,
-    random_zero_sum_shifts,
     robust_rank_bound,
-    shifted_distribution,
     truncation_experiment,
 )
 

@@ -18,9 +18,9 @@ from typing import Callable, Optional, Sequence, TypeVar
 import numpy as np
 
 from .dqc1_model import (
-    COLUMN_BLOCK_ENTRIES,
     Dqc1Config,
     ProductStateIndex,
+    column_blocks,
     final_state,
     probe_from_column,
     probe_key,
@@ -30,7 +30,6 @@ from .dqc1_model import (
 from .tensor_core import (
     DEFAULT_RANK_TOL,
     Bipartition,
-    ProbabilityVector,
     PureState,
     SchmidtSpectrum,
     operator_schmidt_decompose,
@@ -42,6 +41,10 @@ from .randomness import SeedSpec
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+
+# The probe |t,i,j> = |0,0,0> that a scan without randomize_index uses.
+_ZERO_INDEX = ProductStateIndex(0, 0, 0)
+
 
 class ClaimFalsified(Exception):
     """A property the toolkit certifies numerically failed to hold."""
@@ -208,7 +211,6 @@ def rank_bound_scan(
     rel_tol: float = DEFAULT_RANK_TOL,
     seed: Optional[SeedSpec] = None,
     exhaustive: bool = False,
-    index: ProductStateIndex = ProductStateIndex(0, 0, 0),
     randomize_index: bool = False,
     workers: int = 1,
 ) -> RankScanReport:
@@ -218,13 +220,17 @@ def rank_bound_scan(
     inside the balanced window.  The probe vector's Schmidt rank lower
     bounds the operator Schmidt rank of the joint state across the same
     cut, and the per-cut floor is 2^window_size.  Registers below n = 5
-    are refused as a policy (see :func:`balanced_window`).
+    are refused as a policy (see :func:`balanced_window`).  Every cut probes
+    |0,0,0> unless ``randomize_index`` draws each cut's index from
+    ``seed.child(task_id)``, so that mode needs a seed.
     """
     n = config.num_register_qubits
     if n < 5:
         raise ValueError(f"n = {n} is below the scan's policy minimum (need n >= 5)")
     if not exhaustive and num_cuts < 1:
         raise ValueError("num_cuts must be >= 1")
+    if randomize_index and seed is None:
+        raise ValueError("randomize_index needs a seed")
     low, high = balanced_window(n)
     sizes = [a for a in range(1, n) if low <= min(a, n - a) <= high]
     cuts, exhaustive = _sample_cuts(n, sizes, None if exhaustive else num_cuts, seed)
@@ -234,108 +240,37 @@ def rank_bound_scan(
         cut = Bipartition(n + 1, side_a)
         a = len(side_a) - 1
         if randomize_index:
-            rng = seed.child(task_id).generator() if seed else np.random.default_rng(task_id)
+            rng = seed.child(task_id).generator()
             idx = ProductStateIndex(
                 int(rng.integers(2)),
                 int(rng.integers(2**a)),
                 int(rng.integers(2 ** (n - a))),
             )
         else:
-            idx = index
+            idx = _ZERO_INDEX
         probes.append((cut, min(a, n - a), probe_key(config, cut, idx)))
 
-    # Each distinct column W|x> is evolved once.  The columns of each
-    # direction (U or U-dagger) go through the gates in blocks of at most
-    # COLUMN_BLOCK_ENTRIES amplitudes; a block's cuts are scanned while it is held.
-    per_block = max(1, COLUMN_BLOCK_ENTRIES >> n)
-    distinct: dict[bool, list[int]] = {False: [], True: []}
-    position: dict[tuple[bool, int], int] = {}
-    block_tasks: dict[tuple[bool, int], list[int]] = {}
+    # Each distinct column W|x> is evolved once, in the column blocks of its
+    # direction (U or U-dagger); a block's cuts are scanned while it is held.
+    tasks: dict[tuple[bool, int], list[int]] = {}
     for task_id, (_, _, key) in enumerate(probes):
-        adjoint, x = key
-        if key not in position:
-            position[key] = len(distinct[adjoint])
-            distinct[adjoint].append(x)
-        block_tasks.setdefault((adjoint, position[key] // per_block), []).append(task_id)
+        tasks.setdefault(key, []).append(task_id)
 
     records: list[Optional[CutRecord]] = [None] * len(probes)
-    for (adjoint, b), task_ids in block_tasks.items():
-        xs = distinct[adjoint][b * per_block : (b + 1) * per_block]
-        evolved = register_columns(config.unitary, xs, adjoint)
-        columns = {x: evolved[:, j] for j, x in enumerate(xs)}
+    for adjoint in (False, True):
+        distinct = [x for direction, x in tasks if direction == adjoint]
+        for xs, evolved in column_blocks(config.unitary, distinct, adjoint):
+            columns = dict(zip(xs.tolist(), evolved.T))
+            task_ids = [t for x in columns for t in tasks[adjoint, x]]
 
-        def evaluate(task_id: int) -> CutRecord:
-            cut, window, key = probes[task_id]
-            psi = probe_from_column(config, key, columns[key[1]])
-            return _cut_record(psi, cut, window, rel_tol, floored=True)
+            def evaluate(task_id: int) -> CutRecord:
+                cut, window, key = probes[task_id]
+                psi = probe_from_column(config, key, columns[key[1]])
+                return _cut_record(psi, cut, window, rel_tol, floored=True)
 
-        for task_id, record in zip(task_ids, parallel_map(evaluate, task_ids, workers)):
-            records[task_id] = record
+            for task_id, record in zip(task_ids, parallel_map(evaluate, task_ids, workers)):
+                records[task_id] = record
     return RankScanReport(tuple(records), rel_tol, exhaustive)
-
-
-def max_overlap_with_rank_limit(
-    spectrum: SchmidtSpectrum, chi_prime: int, norm_psi: float, norm_phi: float
-) -> float:
-    """Largest |<psi|phi>| over states phi of Schmidt rank <= chi_prime.
-
-    For a normalized coefficient vector the maximum is
-    norm_psi * norm_phi * sqrt(sum of the chi_prime largest squares),
-    attained by the truncated decomposition itself.
-    """
-    coeffs = spectrum.coefficients
-    if not 1 <= chi_prime <= coeffs.size:
-        raise ValueError(f"chi_prime {chi_prime} out of range 1..{coeffs.size}")
-    total = float(np.sum(coeffs**2))
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError("spectrum must be normalized (squares summing to 1)")
-    if norm_psi < 0 or norm_phi < 0:
-        raise ValueError("norms must be nonnegative")
-    return norm_psi * norm_phi * math.sqrt(float(np.sum(coeffs[:chi_prime] ** 2)))
-
-
-def shifted_distribution(shifts: Sequence[float]) -> ProbabilityVector:
-    """The vector (1/2 + (1+s_1)/(2d), (1+s_2)/(2d), ...) for zero-sum s."""
-    s = np.asarray(shifts, dtype=np.float64)
-    if s.ndim != 1 or s.size < 2:
-        raise ValueError("need at least two shift entries")
-    if np.max(np.abs(s)) > 1 + 1e-12:
-        raise ValueError("shift entries must lie in [-1, 1]")
-    if abs(float(s.sum())) > 1e-9:
-        raise ValueError("shift entries must sum to zero")
-    d = s.size
-    entries = (1.0 + s) / (2 * d)
-    entries[0] += 0.5
-    return ProbabilityVector(entries)
-
-
-def majorant_distribution(delta: float, d: int) -> ProbabilityVector:
-    """The extremal shifted distribution: +delta on the first half, -delta after.
-
-    Majorizes shifted_distribution(s) for every zero-sum s with
-    |s_i| <= delta.
-    """
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    if d < 2 or d % 2 != 0:
-        raise ValueError("d must be even and >= 2")
-    shifts = np.concatenate([np.full(d // 2, delta), np.full(d // 2, -delta)])
-    return shifted_distribution(shifts)
-
-
-def random_zero_sum_shifts(delta: float, d: int, seed: SeedSpec) -> np.ndarray:
-    """Uniform draws in [-delta, delta], centered and rescaled to stay inside."""
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    rng = seed.generator()
-    shifts = rng.uniform(-delta, delta, size=d)
-    shifts -= shifts.mean()
-    peak = float(np.max(np.abs(shifts)))
-    if peak > delta:
-        shifts *= delta / peak
-    return shifts
 
 
 @dataclass(frozen=True)
@@ -388,7 +323,7 @@ def concentration_report(
         v /= np.linalg.norm(v)
         sing = np.linalg.svd(v.reshape(d_a, d_b), compute_uv=False)
         deviation = float(np.max(np.abs(sing**2 * d_a - 1.0)))
-        return deviation, rank_of(SchmidtSpectrum(sing, 1.0), rel_tol)
+        return deviation, rank_of(SchmidtSpectrum(sing), rel_tol)
 
     results = parallel_map(sample, list(range(samples)), workers)
     deviations = tuple(dev for dev, _ in results)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -137,6 +137,21 @@ def register_columns(
     return evolve_columns(unitary, basis, adjoint)
 
 
+def column_blocks(
+    unitary: UnitarySource, register_indices: Sequence[int], adjoint: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (xs, W|xs>) over the listed indices, a block of columns at a time.
+
+    Each block holds at most COLUMN_BLOCK_ENTRIES amplitudes, and at least
+    one column.
+    """
+    indices = np.asarray(register_indices, dtype=np.intp)
+    step = max(1, COLUMN_BLOCK_ENTRIES >> unitary.num_qubits)
+    for start in range(0, indices.size, step):
+        xs = indices[start : start + step]
+        yield xs, register_columns(unitary, xs, adjoint)
+
+
 def final_state(config: Dqc1Config) -> DenseOperator:
     """Dense joint state; Hermitian, trace 1, PSD for tau in [0, 1]."""
     n = config.num_register_qubits
@@ -215,11 +230,9 @@ def normalized_trace(unitary: UnitarySource) -> complex:
     if n > STREAM_LIMIT:
         raise ValueError(f"register of {n} qubits exceeds streaming limit {STREAM_LIMIT}")
     dim = 2**n
-    step = max(1, COLUMN_BLOCK_ENTRIES // dim)
     diag = np.empty(dim, dtype=np.complex128)
-    for start in range(0, dim, step):
-        xs = np.arange(start, min(start + step, dim))
-        diag[xs] = register_columns(unitary, xs, adjoint=False)[xs, xs - start]
+    for xs, block in column_blocks(unitary, np.arange(dim), adjoint=False):
+        diag[xs] = block[xs, np.arange(xs.size)]
     return complex(diag.sum() / dim)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -44,7 +45,8 @@ def write_cmat(path: str, matrix: np.ndarray) -> None:
 
 def read_cmat(path: str) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
+        header_line = fh.readline()
+        header = header_line.split()
         if len(header) != 4 or " ".join(header[:2]) != CMAT_MAGIC:
             raise FileFormatError(f"{path}: missing '{CMAT_MAGIC} <rows> <cols>' header")
         try:
@@ -53,6 +55,15 @@ def read_cmat(path: str) -> np.ndarray:
             raise FileFormatError(f"{path}: non-integer shape in header") from exc
         if rows < 1 or cols < 1:
             raise FileFormatError(f"{path}: shape must be positive")
+        # An entry line takes at least 4 bytes ("a b\n", the last one may
+        # lack its newline), so a header the file cannot back is refused
+        # before anything is allocated for it.
+        capacity = (os.fstat(fh.fileno()).st_size - len(header_line) + 1) // 4
+        if rows * cols > capacity:
+            raise FileFormatError(
+                f"{path}: header declares {rows * cols} entries, "
+                f"but the file can hold at most {capacity}"
+            )
         entries = np.empty(rows * cols, dtype=np.complex128)
         for k in range(rows * cols):
             line = fh.readline()

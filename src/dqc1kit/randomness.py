@@ -94,13 +94,6 @@ def haar_product_unitary(num_qubits: int, seed: SeedSpec) -> DenseOperator:
     return DenseOperator(num_qubits, mat)
 
 
-def random_density_matrix(num_qubits: int, seed: SeedSpec) -> DenseOperator:
-    """Haar eigenbasis with a flat-Dirichlet spectrum; Hermitian, trace 1."""
-    basis = haar_unitary(num_qubits, seed.child(0)).matrix
-    weights = seed.child(1).generator().dirichlet(np.ones(2**num_qubits))
-    return DenseOperator(num_qubits, (basis * weights) @ basis.conj().T)
-
-
 @dataclass(frozen=True)
 class GateSpec:
     """One 4x4 unitary applied to an ordered pair of distinct qubits.

@@ -5,16 +5,14 @@ Conventions used across the package:
 * qubit 0 is the most-significant bit of every amplitude index, so a state
   on ``n`` qubits reshapes to a ``(2,) * n`` tensor whose axis ``q`` is
   qubit ``q``, and an operator to ``(2,) * 2n`` with the row axes first;
-* Schmidt spectra are raw singular values, sorted decreasing; the norm of
-  the decomposed object is carried alongside and normalization is left to
-  callers.
+* Schmidt spectra are raw singular values, sorted decreasing;
+  normalization is left to callers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -53,10 +51,6 @@ class PureState:
             )
         object.__setattr__(self, "amplitudes", amp)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def tensor(self) -> np.ndarray:
         """View the amplitudes as a (2,)*n tensor; axis q is qubit q."""
         return self.amplitudes.reshape((2,) * self.num_qubits)
@@ -87,10 +81,6 @@ class DenseOperator:
             raise ValueError(f"matrix must be {dim}x{dim}, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
 
@@ -99,8 +89,7 @@ class DenseOperator:
 class Bipartition:
     """An A:B cut of a qubit register, given by the side-A labels.
 
-    Both sides must be nonempty.  Derived counts follow the plain
-    convention: ``n_a = |side_a|``, ``n_min = min(n_a, n_b)``.
+    Both sides must be nonempty; ``n_a = |side_a|``.
     """
 
     total_qubits: int
@@ -132,10 +121,6 @@ class Bipartition:
         return self.total_qubits - self.n_a
 
     @property
-    def n_min(self) -> int:
-        return min(self.n_a, self.n_b)
-
-    @property
     def dim_a(self) -> int:
         return 2**self.n_a
 
@@ -150,10 +135,9 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """Decreasing nonnegative coefficients plus the source object's norm."""
+    """Decreasing nonnegative coefficients."""
 
     coefficients: np.ndarray
-    source_norm: float
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
@@ -163,27 +147,6 @@ class SchmidtSpectrum:
             raise ValueError("coefficients must be nonnegative")
         coeffs = np.sort(coeffs)[::-1].copy()
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "source_norm", float(self.source_norm))
-
-
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Nonnegative entries summing to 1 (within 1e-12)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.ndim != 1 or entries.size == 0:
-            raise ValueError("entries must be a nonempty 1-d array")
-        if np.any(entries < -1e-12):
-            raise ValueError("entries must be nonnegative (within 1e-12)")
-        if abs(float(entries.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"entries must sum to 1, got {entries.sum()!r}")
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self) -> int:
-        return int(self.entries.size)
 
 
 def _check_register(name: str, num_qubits: int, cut: Bipartition) -> None:
@@ -199,7 +162,7 @@ def schmidt_decompose(state: PureState, cut: Bipartition) -> SchmidtSpectrum:
     _check_register("schmidt_decompose", state.num_qubits, cut)
     m = state.tensor().transpose(cut.side_a + cut.side_b).reshape(cut.dim_a, cut.dim_b)
     coeffs = np.linalg.svd(m, compute_uv=False)
-    return SchmidtSpectrum(coeffs, state.norm)
+    return SchmidtSpectrum(coeffs)
 
 
 def _realign_axes(cut: Bipartition) -> list[int]:
@@ -231,7 +194,7 @@ def operator_schmidt_decompose(op: DenseOperator, cut: Bipartition) -> SchmidtSp
     """Singular values of the realigned operator across the cut."""
     _check_register("operator_schmidt_decompose", op.num_qubits, cut)
     coeffs = np.linalg.svd(realign(op.matrix, cut), compute_uv=False)
-    return SchmidtSpectrum(coeffs, op.frobenius_norm())
+    return SchmidtSpectrum(coeffs)
 
 
 def rank_of(spectrum: SchmidtSpectrum, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -258,31 +221,6 @@ def fidelity(op_a: DenseOperator, op_b: DenseOperator) -> float:
         # Tr(A†B) is real for a Hermitian pair; anything else is a numerics bug.
         assert abs(overlap.imag) < 1e-10 * norm_a * norm_b
     return float(overlap.real / (norm_a * norm_b))
-
-
-def majorizes(q: ProbabilityVector, p: ProbabilityVector, tol: float = 1e-12) -> bool:
-    """True iff p is majorized by q (every partial sum of p <= q's + tol)."""
-    if len(q) != len(p):
-        raise ValueError("majorization requires equal lengths")
-    q_sorted = np.sort(q.entries)[::-1]
-    p_sorted = np.sort(p.entries)[::-1]
-    q_partial = np.cumsum(q_sorted)
-    p_partial = np.cumsum(p_sorted)
-    if abs(q_partial[-1] - p_partial[-1]) > tol:
-        return False
-    return bool(np.all(p_partial <= q_partial + tol))
-
-
-def qubit_permutation(op: DenseOperator, perm: Sequence[int]) -> DenseOperator:
-    """Relabel qubits: qubit q of the input becomes qubit perm[q]."""
-    n = op.num_qubits
-    perm_list = [int(p) for p in perm]
-    if sorted(perm_list) != list(range(n)):
-        raise ValueError(f"perm must be a permutation of 0..{n - 1}")
-    inverse = np.argsort(perm_list)
-    axes = list(inverse) + [n + int(i) for i in inverse]
-    mat = op.matrix.reshape((2,) * (2 * n)).transpose(axes).reshape(op.dim, op.dim)
-    return DenseOperator(n, mat)
 
 
 def apply_two_qubit_gate(

@@ -17,7 +17,6 @@ from dqc1kit import (
     Bipartition,
     DenseOperator,
     Dqc1Config,
-    ProbabilityVector,
     PureState,
     SchmidtSpectrum,
     SeedSpec,
@@ -28,27 +27,29 @@ from dqc1kit import (
     final_state,
     haar_product_unitary,
     haar_unitary,
-    majorant_distribution,
-    majorizes,
-    max_overlap_with_rank_limit,
     min_rank_over_equipartitions,
     normalized_trace,
     operator_schmidt_decompose,
-    random_density_matrix,
     random_two_qubit_circuit,
-    random_zero_sum_shifts,
     rank_bound_scan,
     rank_of,
     robust_rank_bound,
     schmidt_decompose,
-    shifted_distribution,
     simulate_trace_estimation,
     truncation_experiment,
+    truncation_fidelity,
     write_cmat,
 )
 from dqc1kit.cli import main as cli_main
 
 from conftest import record_verdict
+from lemmas import (
+    majorant_distribution,
+    majorizes,
+    random_density_matrix,
+    random_zero_sum_shifts,
+    shifted_distribution,
+)
 
 MASTER = SeedSpec(1)
 
@@ -195,13 +196,13 @@ def test_max_overlap_oracle_equivalence():
         lam /= np.linalg.norm(lam)
         n_psi = float(rng.uniform(0.5, 2.0))
         n_phi = float(rng.uniform(0.5, 2.0))
-        spectrum = SchmidtSpectrum(lam, n_psi)
+        spectrum = SchmidtSpectrum(lam)
         q1 = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
         q2 = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
         planted = (q1 * (n_psi * lam)) @ q2.conj().T
         sing = np.linalg.svd(planted, compute_uv=False)
         for chi_prime in range(1, d + 1):
-            got = max_overlap_with_rank_limit(spectrum, chi_prime, n_psi, n_phi)
+            got = n_psi * n_phi * truncation_fidelity(spectrum, chi_prime)
             oracle = n_phi * float(np.sqrt(np.sum(sing[:chi_prime] ** 2)))
             worst = max(worst, abs(got - oracle))
     verdict(
@@ -218,11 +219,10 @@ def test_spectrum_sum_majorization():
         num_qubits = 1 + trial % 4  # d in {2, 4, 8, 16}
         rho_x = random_density_matrix(num_qubits, seed.child(0))
         rho_y = random_density_matrix(num_qubits, seed.child(1))
-        x = np.sort(np.linalg.eigvalsh(rho_x.matrix))[::-1]
-        y = np.sort(np.linalg.eigvalsh(rho_y.matrix))[::-1]
-        mixed = np.linalg.eigvalsh((rho_x.matrix + rho_y.matrix) / 2)
-        dominating = ProbabilityVector((x + y) / 2)
-        if not majorizes(dominating, ProbabilityVector(mixed), tol=1e-10):
+        x = np.sort(np.linalg.eigvalsh(rho_x))[::-1]
+        y = np.sort(np.linalg.eigvalsh(rho_y))[::-1]
+        mixed = np.linalg.eigvalsh((rho_x + rho_y) / 2)
+        if not majorizes((x + y) / 2, mixed, tol=1e-10):
             violations += 1
     verdict(
         "sorted-spectrum average majorizes the spectrum of the mixture",

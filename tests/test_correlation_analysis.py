@@ -21,19 +21,14 @@ from dqc1kit import (
     final_state,
     haar_product_unitary,
     haar_unitary,
-    majorant_distribution,
-    majorizes,
-    max_overlap_with_rank_limit,
     min_rank_over_equipartitions,
     normalized_trace,
     operator_schmidt_decompose,
     random_degree3_tree,
-    random_zero_sum_shifts,
     random_two_qubit_circuit,
     rank_bound_scan,
     rank_of,
     robust_rank_bound,
-    shifted_distribution,
     truncation_experiment,
     truncation_fidelity,
 )
@@ -41,6 +36,12 @@ from dqc1kit.cli import main as cli_main
 from dqc1kit.correlation_analysis import _sample_cuts, _unrank_combination, parallel_map
 
 import oracles
+from lemmas import (
+    majorant_distribution,
+    majorizes,
+    random_zero_sum_shifts,
+    shifted_distribution,
+)
 
 
 def test_balanced_window_values():
@@ -329,6 +330,12 @@ def test_rank_bound_scan_randomized_index_deterministic():
     assert a.all_meet_floor
 
 
+def test_rank_bound_scan_randomized_index_needs_a_seed():
+    config = Dqc1Config(6, 1.0, haar_unitary(6, SeedSpec(69)))
+    with pytest.raises(ValueError, match="seed"):
+        rank_bound_scan(config, exhaustive=True, randomize_index=True)
+
+
 def test_rank_bound_scan_rejects_small_registers():
     config = Dqc1Config(4, 1.0, haar_unitary(4, SeedSpec(71)))
     with pytest.raises(ValueError):
@@ -336,16 +343,19 @@ def test_rank_bound_scan_rejects_small_registers():
 
 
 def test_max_overlap_formula_cases():
-    flat = SchmidtSpectrum(np.array([1.0, 1.0]) / np.sqrt(2), 1.0)
-    assert max_overlap_with_rank_limit(flat, 1, 1.0, 1.0) == pytest.approx(
-        0.7071067811865476, abs=1e-12
+    # the best overlap of norm-a psi with norm-b phi of Schmidt rank <= k is
+    # a * b * truncation_fidelity(spectrum of psi, k)
+    flat = SchmidtSpectrum(np.array([1.0, 1.0]) / np.sqrt(2))
+    assert truncation_fidelity(flat, 1) == pytest.approx(0.7071067811865476, abs=1e-12)
+    assert truncation_fidelity(flat, 2) == pytest.approx(1.0)
+    assert 2.0 * 3.0 * truncation_fidelity(flat, 2) == pytest.approx(6.0)
+    with pytest.raises(ValueError):
+        truncation_fidelity(flat, 3)
+    # the fidelity normalizes the spectrum itself
+    unnormalized = SchmidtSpectrum(np.array([1.0, 1.0]))
+    assert truncation_fidelity(unnormalized, 1) == pytest.approx(
+        truncation_fidelity(flat, 1), abs=1e-15
     )
-    assert max_overlap_with_rank_limit(flat, 2, 1.0, 1.0) == pytest.approx(1.0)
-    assert max_overlap_with_rank_limit(flat, 2, 2.0, 3.0) == pytest.approx(6.0)
-    with pytest.raises(ValueError):
-        max_overlap_with_rank_limit(flat, 3, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        max_overlap_with_rank_limit(SchmidtSpectrum(np.array([1.0, 1.0]), 1.0), 1, 1.0, 1.0)
 
 
 def test_max_overlap_monotone_and_matches_truncation_oracle():
@@ -354,7 +364,7 @@ def test_max_overlap_monotone_and_matches_truncation_oracle():
         d = int(rng.integers(2, 9))
         lam = rng.uniform(0.1, 1.0, d)
         lam = np.sort(lam / np.linalg.norm(lam))[::-1]
-        spectrum = SchmidtSpectrum(lam, 1.0)
+        spectrum = SchmidtSpectrum(lam)
         n_psi, n_phi = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
         # plant the spectrum in a random matrix; best rank-k overlap is the
         # Frobenius norm of its rank-k SVD truncation times the phi norm
@@ -364,7 +374,7 @@ def test_max_overlap_monotone_and_matches_truncation_oracle():
         sing = np.linalg.svd(m, compute_uv=False)
         prev = 0.0
         for k in range(1, d + 1):
-            got = max_overlap_with_rank_limit(spectrum, k, n_psi, n_phi)
+            got = n_psi * n_phi * truncation_fidelity(spectrum, k)
             want = n_phi * math.sqrt(float(np.sum(sing[:k] ** 2)))
             assert got == pytest.approx(want, abs=1e-10)
             assert got >= prev - 1e-12
@@ -374,15 +384,9 @@ def test_max_overlap_monotone_and_matches_truncation_oracle():
 
 def test_shifted_distribution_values():
     dist = shifted_distribution(np.zeros(4))
-    assert np.allclose(dist.entries, [1 / 2 + 1 / 8, 1 / 8, 1 / 8, 1 / 8])
+    assert np.allclose(dist, [1 / 2 + 1 / 8, 1 / 8, 1 / 8, 1 / 8])
     extreme = majorant_distribution(1.0, 2)
-    assert np.allclose(extreme.entries, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        shifted_distribution(np.array([0.5, 0.1]))
-    with pytest.raises(ValueError):
-        majorant_distribution(0.3, 5)
-    with pytest.raises(ValueError):
-        majorant_distribution(0.0, 4)
+    assert np.allclose(extreme, [1.0, 0.0])
 
 
 def test_majorant_dominates_random_admissible_shifts():

@@ -15,7 +15,6 @@ from dqc1kit import (
     final_state,
     haar_unitary,
     normalized_trace,
-    qubit_permutation,
     random_two_qubit_circuit,
     read_circuit,
     simulate_trace_estimation,
@@ -27,6 +26,7 @@ from dqc1kit.tensor_core import is_unitary
 from dqc1kit.randomness import DENSE_LIMIT
 
 import oracles
+from lemmas import qubit_permutation
 
 
 def identity_config(n: int, tau: float) -> Dqc1Config:
@@ -114,7 +114,8 @@ def test_apply_to_product_norm_identity():
             psi = apply_to_product(
                 config, Bipartition(5, (0, 2, 3)), ProductStateIndex(t, 2, 1)
             )
-            assert psi.norm**2 == pytest.approx((1 + tau**2) / 4**5, rel=1e-12)
+            norm = np.linalg.norm(psi.amplitudes)
+            assert norm**2 == pytest.approx((1 + tau**2) / 4**5, rel=1e-12)
 
 
 def test_apply_to_product_matches_dense_state():
@@ -233,7 +234,7 @@ def test_probe_reduction_permutation_covariance():
     n = 4
     u = haar_unitary(n, SeedSpec(43))
     perm = (2, 0, 3, 1)  # register-level relabeling
-    u_perm = qubit_permutation(u, perm)
+    u_perm = DenseOperator(n, qubit_permutation(u.matrix, perm))
     cut = Bipartition(n + 1, (0, 1, 3))  # register labels {1,3} on side A
     permuted_side = (0,) + tuple(sorted(perm[q - 1] + 1 for q in cut.side_a if q))
     idx = ProductStateIndex(0, 0, 0)

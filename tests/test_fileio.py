@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from dqc1kit import (
     write_circuit,
     write_cmat,
 )
+from dqc1kit.cli import main as cli_main
 
 
 def test_cmat_round_trip_is_exact(tmp_path):
@@ -49,6 +52,34 @@ def test_cmat_header_and_shape_errors(tmp_path):
     path.write_text("CMAT v1 0 2\n")
     with pytest.raises(FileFormatError):
         read_cmat(path)
+
+
+def test_cmat_header_the_file_cannot_hold_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "huge.cmat"
+    path.write_text("CMAT v1 1024 1024\n0 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError) as refused:
+            read_cmat(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "at most 1" in str(refused.value)
+    assert cli_main(["trace-estimate", "--cmat", str(path)]) == 3
+
+
+def test_cmat_reader_accepts_the_smallest_files_it_writes(tmp_path):
+    # "0 0" is the shortest entry line write_cmat emits
+    path = tmp_path / "zeros.cmat"
+    for shape in [(1, 1), (1, 2), (3, 2), (4, 4)]:
+        write_cmat(path, np.zeros(shape, dtype=complex))
+        assert np.array_equal(read_cmat(path), np.zeros(shape))
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))  # no final newline
+        assert np.array_equal(read_cmat(path), np.zeros(shape))
+        path.write_bytes(path.read_bytes()[:-1])  # one byte short of the last entry
+        with pytest.raises(FileFormatError):
+            read_cmat(path)
 
 
 def test_read_unitary_cmat_validations(tmp_path):

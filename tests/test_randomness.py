@@ -15,12 +15,12 @@ from dqc1kit import (
     circuit_unitary,
     evolve_columns,
     haar_unitary,
-    random_density_matrix,
     random_two_qubit_circuit,
 )
 from dqc1kit.randomness import DENSE_LIMIT, _mix64, plan_blocks
 
 import oracles
+from lemmas import random_density_matrix
 
 
 def test_seed_spec_validation_and_children():
@@ -205,9 +205,9 @@ def test_circuit_validation():
 def test_random_density_matrix_properties():
     for k in range(5):
         rho = random_density_matrix(3, SeedSpec(22).child(k))
-        assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12
-        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(rho.matrix).min() > -1e-12
+        assert np.abs(rho - rho.conj().T).max() < 1e-12
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
 def _circuit_on(num_qubits, targets, seed):

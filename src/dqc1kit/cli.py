@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -20,6 +20,8 @@ import numpy as np
 from . import __version__
 from .correlation_analysis import (
     ClaimFalsified,
+    CutRecord,
+    TruncationRow,
     balanced_tree_edge,
     balanced_window,
     concentration_report,
@@ -42,13 +44,9 @@ from .randomness import (
 from .tensor_core import Bipartition, basis_state
 
 
-class UsageError(Exception):
-    """Bad arguments or an inconsistent configuration."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # -> never returns
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 @dataclass
@@ -65,12 +63,12 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise UsageError(f"{flag} expects comma-separated integers") from exc
+        raise ValueError(f"{flag} expects comma-separated integers") from exc
 
 
 def _master_seed(args: argparse.Namespace) -> SeedSpec:
     if not 0 <= args.seed < 2**64:
-        raise UsageError("--seed must fit in an unsigned 64-bit integer")
+        raise ValueError("--seed must fit in an unsigned 64-bit integer")
     return SeedSpec(args.seed)
 
 
@@ -89,11 +87,11 @@ def _base_meta(args: argparse.Namespace, command: str) -> dict:
 def _cmd_rank_scaling(args: argparse.Namespace) -> CommandResult:
     n_list = _parse_int_list(args.n_list, "--n-list")
     if not n_list or any(n < 2 or n % 2 for n in n_list):
-        raise UsageError("--n-list needs even qubit counts >= 2")
+        raise ValueError("--n-list needs even qubit counts >= 2")
     if args.num_seeds < 1:
-        raise UsageError("--seeds must be >= 1")
+        raise ValueError("--seeds must be >= 1")
     if args.gates_factor < 1:
-        raise UsageError("--gates-factor must be >= 1")
+        raise ValueError("--gates-factor must be >= 1")
     master = _master_seed(args)
     tasks = [(n, s) for n in n_list for s in range(args.num_seeds)]
 
@@ -135,28 +133,28 @@ def _cmd_rank_scaling(args: argparse.Namespace) -> CommandResult:
 
 def _build_unitary(args: argparse.Namespace, n: int, seed: SeedSpec):
     if args.gates is not None and args.unitary != "circuit":
-        raise UsageError("--gates applies only to --unitary circuit")
+        raise ValueError("--gates applies only to --unitary circuit")
     if args.unitary == "haar":
         if n > DENSE_LIMIT:
-            raise UsageError(
+            raise ValueError(
                 f"dense Haar mode needs n <= {DENSE_LIMIT}; use --unitary circuit"
             )
         return haar_unitary(n, seed)
     if args.unitary == "product":
         if n > DENSE_LIMIT:
-            raise UsageError(f"product mode needs n <= {DENSE_LIMIT}")
+            raise ValueError(f"product mode needs n <= {DENSE_LIMIT}")
         return haar_product_unitary(n, seed)
     gates = args.gates if args.gates is not None else 4 * n
     if gates < 1:
-        raise UsageError("--gates must be >= 1")
+        raise ValueError("--gates must be >= 1")
     return random_two_qubit_circuit(n, gates, seed)
 
 
 def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
     if args.n < 5:
-        raise UsageError("--n must be >= 5 (the scan's policy minimum)")
+        raise ValueError("--n must be >= 5 (the scan's policy minimum)")
     if not 0.0 <= args.tau <= 1.0:
-        raise UsageError("--tau must lie in [0, 1]")
+        raise ValueError("--tau must lie in [0, 1]")
     master = _master_seed(args)
     unitary = _build_unitary(args, args.n, master.child(0))
     config = Dqc1Config(args.n, args.tau, unitary)
@@ -172,18 +170,6 @@ def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
     low, _high = balanced_window(args.n)
     global_floor = 2**low
     global_pass = report.min_rank >= global_floor
-    rows = [
-        {
-            "side_a": list(r.side_a),
-            "window_size": r.window_size,
-            "rank": r.rank,
-            "log2_rank": r.log2_rank,
-            "rank_floor": r.rank_floor,
-            "meets_floor": r.meets_floor,
-            "spectrum_head": list(r.spectrum_head),
-        }
-        for r in report.records
-    ]
     meta = _base_meta(args, "bound-scan")
     meta.update(
         n=args.n,
@@ -196,29 +182,21 @@ def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
     )
     extras = {
         "min_rank": report.min_rank,
-        "argmin_side_a": list(report.argmin_side_a),
+        "argmin_side_a": report.argmin_side_a,
         "global_floor": global_floor,
         "global_pass": global_pass,
         "all_cuts_meet_floor": report.all_meet_floor,
     }
-    columns = [
-        "side_a",
-        "window_size",
-        "rank",
-        "log2_rank",
-        "rank_floor",
-        "meets_floor",
-        "spectrum_head",
-    ]
     return CommandResult(
-        meta, columns, rows, extras, default_format="json",
+        meta, [f.name for f in fields(CutRecord)], [vars(r) for r in report.records], extras,
+        default_format="json",
         exit_code=0 if global_pass else 2,
     )
 
 
 def _cmd_concentration(args: argparse.Namespace) -> CommandResult:
     if not 0.0 <= args.delta < np.inf:
-        raise UsageError("--delta must be a finite number >= 0")
+        raise ValueError("--delta must be a finite number >= 0")
     master = _master_seed(args)
     report = concentration_report(
         args.na, args.nb, args.delta, args.samples, master, workers=args.workers,
@@ -248,12 +226,12 @@ def _cmd_trace_estimate(args: argparse.Namespace) -> CommandResult:
         unitary = read_unitary_cmat(args.cmat)
     else:
         if args.circuit_qubits is None:
-            raise UsageError("--circuit requires --circuit-qubits")
+            raise ValueError("--circuit requires --circuit-qubits")
         unitary = read_circuit(args.circuit, args.circuit_qubits)
     if not 0.0 <= args.tau <= 1.0:
-        raise UsageError("--tau must lie in [0, 1]")
+        raise ValueError("--tau must lie in [0, 1]")
     if args.shots < 1:
-        raise UsageError("--shots must be >= 1")
+        raise ValueError("--shots must be >= 1")
     master = _master_seed(args)
     config = Dqc1Config(unitary.num_qubits, args.tau, unitary)
     estimate = simulate_trace_estimation(config, args.shots, master.child(0))
@@ -278,9 +256,9 @@ def _cmd_trace_estimate(args: argparse.Namespace) -> CommandResult:
 
 def _cmd_tree_edge(args: argparse.Namespace) -> CommandResult:
     if args.leaves < 6:
-        raise UsageError("--leaves must be >= 6")
+        raise ValueError("--leaves must be >= 6")
     if args.trees < 1:
-        raise UsageError("--trees must be >= 1")
+        raise ValueError("--trees must be >= 1")
     master = _master_seed(args)
     low, high = balanced_window(args.leaves - 1)
 
@@ -305,9 +283,9 @@ def _cmd_tree_edge(args: argparse.Namespace) -> CommandResult:
 
 def _cmd_truncation(args: argparse.Namespace) -> CommandResult:
     if args.n < 5 or args.n > 8:
-        raise UsageError("--n must lie in [5, 8] (dense state with a window)")
+        raise ValueError("--n must lie in [5, 8] (dense state with a window)")
     if not 0.0 <= args.tau <= 1.0:
-        raise UsageError("--tau must lie in [0, 1]")
+        raise ValueError("--tau must lie in [0, 1]")
     master = _master_seed(args)
     unitary = haar_unitary(args.n, master.child(0))
     config = Dqc1Config(args.n, args.tau, unitary)
@@ -318,32 +296,18 @@ def _cmd_truncation(args: argparse.Namespace) -> CommandResult:
         side_a = tuple(range(low + 1))
     cut = Bipartition(args.n + 1, side_a)
     ranks = _parse_int_list(args.ranks, "--ranks") if args.ranks is not None else None
-    try:
-        table = truncation_experiment(config, cut, ranks, args.tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    rows = [
-        {
-            "rank": row.rank,
-            "fidelity": row.fidelity,
-            "epsilon": row.epsilon,
-            "delta_hat": row.delta_hat,
-            "linear_bound": row.linear_bound,
-            "bound_satisfied": row.bound_satisfied,
-        }
-        for row in table
-    ]
+    table = truncation_experiment(config, cut, ranks, args.tol)
     meta = _base_meta(args, "truncation")
     meta.update(
         n=args.n,
         tau=args.tau,
-        side_a=list(side_a),
+        side_a=side_a,
         ranks=args.ranks if args.ranks is not None else "all",
     )
     all_satisfied = all(row.bound_satisfied for row in table)
-    columns = ["rank", "fidelity", "epsilon", "delta_hat", "linear_bound", "bound_satisfied"]
     return CommandResult(
-        meta, columns, rows, {"all_satisfied": all_satisfied},
+        meta, [f.name for f in fields(TruncationRow)], [vars(row) for row in table],
+        {"all_satisfied": all_satisfied},
         exit_code=0 if all_satisfied else 2,
     )
 
@@ -441,9 +405,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.workers < 1:
-            raise UsageError("--workers must be >= 1")
+            raise ValueError("--workers must be >= 1")
         if not 0 < args.tol < 1:
-            raise UsageError("--tol must lie in (0, 1)")
+            raise ValueError("--tol must lie in (0, 1)")
         result = args.run(args)
         text = _serialize(result, args.format)
         if args.out == "-":
@@ -452,9 +416,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             with open(args.out, "w", encoding="ascii", newline="") as fh:
                 fh.write(text)
         return result.exit_code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ClaimFalsified as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return 2
@@ -471,3 +432,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -95,15 +95,15 @@ def _unrank_combination(rank: int, n_items: int, k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CutRecord:
-    """One evaluated bipartition of a rank scan."""
+    """One evaluated bipartition of a rank scan; fields in report column order."""
 
     side_a: tuple[int, ...]
     window_size: int
     rank: int
     log2_rank: float
+    rank_floor: Optional[int]
+    meets_floor: Optional[bool]
     spectrum_head: tuple[float, ...]
-    rank_floor: Optional[int] = None
-    meets_floor: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,6 @@ class RankScanReport:
     """Per-cut records plus the scan minimum."""
 
     records: tuple[CutRecord, ...]
-    rel_tol: float
     exhaustive: bool
 
     def __post_init__(self) -> None:
@@ -172,9 +171,9 @@ def _cut_record(
         window_size=window,
         rank=rank,
         log2_rank=math.log2(rank) if rank else float("-inf"),
-        spectrum_head=tuple(float(c) for c in spectrum.coefficients[:4]),
         rank_floor=floor,
         meets_floor=None if floor is None else rank >= floor,
+        spectrum_head=tuple(float(c) for c in spectrum.coefficients[:4]),
     )
 
 
@@ -183,7 +182,6 @@ def min_rank_over_equipartitions(
     rel_tol: float = DEFAULT_RANK_TOL,
     partition_cap: Optional[int] = None,
     seed: Optional[SeedSpec] = None,
-    workers: int = 1,
 ) -> RankScanReport:
     """Smallest Schmidt rank over half:half cuts of an even register.
 
@@ -202,7 +200,7 @@ def min_rank_over_equipartitions(
     def evaluate(side_a: tuple[int, ...]) -> CutRecord:
         return _cut_record(state, Bipartition(n, side_a), half, rel_tol, floored=False)
 
-    return RankScanReport(tuple(parallel_map(evaluate, cuts, workers)), rel_tol, exhaustive)
+    return RankScanReport(tuple(parallel_map(evaluate, cuts)), exhaustive)
 
 
 def rank_bound_scan(
@@ -270,7 +268,7 @@ def rank_bound_scan(
 
             for task_id, record in zip(task_ids, parallel_map(evaluate, task_ids, workers)):
                 records[task_id] = record
-    return RankScanReport(tuple(records), rel_tol, exhaustive)
+    return RankScanReport(tuple(records), exhaustive)
 
 
 @dataclass(frozen=True)
@@ -335,9 +333,6 @@ def concentration_report(
 class RobustRankBound:
     """Rank floors surviving a fidelity-epsilon approximation."""
 
-    epsilon: float
-    delta: float
-    n_0: int
     exact_bound: float
     linear_bound: float
 
@@ -350,17 +345,22 @@ def robust_rank_bound(epsilon: float, delta: float, n_0: int) -> RobustRankBound
     sqrt((1 + (1+delta) r/d)/2) >= 1-epsilon; inverting gives the exact
     floor d * (2(1-epsilon)^2 - 1)/(1+delta).  The linear floor
     (1 - 4 epsilon - delta) d relaxes it and never exceeds it.
+
+    The derivation uses delta only through sum_{i<=r} q_i <= r(1+delta)/d,
+    which holds for every delta >= 0, so any finite delta >= 0 is accepted.
+    From delta = 1 on the linear floor is 0 and the exact floor stays at
+    or above it.
     """
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
-    if not 0 <= delta <= 1:
-        raise ValueError("delta must lie in [0, 1]")
+    if not 0 <= delta < math.inf:
+        raise ValueError("delta must be a finite number >= 0")
     if n_0 < 0:
         raise ValueError("n_0 must be nonnegative")
     d = 2**n_0
     exact = d * max(0.0, (2.0 * (1.0 - epsilon) ** 2 - 1.0) / (1.0 + delta))
     linear = d * max(0.0, 1.0 - 4.0 * epsilon - delta)
-    return RobustRankBound(epsilon, delta, n_0, exact, linear)
+    return RobustRankBound(exact, linear)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,10 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .randomness import Circuit, GateSpec
+from .randomness import GATE_UNITARY_TOL, Circuit, GateSpec
 from .tensor_core import DenseOperator, is_unitary
 
 CMAT_MAGIC = "CMAT v1"
-LOAD_UNITARY_TOL = 1e-8
 
 
 class FileFormatError(Exception):
@@ -90,8 +89,8 @@ def read_unitary_cmat(path: str) -> DenseOperator:
     num_qubits = rows.bit_length() - 1
     if 2**num_qubits != rows or num_qubits < 1:
         raise FileFormatError(f"{path}: dimension {rows} is not 2^n for n >= 1")
-    if not is_unitary(mat, LOAD_UNITARY_TOL):
-        raise FileFormatError(f"{path}: matrix is not unitary within {LOAD_UNITARY_TOL}")
+    if not is_unitary(mat, GATE_UNITARY_TOL):
+        raise FileFormatError(f"{path}: matrix is not unitary within {GATE_UNITARY_TOL}")
     return DenseOperator(num_qubits, mat)
 
 
@@ -165,21 +164,15 @@ def _render_cell(value: JsonValue) -> str:
 
 
 def render_json(payload: Mapping[str, JsonValue]) -> str:
-    """Stable-key-order JSON with native floats (repr round trip exact)."""
-    return json.dumps(_plainify(payload), sort_keys=True, indent=2) + "\n"
+    """Stable-key-order JSON with native floats (repr round trip exact).
+
+    numpy scalars and arrays become Python values through ``tolist``;
+    ``np.float64`` is a float subclass and is written by ``float.__repr__``.
+    """
+    return json.dumps(payload, sort_keys=True, indent=2, default=_numpy_to_python) + "\n"
 
 
-def _plainify(value):
-    if isinstance(value, Mapping):
-        return {str(k): _plainify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plainify(v) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_plainify(v) for v in value.tolist()]
-    return value
+def _numpy_to_python(value):
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")

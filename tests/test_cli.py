@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dqc1kit
 from dqc1kit import SeedSpec, haar_unitary, write_cmat, write_circuit
 from dqc1kit import random_two_qubit_circuit
 from dqc1kit.cli import main
@@ -85,7 +90,8 @@ def test_bound_scan_csv_override(capsys):
     )
     assert code == 0
     assert out.startswith("#")
-    assert "side_a,window_size,rank" in out
+    header = next(ln for ln in out.split("\n") if not ln.startswith("#"))
+    assert header == "side_a,window_size,rank,log2_rank,rank_floor,meets_floor,spectrum_head"
 
 
 def test_rank_scaling_csv_shape(capsys):
@@ -218,6 +224,14 @@ def test_truncation_explicit_cut_and_ranks(capsys):
     assert [r["rank"] for r in payload["rows"]] == [1, 4, 16]
 
 
+def test_truncation_accepts_a_measured_delta_above_one(capsys):
+    # seed 4 measures delta_hat > 1 on this in-window cut; the floor is then 0
+    code, out, err = run(capsys, ["truncation", "--n", "5", "--cut", "1,2", "--seed", "4"])
+    assert (code, err) == (0, "")
+    assert "# all_satisfied = true" in out.split("\n")
+    assert float(out.split("\n")[-2].split(",")[3]) > 1
+
+
 def test_truncation_out_of_range_rank_is_usage_error(capsys):
     code, _out, _err = run(capsys, ["truncation", "--n", "5", "--ranks", "99"])
     assert code == 1
@@ -265,3 +279,14 @@ def test_tol_must_lie_in_open_unit_interval(capsys, tol):
         assert code == 1, argv
         assert out == ""
         assert "--tol" in err
+
+
+def test_module_run_executes_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(dqc1kit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dqc1kit.cli", "tree-edge", "--leaves", "8", "--trees", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header = next(ln for ln in proc.stdout.split("\n") if not ln.startswith("#"))
+    assert header == "tree_id,edge_u,edge_v,n_0,window_low,window_high"

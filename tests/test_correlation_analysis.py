@@ -153,16 +153,6 @@ def test_min_rank_sampled_subset_matches_exhaustive():
         min_rank_over_equipartitions(state, partition_cap=5)
 
 
-def test_min_rank_worker_count_invariant():
-    from dqc1kit import apply_circuit, random_two_qubit_circuit
-
-    circuit = random_two_qubit_circuit(6, 12, SeedSpec(62))
-    state = apply_circuit(circuit, basis_state(6, 0))
-    one = min_rank_over_equipartitions(state, workers=1)
-    four = min_rank_over_equipartitions(state, workers=4)
-    assert one == four
-
-
 def test_rank_bound_scan_exhaustive_count_and_floors():
     config = Dqc1Config(8, 1.0, haar_unitary(8, SeedSpec(63)))
     report = rank_bound_scan(config, exhaustive=True)
@@ -434,10 +424,15 @@ def test_robust_rank_bound_values():
     vacuous = robust_rank_bound(1 - 1 / np.sqrt(2) + 1e-12, 0.0, 5)
     assert vacuous.exact_bound == pytest.approx(0.0, abs=1e-9)
     assert robust_rank_bound(0.5, 0.0, 5).linear_bound == 0.0
+    # delta >= 1 is valid: the linear floor is 0, the exact floor stays above it
+    wide = robust_rank_bound(0.1, 1.5, 3)
+    assert wide.linear_bound == 0.0
+    assert wide.exact_bound == pytest.approx(8 * 0.62 / 2.5, rel=1e-12)
     with pytest.raises(ValueError):
         robust_rank_bound(1.0, 0.0, 3)
-    with pytest.raises(ValueError):
-        robust_rank_bound(0.1, 1.5, 3)
+    for delta in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            robust_rank_bound(0.1, delta, 3)
 
 
 def test_truncation_experiment_endpoints():

@@ -13,7 +13,7 @@ import argparse
 import statistics
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -59,17 +59,28 @@ class CommandResult:
     exit_code: int = 0
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _ranged(kind: Callable[[str], Any], ok: Callable[[Any], bool], rule: str):
+    """An argparse type: ``kind(text)``, refused unless ``ok`` holds; nan never does."""
+
+    def convert(text: str):
+        value = kind(text)
+        if value != value or not ok(value):
+            raise argparse.ArgumentTypeError(f"must {rule}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse's "invalid int value: ..." names it
+    return convert
+
+
+def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"{flag} expects comma-separated integers") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError("expects comma-separated integers") from None
 
 
-def _master_seed(args: argparse.Namespace) -> SeedSpec:
-    if not 0 <= args.seed < 2**64:
-        raise ValueError("--seed must fit in an unsigned 64-bit integer")
-    return SeedSpec(args.seed)
+_AT_LEAST_1 = _ranged(int, lambda v: v >= 1, "be >= 1")
+_UNIT_TAU = _ranged(float, lambda v: 0 <= v <= 1, "lie in [0, 1]")
 
 
 def _base_meta(args: argparse.Namespace, command: str) -> dict:
@@ -85,15 +96,8 @@ def _base_meta(args: argparse.Namespace, command: str) -> dict:
 
 
 def _cmd_rank_scaling(args: argparse.Namespace) -> CommandResult:
-    n_list = _parse_int_list(args.n_list, "--n-list")
-    if not n_list or any(n < 2 or n % 2 for n in n_list):
-        raise ValueError("--n-list needs even qubit counts >= 2")
-    if args.num_seeds < 1:
-        raise ValueError("--seeds must be >= 1")
-    if args.gates_factor < 1:
-        raise ValueError("--gates-factor must be >= 1")
-    master = _master_seed(args)
-    tasks = [(n, s) for n in n_list for s in range(args.num_seeds)]
+    master = SeedSpec(args.seed)
+    tasks = [(n, s) for n in args.n_list for s in range(args.num_seeds)]
 
     def run_task(task: tuple[int, tuple[int, int]]) -> dict:
         task_id, (n, seed_index) = task
@@ -111,19 +115,14 @@ def _cmd_rank_scaling(args: argparse.Namespace) -> CommandResult:
         }
 
     rows = parallel_map(run_task, list(enumerate(tasks)), args.workers)
-    for n in n_list:
-        med = statistics.median(r["min_rank"] for r in rows if r["n"] == n and isinstance(r["seed"], int))
-        rows.append(
-            {
-                "n": n,
-                "seed": "median",
-                "min_rank": float(med),
-                "log2_min_rank": float(np.log2(med)),
-            }
-        )
+    medians = [statistics.median(r["min_rank"] for r in rows if r["n"] == n) for n in args.n_list]
+    rows += [
+        {"n": n, "seed": "median", "min_rank": float(med), "log2_min_rank": float(np.log2(med))}
+        for n, med in zip(args.n_list, medians)
+    ]
     meta = _base_meta(args, "rank-scaling")
     meta.update(
-        n_list=n_list,
+        n_list=args.n_list,
         seeds=args.num_seeds,
         gates_factor=args.gates_factor,
         partition_cap=args.partition_cap if args.partition_cap is not None else "none",
@@ -145,17 +144,11 @@ def _build_unitary(args: argparse.Namespace, n: int, seed: SeedSpec):
             raise ValueError(f"product mode needs n <= {DENSE_LIMIT}")
         return haar_product_unitary(n, seed)
     gates = args.gates if args.gates is not None else 4 * n
-    if gates < 1:
-        raise ValueError("--gates must be >= 1")
     return random_two_qubit_circuit(n, gates, seed)
 
 
 def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
-    if args.n < 5:
-        raise ValueError("--n must be >= 5 (the scan's policy minimum)")
-    if not 0.0 <= args.tau <= 1.0:
-        raise ValueError("--tau must lie in [0, 1]")
-    master = _master_seed(args)
+    master = SeedSpec(args.seed)
     unitary = _build_unitary(args, args.n, master.child(0))
     config = Dqc1Config(args.n, args.tau, unitary)
     report = rank_bound_scan(
@@ -195,11 +188,8 @@ def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_concentration(args: argparse.Namespace) -> CommandResult:
-    if not 0.0 <= args.delta < np.inf:
-        raise ValueError("--delta must be a finite number >= 0")
-    master = _master_seed(args)
     report = concentration_report(
-        args.na, args.nb, args.delta, args.samples, master, workers=args.workers,
+        args.na, args.nb, args.delta, args.samples, SeedSpec(args.seed), workers=args.workers,
         rel_tol=args.tol,
     )
     rows = [
@@ -228,13 +218,8 @@ def _cmd_trace_estimate(args: argparse.Namespace) -> CommandResult:
         if args.circuit_qubits is None:
             raise ValueError("--circuit requires --circuit-qubits")
         unitary = read_circuit(args.circuit, args.circuit_qubits)
-    if not 0.0 <= args.tau <= 1.0:
-        raise ValueError("--tau must lie in [0, 1]")
-    if args.shots < 1:
-        raise ValueError("--shots must be >= 1")
-    master = _master_seed(args)
     config = Dqc1Config(unitary.num_qubits, args.tau, unitary)
-    estimate = simulate_trace_estimation(config, args.shots, master.child(0))
+    estimate = simulate_trace_estimation(config, args.shots, SeedSpec(args.seed).child(0))
     exact = estimate.exact
     meta = _base_meta(args, "trace-estimate")
     meta.update(
@@ -255,11 +240,7 @@ def _cmd_trace_estimate(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_tree_edge(args: argparse.Namespace) -> CommandResult:
-    if args.leaves < 6:
-        raise ValueError("--leaves must be >= 6")
-    if args.trees < 1:
-        raise ValueError("--trees must be >= 1")
-    master = _master_seed(args)
+    master = SeedSpec(args.seed)
     low, high = balanced_window(args.leaves - 1)
 
     def run_tree(tree_id: int) -> dict:
@@ -282,20 +263,14 @@ def _cmd_tree_edge(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_truncation(args: argparse.Namespace) -> CommandResult:
-    if args.n < 5 or args.n > 8:
-        raise ValueError("--n must lie in [5, 8] (dense state with a window)")
-    if not 0.0 <= args.tau <= 1.0:
-        raise ValueError("--tau must lie in [0, 1]")
-    master = _master_seed(args)
-    unitary = haar_unitary(args.n, master.child(0))
-    config = Dqc1Config(args.n, args.tau, unitary)
     low, _high = balanced_window(args.n)
     if args.cut is not None:
-        side_a = tuple(sorted(set(_parse_int_list(args.cut, "--cut")) | {0}))
+        side_a = tuple(sorted(set(args.cut) | {0}))
     else:
         side_a = tuple(range(low + 1))
-    cut = Bipartition(args.n + 1, side_a)
-    ranks = _parse_int_list(args.ranks, "--ranks") if args.ranks is not None else None
+    cut = Bipartition(args.n + 1, side_a)  # a bad --cut is refused before the state is built
+    config = Dqc1Config(args.n, args.tau, haar_unitary(args.n, SeedSpec(args.seed).child(0)))
+    ranks = _int_list(args.ranks) if args.ranks is not None else None
     table = truncation_experiment(config, cut, ranks, args.tol)
     meta = _base_meta(args, "truncation")
     meta.update(
@@ -312,12 +287,16 @@ def _cmd_truncation(args: argparse.Namespace) -> CommandResult:
     )
 
 
-def build_parser() -> _Parser:
+def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
-    common.add_argument("--workers", type=int, default=1, help="thread count (default 1)")
     common.add_argument(
-        "--tol", type=float, default=1e-10, help="relative rank tolerance in (0, 1)"
+        "--seed", type=_ranged(int, lambda v: 0 <= v < 2**64, "lie in [0, 2^64)"), default=1,
+        help="master seed (default 1)",
+    )
+    common.add_argument("--workers", type=_AT_LEAST_1, default=1, help="thread count (default 1)")
+    common.add_argument(
+        "--tol", type=_ranged(float, lambda v: 0 < v < 1, "lie in (0, 1)"), default=1e-10,
+        help="relative rank tolerance in (0, 1)",
     )
     common.add_argument("--out", default="-", help="output path, '-' for stdout")
     common.add_argument("--format", choices=["csv", "json"], default=None)
@@ -329,22 +308,26 @@ def build_parser() -> _Parser:
         "rank-scaling", parents=[common],
         help="minimum equipartition Schmidt rank of random circuit states",
     )
-    p.add_argument("--n-list", default="4,6,8,10,12")
-    p.add_argument("--seeds", dest="num_seeds", type=int, default=10)
-    p.add_argument("--gates-factor", type=int, default=2)
-    p.add_argument("--partition-cap", type=int, default=None)
+    p.add_argument(
+        "--n-list", default="4,6,8,10,12",
+        type=_ranged(_int_list, lambda ns: ns and all(n >= 2 and n % 2 == 0 for n in ns),
+                     "list even qubit counts >= 2"),
+    )
+    p.add_argument("--seeds", dest="num_seeds", type=_AT_LEAST_1, default=10)
+    p.add_argument("--gates-factor", type=_AT_LEAST_1, default=2)
+    p.add_argument("--partition-cap", type=_AT_LEAST_1, default=None)
     p.set_defaults(run=_cmd_rank_scaling)
 
     p = sub.add_parser(
         "bound-scan", parents=[common],
         help="certified rank floors over balanced cuts of the joint state",
     )
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--cuts", type=int, default=50)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--n", type=_ranged(int, lambda v: v >= 5, "be >= 5"), default=8)
+    p.add_argument("--cuts", type=_AT_LEAST_1, default=50)
+    p.add_argument("--tau", type=_UNIT_TAU, default=1.0)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--unitary", choices=["haar", "product", "circuit"], default="haar")
-    p.add_argument("--gates", type=int, default=None)
+    p.add_argument("--gates", type=_AT_LEAST_1, default=None)
     p.add_argument("--randomize-index", action="store_true")
     p.set_defaults(run=_cmd_bound_scan)
 
@@ -352,10 +335,13 @@ def build_parser() -> _Parser:
         "concentration", parents=[common],
         help="reduction-spectrum concentration of Haar-random states",
     )
-    p.add_argument("--na", type=int, default=2)
-    p.add_argument("--nb", type=int, default=9)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--na", type=_ranged(int, lambda v: v >= 0, "be >= 0"), default=2)
+    p.add_argument("--nb", type=_AT_LEAST_1, default=9)
+    p.add_argument(
+        "--delta", type=_ranged(float, lambda v: 0 <= v < np.inf, "be a finite number >= 0"),
+        default=0.5,
+    )
+    p.add_argument("--samples", type=_AT_LEAST_1, default=200)
     p.set_defaults(run=_cmd_concentration)
 
     p = sub.add_parser(
@@ -365,30 +351,37 @@ def build_parser() -> _Parser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--cmat", default=None, help="CMAT v1 unitary file")
     source.add_argument("--circuit", default=None, help="gate-per-line circuit file")
-    p.add_argument("--circuit-qubits", type=int, default=None)
-    p.add_argument("--shots", type=int, default=10000)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--circuit-qubits", type=_AT_LEAST_1, default=None)
+    p.add_argument("--shots", type=_AT_LEAST_1, default=10000)
+    p.add_argument("--tau", type=_ranged(float, lambda v: 0 < v <= 1, "lie in (0, 1]"), default=1.0)
     p.set_defaults(run=_cmd_trace_estimate)
 
     p = sub.add_parser(
         "tree-edge", parents=[common],
         help="balanced-edge existence over random degree-<=3 trees",
     )
-    p.add_argument("--leaves", type=int, default=16)
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--leaves", type=_ranged(int, lambda v: v >= 6, "be >= 6"), default=16)
+    p.add_argument("--trees", type=_AT_LEAST_1, default=100)
     p.set_defaults(run=_cmd_tree_edge)
 
     p = sub.add_parser(
         "truncation", parents=[common],
         help="fidelity of rank truncations against the certified floor",
     )
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--cut", default=None, help="comma-separated side-A labels")
-    p.add_argument("--ranks", default=None, help="comma-separated ranks (default: all)")
+    p.add_argument("--n", type=_ranged(int, lambda v: 5 <= v <= 8, "lie in [5, 8]"), default=7)
+    p.add_argument("--tau", type=_UNIT_TAU, default=1.0)
+    p.add_argument("--cut", type=_int_list, default=None, help="comma-separated side-A labels")
+    p.add_argument(  # kept as text: meta.ranks echoes it
+        "--ranks", default=None, help="comma-separated ranks (default: all)",
+        type=_ranged(str, lambda text: all(r >= 1 for r in _int_list(text)), "list ranks >= 1"),
+    )
     p.set_defaults(run=_cmd_truncation)
 
     return parser
+
+
+# Built once: every main() call parses with this tree.
+_PARSER = _build_parser()
 
 
 def _serialize(result: CommandResult, chosen_format: Optional[str]) -> str:
@@ -403,11 +396,7 @@ def _serialize(result: CommandResult, chosen_format: Optional[str]) -> str:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if args.workers < 1:
-            raise ValueError("--workers must be >= 1")
-        if not 0 < args.tol < 1:
-            raise ValueError("--tol must lie in (0, 1)")
+        args = _PARSER.parse_args(argv)
         result = args.run(args)
         text = _serialize(result, args.format)
         if args.out == "-":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -468,20 +469,25 @@ class TreeGraph:
             elif not 2 <= deg <= 3:
                 raise ValueError(f"internal node {node} must have degree 2 or 3")
         # edge count == node count - 1 plus full connectivity <=> tree
-        if self._reachable_from(next(iter(nodes))) != nodes:
+        if len(self.bfs[1]) != len(nodes):
             raise ValueError("tree is not connected")
 
-    def _reachable_from(self, start: int) -> set[int]:
+    @cached_property
+    def bfs(self) -> tuple[dict[int, int], tuple[int, ...]]:
+        """Breadth-first search from leaf 0: (parent map, visit order).
+
+        Run once per tree; leaf 0's parent is -1, and the order reaches
+        every node exactly when the tree is connected.
+        """
         adjacency = self.adjacency()
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
+        parent = {0: -1}
+        order = [0]
+        for node in order:
             for other in adjacency[node]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        return seen
+                if other not in parent:
+                    parent[other] = node
+                    order.append(other)
+        return parent, tuple(order)
 
     def adjacency(self) -> dict[int, list[int]]:
         adjacency: dict[int, list[int]] = {}
@@ -524,25 +530,16 @@ def balanced_tree_edge(tree: TreeGraph) -> tuple[tuple[int, int], int]:
         raise ValueError("balanced edge search needs at least 6 leaves")
     n = leaves - 1
     low, high = balanced_window(n)
-    adjacency = tree.adjacency()
-    root = 0
-    parent: dict[int, int] = {root: -1}
-    order = [root]
-    for node in order:
-        for other in adjacency[node]:
-            if other not in parent:
-                parent[other] = node
-                order.append(other)
-    leaf_count: dict[int, int] = {}
-    for node in reversed(order):
-        total = 1 if node < leaves else 0
-        total += sum(
-            leaf_count[child] for child in adjacency[node] if parent.get(child) == node
-        )
-        leaf_count[node] = total
+    parent, order = tree.bfs
+    leaf_count = dict.fromkeys(order, 0)
+    for node in reversed(order):  # children before parents
+        if node < leaves:
+            leaf_count[node] += 1
+        if parent[node] >= 0:
+            leaf_count[parent[node]] += leaf_count[node]
 
     for u, v in tree.edges:
-        child = v if parent.get(v) == u else u
+        child = v if parent[v] == u else u
         side = leaf_count[child]
         n_0 = min(side, leaves - side)
         if low <= n_0 <= high:

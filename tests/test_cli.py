@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import dqc1kit
 from dqc1kit import SeedSpec, haar_unitary, write_cmat, write_circuit
 from dqc1kit import random_two_qubit_circuit
+from dqc1kit import cli
 from dqc1kit.cli import main
 
 
@@ -290,3 +292,68 @@ def test_module_run_executes_the_cli():
     assert proc.returncode == 0, proc.stderr
     header = next(ln for ln in proc.stdout.split("\n") if not ln.startswith("#"))
     assert header == "tree_id,edge_u,edge_v,n_0,window_low,window_high"
+
+
+# One bad value per range-checked flag.  The first five are cases that used
+# to be refused late: after a 4096x4096 Haar build, a file read, or not at all
+# (exhaustive scans ignored --cuts).  The files named here need not exist.
+REFUSED_FLAGS = [
+    (["bound-scan", "--unitary", "haar", "--n", "12", "--cuts", "0"], "--cuts"),
+    (["trace-estimate", "--circuit", "c.circ", "--circuit-qubits", "0"], "--circuit-qubits"),
+    (["trace-estimate", "--cmat", "missing.cmat", "--tau", "2"], "--tau"),
+    (["trace-estimate", "--cmat", "u.cmat", "--shots", "0"], "--shots"),
+    (["bound-scan", "--n", "6", "--exhaustive", "--cuts", "0"], "--cuts"),
+    (["tree-edge", "--seed", str(2**64)], "--seed"),
+    (["tree-edge", "--workers", "0"], "--workers"),
+    (["tree-edge", "--tol", "nan"], "--tol"),
+    (["tree-edge", "--leaves", "5"], "--leaves"),
+    (["tree-edge", "--trees", "0"], "--trees"),
+    (["bound-scan", "--n", "4"], "--n"),
+    (["bound-scan", "--tau", "nan"], "--tau"),
+    (["bound-scan", "--unitary", "circuit", "--gates", "0"], "--gates"),
+    (["trace-estimate", "--cmat", "u.cmat", "--tau", "0"], "--tau"),
+    (["truncation", "--n", "9"], "--n"),
+    (["truncation", "--tau", "-0.5"], "--tau"),
+    (["truncation", "--cut", "1,x"], "--cut"),
+    (["truncation", "--ranks", "1,x"], "--ranks"),
+    (["truncation", "--ranks", "4,0"], "--ranks"),
+    (["concentration", "--delta", "inf"], "--delta"),
+    (["concentration", "--samples", "0"], "--samples"),
+    (["concentration", "--na", "-1"], "--na"),
+    (["concentration", "--nb", "0"], "--nb"),
+    (["rank-scaling", "--n-list", "4,5"], "--n-list"),
+    (["rank-scaling", "--seeds", "0"], "--seeds"),
+    (["rank-scaling", "--gates-factor", "0"], "--gates-factor"),
+    (["rank-scaling", "--partition-cap", "0"], "--partition-cap"),
+]
+
+# Everything a command reads or builds before its library call does any work.
+WORK_ENTRY_POINTS = (
+    "haar_unitary", "haar_product_unitary", "random_two_qubit_circuit", "read_unitary_cmat",
+    "read_circuit", "concentration_report", "random_degree3_tree",
+)
+
+
+@pytest.mark.parametrize("argv,flag", REFUSED_FLAGS, ids=[" ".join(a) for a, _ in REFUSED_FLAGS])
+def test_bad_flag_value_is_refused_by_the_parser(capsys, monkeypatch, argv, flag):
+    def started(*_args, **_kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in WORK_ENTRY_POINTS:
+        monkeypatch.setattr(cli, name, started)
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}: " in err
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    argv = ["tree-edge", "--leaves", "8", "--trees", "3"]
+    main(argv)  # settles lazy imports and first-call caches
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

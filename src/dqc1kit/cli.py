@@ -34,7 +34,6 @@ from .correlation_analysis import (
 from .dqc1_model import Dqc1Config, simulate_trace_estimation
 from .fileio import FileFormatError, read_circuit, read_unitary_cmat, render_csv, render_json
 from .randomness import (
-    DENSE_LIMIT,
     SeedSpec,
     apply_circuit,
     haar_product_unitary,
@@ -134,14 +133,8 @@ def _build_unitary(args: argparse.Namespace, n: int, seed: SeedSpec):
     if args.gates is not None and args.unitary != "circuit":
         raise ValueError("--gates applies only to --unitary circuit")
     if args.unitary == "haar":
-        if n > DENSE_LIMIT:
-            raise ValueError(
-                f"dense Haar mode needs n <= {DENSE_LIMIT}; use --unitary circuit"
-            )
         return haar_unitary(n, seed)
     if args.unitary == "product":
-        if n > DENSE_LIMIT:
-            raise ValueError(f"product mode needs n <= {DENSE_LIMIT}")
         return haar_product_unitary(n, seed)
     gates = args.gates if args.gates is not None else 4 * n
     return random_two_qubit_circuit(n, gates, seed)
@@ -150,13 +143,12 @@ def _build_unitary(args: argparse.Namespace, n: int, seed: SeedSpec):
 def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
     master = SeedSpec(args.seed)
     unitary = _build_unitary(args, args.n, master.child(0))
-    config = Dqc1Config(args.n, args.tau, unitary)
+    config = Dqc1Config(args.tau, unitary)
     report = rank_bound_scan(
         config,
-        num_cuts=args.cuts,
+        num_cuts=None if args.exhaustive else args.cuts,
         rel_tol=args.tol,
         seed=master.child(1),
-        exhaustive=args.exhaustive,
         randomize_index=args.randomize_index,
         workers=args.workers,
     )
@@ -189,7 +181,7 @@ def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
 
 def _cmd_concentration(args: argparse.Namespace) -> CommandResult:
     report = concentration_report(
-        args.na, args.nb, args.delta, args.samples, SeedSpec(args.seed), workers=args.workers,
+        args.na, args.nb, args.samples, SeedSpec(args.seed), workers=args.workers,
         rel_tol=args.tol,
     )
     rows = [
@@ -199,11 +191,11 @@ def _cmd_concentration(args: argparse.Namespace) -> CommandResult:
     meta = _base_meta(args, "concentration")
     meta.update(na=args.na, nb=args.nb, delta=args.delta, samples=args.samples)
     extras = {
-        "d_a": report.d_a,
-        "d_b": report.d_b,
-        "fraction_within": report.fraction_within,
+        "d_a": 2**args.na,
+        "d_b": 2**args.nb,
+        "fraction_within": report.fraction_for(args.delta),
         "max_deviation_worst": max(report.max_deviations),
-        "all_counts_equal_d_a": all(c == report.d_a for c in report.nonzero_counts),
+        "all_counts_equal_d_a": all(c == 2**args.na for c in report.nonzero_counts),
     }
     return CommandResult(
         meta, ["sample", "max_deviation", "nonzero_count"], rows, extras,
@@ -218,7 +210,7 @@ def _cmd_trace_estimate(args: argparse.Namespace) -> CommandResult:
         if args.circuit_qubits is None:
             raise ValueError("--circuit requires --circuit-qubits")
         unitary = read_circuit(args.circuit, args.circuit_qubits)
-    config = Dqc1Config(unitary.num_qubits, args.tau, unitary)
+    config = Dqc1Config(args.tau, unitary)
     estimate = simulate_trace_estimation(config, args.shots, SeedSpec(args.seed).child(0))
     exact = estimate.exact
     meta = _base_meta(args, "trace-estimate")
@@ -269,7 +261,7 @@ def _cmd_truncation(args: argparse.Namespace) -> CommandResult:
     else:
         side_a = tuple(range(low + 1))
     cut = Bipartition(args.n + 1, side_a)  # a bad --cut is refused before the state is built
-    config = Dqc1Config(args.n, args.tau, haar_unitary(args.n, SeedSpec(args.seed).child(0)))
+    config = Dqc1Config(args.tau, haar_unitary(args.n, SeedSpec(args.seed).child(0)))
     ranks = _int_list(args.ranks) if args.ranks is not None else None
     table = truncation_experiment(config, cut, ranks, args.tol)
     meta = _base_meta(args, "truncation")

@@ -46,6 +46,13 @@ _R = TypeVar("_R")
 # The probe |t,i,j> = |0,0,0> that a scan without randomize_index uses.
 _ZERO_INDEX = ProductStateIndex(0, 0, 0)
 
+# The truncation floor divides 1-F by tau^2, and the off-diagonal blocks hold
+# a share tau^2/(1+tau^2) of ||rho||_F^2.  Once that share nears the 2^-52
+# resolution of a double, F rounds to 1 and the floor reads epsilon as 0: at
+# n = 5-8 the check falsified itself from tau = 1.5e-8 down.  Smaller nonzero
+# polarizations are refused; at 1e-6 the share is 4500 ulps.
+TRUNCATION_MIN_TAU = 1e-6
+
 
 class ClaimFalsified(Exception):
     """A property the toolkit certifies numerically failed to hold."""
@@ -206,10 +213,9 @@ def min_rank_over_equipartitions(
 
 def rank_bound_scan(
     config: Dqc1Config,
-    num_cuts: int = 50,
+    num_cuts: Optional[int] = 50,
     rel_tol: float = DEFAULT_RANK_TOL,
     seed: Optional[SeedSpec] = None,
-    exhaustive: bool = False,
     randomize_index: bool = False,
     workers: int = 1,
 ) -> RankScanReport:
@@ -218,7 +224,8 @@ def rank_bound_scan(
     Each evaluated cut keeps the top qubit on side A and has window size
     inside the balanced window.  The probe vector's Schmidt rank lower
     bounds the operator Schmidt rank of the joint state across the same
-    cut, and the per-cut floor is 2^window_size.  Registers below n = 5
+    cut, and the per-cut floor is 2^window_size.  ``num_cuts`` cuts are
+    sampled, or every in-window cut when it is None.  Registers below n = 5
     are refused as a policy (see :func:`balanced_window`).  Every cut probes
     |0,0,0> unless ``randomize_index`` draws each cut's index from
     ``seed.child(task_id)``, so that mode needs a seed.
@@ -226,13 +233,13 @@ def rank_bound_scan(
     n = config.num_register_qubits
     if n < 5:
         raise ValueError(f"n = {n} is below the scan's policy minimum (need n >= 5)")
-    if not exhaustive and num_cuts < 1:
+    if num_cuts is not None and num_cuts < 1:
         raise ValueError("num_cuts must be >= 1")
     if randomize_index and seed is None:
         raise ValueError("randomize_index needs a seed")
     low, high = balanced_window(n)
     sizes = [a for a in range(1, n) if low <= min(a, n - a) <= high]
-    cuts, exhaustive = _sample_cuts(n, sizes, None if exhaustive else num_cuts, seed)
+    cuts, exhaustive = _sample_cuts(n, sizes, num_cuts, seed)
 
     probes = []
     for task_id, side_a in enumerate(cuts):
@@ -276,27 +283,18 @@ def rank_bound_scan(
 class ConcentrationReport:
     """Spectrum concentration of B-side reductions of Haar-random states."""
 
-    d_a: int
-    d_b: int
-    delta: float
-    samples: int
     max_deviations: tuple[float, ...]
     nonzero_counts: tuple[int, ...]
-
-    @property
-    def fraction_within(self) -> float:
-        return self.fraction_for(self.delta)
 
     def fraction_for(self, delta: float) -> float:
         """Fraction of samples whose whole spectrum fits the delta window."""
         inside = sum(1 for dev in self.max_deviations if dev <= delta)
-        return inside / self.samples
+        return inside / len(self.max_deviations)
 
 
 def concentration_report(
     n_a: int,
     n_b: int,
-    delta: float,
     samples: int,
     seed: SeedSpec,
     workers: int = 1,
@@ -327,7 +325,7 @@ def concentration_report(
     results = parallel_map(sample, list(range(samples)), workers)
     deviations = tuple(dev for dev, _ in results)
     counts = tuple(cnt for _, cnt in results)
-    return ConcentrationReport(d_a, d_b, delta, samples, deviations, counts)
+    return ConcentrationReport(deviations, counts)
 
 
 @dataclass(frozen=True)
@@ -338,19 +336,31 @@ class RobustRankBound:
     linear_bound: float
 
 
-def robust_rank_bound(epsilon: float, delta: float, n_0: int) -> RobustRankBound:
+def robust_rank_bound(epsilon: float, delta: float, n_0: int, tau: float) -> RobustRankBound:
     """Rank floor for any operator within fidelity 1-epsilon of the state.
 
-    With d = 2^{n_0} and reduction spectrum within delta of uniform, a
-    rank-r approximant with fidelity >= 1-epsilon forces
-    sqrt((1 + (1+delta) r/d)/2) >= 1-epsilon; inverting gives the exact
-    floor d * (2(1-epsilon)^2 - 1)/(1+delta).  The linear floor
-    (1 - 4 epsilon - delta) d relaxes it and never exceeds it.
+    With d = 2^{n_0}, polarization tau and a reduction spectrum q within
+    delta of uniform, fidelity F >= 1-epsilon at rank r forces
+    F^2 <= (1 + tau^2 (1+delta) r/d) / (1+tau^2).  Inverting gives the exact
+    floor d((1+tau^2)(1-epsilon)^2 - 1) / (tau^2 (1+delta)); the linear floor
+    d(1 - 2 epsilon (1+tau^2)/tau^2 - delta) never exceeds it, because
+    (1-epsilon)^2 >= 1 - 2 epsilon and 1/(1+delta) >= 1 - delta.  At tau = 1
+    both are the paper's floors bit for bit, (1 - 4 epsilon - delta) d the
+    linear one.  Both are clamped at 0, and both are 0 at tau = 0, where
+    rho = I/2^{n+1} carries no rank claim.
 
-    The derivation uses delta only through sum_{i<=r} q_i <= r(1+delta)/d,
-    which holds for every delta >= 0, so any finite delta >= 0 is accepted.
-    From delta = 1 on the linear floor is 0 and the exact floor stays at
-    or above it.
+    Derivation, top qubit on side A, D = 2^{n+1}: rho = (I + tau X)/D with
+    X = |1><0| (x) U + |0><1| (x) U-dagger, the off-diagonal blocks.  F^2 is
+    the largest ||R(rho) P||^2 / ||R(rho)||^2 over rank-r projections P on
+    side B, R the realignment across the cut.  R(I) and R(X) occupy disjoint
+    rows (the top qubit's row and column bits agree or differ), so for every
+    P the squared norms add, and ||R(rho)||^2 = (1+tau^2)/D.  R(I) is rank
+    one, so the identity term is at most 1/D.  The U term is the tau = 1
+    argument's term times tau^2: that argument bounds ||R(X) P||^2 / ||X||^2
+    by sum_{i<=r} q_i <= r(1+delta)/d, which is free of tau, and
+    ||X||^2 = D.  That step is a hypothesis on U, typical of Haar U and not
+    true of every U.  It holds for every delta >= 0, so any finite delta >= 0
+    is accepted.
     """
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
@@ -358,9 +368,14 @@ def robust_rank_bound(epsilon: float, delta: float, n_0: int) -> RobustRankBound
         raise ValueError("delta must be a finite number >= 0")
     if n_0 < 0:
         raise ValueError("n_0 must be nonnegative")
+    if not 0 <= tau <= 1:
+        raise ValueError("tau must lie in [0, 1]")
+    t2 = tau**2
+    if t2 == 0:  # tau = 0, or a tau whose square underflows
+        return RobustRankBound(0.0, 0.0)
     d = 2**n_0
-    exact = d * max(0.0, (2.0 * (1.0 - epsilon) ** 2 - 1.0) / (1.0 + delta))
-    linear = d * max(0.0, 1.0 - 4.0 * epsilon - delta)
+    exact = d * max(0.0, ((1.0 + t2) * (1.0 - epsilon) ** 2 - 1.0) / (t2 * (1.0 + delta)))
+    linear = d * max(0.0, 1.0 - 2.0 * epsilon * (1.0 + t2) / t2 - delta)
     return RobustRankBound(exact, linear)
 
 
@@ -387,13 +402,16 @@ def truncation_experiment(
     For each rank r the fidelity F of the best rank-r approximation is
     read from the operator Schmidt spectrum across the cut,
     sqrt(sum_{i<=r} s_i^2 / sum_i s_i^2), and the floor
-    robust_rank_bound(1-F, delta_hat, window).linear_bound is compared
+    robust_rank_bound(1-F, delta_hat, window, tau).linear_bound is compared
     against r.  delta_hat is measured from the reduction of U|0> across
-    the register part of the same cut rather than assumed.
+    the register part of the same cut rather than assumed.  A polarization
+    in (0, TRUNCATION_MIN_TAU) is refused: double precision cannot resolve it.
     """
     n = config.num_register_qubits
     if n > 8:
         raise ValueError("truncation sweep needs the dense state (n <= 8)")
+    if 0 < config.polarization < TRUNCATION_MIN_TAU:
+        raise ValueError(f"polarization below {TRUNCATION_MIN_TAU} cannot be resolved")
     cut = top_on_side_a(cut)
     if cut.total_qubits != n + 1:
         raise ValueError(f"cut is over {cut.total_qubits} qubits, need {n + 1}")
@@ -423,7 +441,7 @@ def truncation_experiment(
     for r in sweep:
         f = truncation_fidelity(spectrum, r)
         eps = max(0.0, 1.0 - f)
-        bound = robust_rank_bound(eps, delta_hat, window)
+        bound = robust_rank_bound(eps, delta_hat, window, config.polarization)
         rows.append(
             TruncationRow(
                 rank=r,

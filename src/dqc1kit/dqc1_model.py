@@ -18,12 +18,12 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .randomness import DENSE_LIMIT, Circuit, SeedSpec, circuit_unitary, evolve_columns
+from .randomness import Circuit, SeedSpec, check_dense_size, evolve_columns
 from .tensor_core import Bipartition, DenseOperator, PureState
 
 UnitarySource = Union[DenseOperator, Circuit]
 
-# Diagonal streaming touches 2^n basis states; beyond this it is hopeless.
+# The streamed trace touches 2^n basis columns; beyond this it is hopeless.
 STREAM_LIMIT = 20
 
 # Basis columns are evolved in blocks of at most this many amplitudes
@@ -35,22 +35,18 @@ COLUMN_BLOCK_ENTRIES = 2**16
 
 @dataclass(frozen=True)
 class Dqc1Config:
-    """Register size, top-qubit polarization, and the register unitary."""
+    """Top-qubit polarization and the register unitary, which fixes n."""
 
-    num_register_qubits: int
     polarization: float
     unitary: UnitarySource
 
     def __post_init__(self) -> None:
-        if self.num_register_qubits < 1:
-            raise ValueError("num_register_qubits must be >= 1")
         if not 0.0 <= self.polarization <= 1.0:
             raise ValueError("polarization must lie in [0, 1]")
-        if self.unitary.num_qubits != self.num_register_qubits:
-            raise ValueError(
-                f"unitary acts on {self.unitary.num_qubits} qubits, "
-                f"config declares {self.num_register_qubits}"
-            )
+
+    @property
+    def num_register_qubits(self) -> int:
+        return self.unitary.num_qubits
 
     @property
     def total_qubits(self) -> int:
@@ -86,7 +82,6 @@ class TraceEstimate:
     estimate: complex
     std_error_real: float
     std_error_imag: float
-    shots: int
     exact: complex
 
     @property
@@ -125,7 +120,9 @@ def register_columns(
 ) -> np.ndarray:
     """Columns W|x> for every listed x, as a (2^n, k) block; W = U or U-dagger.
 
-    A circuit evolves all k basis columns in one pass over its fused blocks.
+    The one place that tells a dense U from a circuit: a matrix's columns
+    are sliced out, and a circuit evolves all k basis columns in one pass
+    over its fused blocks.
     """
     indices = np.asarray(register_indices, dtype=np.intp)
     if isinstance(unitary, DenseOperator):
@@ -155,13 +152,9 @@ def column_blocks(
 def final_state(config: Dqc1Config) -> DenseOperator:
     """Dense joint state; Hermitian, trace 1, PSD for tau in [0, 1]."""
     n = config.num_register_qubits
-    if n > DENSE_LIMIT:
-        raise ValueError(
-            f"register of {n} qubits exceeds dense limit {DENSE_LIMIT}"
-        )
-    u = config.unitary
-    u_mat = (u if isinstance(u, DenseOperator) else circuit_unitary(u)).matrix
+    check_dense_size(n)
     dim = 2**n
+    u_mat = register_columns(config.unitary, np.arange(dim), False)
     tau = config.polarization
     rho = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
     rho[:dim, :dim] = np.eye(dim)
@@ -221,12 +214,10 @@ def apply_to_product(
 def normalized_trace(unitary: UnitarySource) -> complex:
     """Exact Tr(U)/2^n.
 
-    A circuit's diagonal is gathered over blocks of basis columns, so the
-    unitary is never materialized; that costs O(4^n * gates) time.
+    The diagonal is gathered over blocks of columns, so a circuit's unitary
+    is never materialized; that costs O(4^n * gates) time for a circuit.
     """
     n = unitary.num_qubits
-    if isinstance(unitary, DenseOperator):
-        return complex(np.trace(unitary.matrix) / 2**n)
     if n > STREAM_LIMIT:
         raise ValueError(f"register of {n} qubits exceeds streaming limit {STREAM_LIMIT}")
     dim = 2**n
@@ -261,4 +252,4 @@ def simulate_trace_estimation(
     estimate = complex((2.0 * mean_x - 1.0) / tau, (1.0 - 2.0 * mean_y) / tau)
     se_x = 2.0 * math.sqrt(mean_x * (1.0 - mean_x) / shots) / tau
     se_y = 2.0 * math.sqrt(mean_y * (1.0 - mean_y) / shots) / tau
-    return TraceEstimate(estimate, se_x, se_y, shots, t)
+    return TraceEstimate(estimate, se_x, se_y, t)

@@ -1,7 +1,8 @@
 """Plain-text interchange formats and report writers.
 
 CMAT v1 holds one complex matrix: a header line ``CMAT v1 <rows> <cols>``
-followed by rows*cols lines of ``re im`` in row-major order.  Circuit
+followed by rows*cols lines of ``re im`` in row-major order; only blank
+lines may follow the entries.  Circuit
 files hold one gate per line: two target labels then 16 ``re im`` pairs,
 row-major over the 4x4 gate.  All floats are printed with 17 significant
 digits so a write/read round trip is exact.
@@ -16,8 +17,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .randomness import GATE_UNITARY_TOL, Circuit, GateSpec
-from .tensor_core import DenseOperator, is_unitary
+from .randomness import Circuit, GateSpec
+from .tensor_core import UNITARY_TOL, DenseOperator, is_unitary
 
 CMAT_MAGIC = "CMAT v1"
 
@@ -75,7 +76,7 @@ def read_cmat(path: str) -> np.ndarray:
                 entries[k] = complex(float(parts[0]), float(parts[1]))
             except ValueError as exc:
                 raise FileFormatError(f"{path}: bad number on line {k + 2}") from exc
-        if fh.readline().strip():
+        if any(line.strip() for line in fh):
             raise FileFormatError(f"{path}: trailing content after {rows * cols} entries")
     return entries.reshape(rows, cols)
 
@@ -89,8 +90,8 @@ def read_unitary_cmat(path: str) -> DenseOperator:
     num_qubits = rows.bit_length() - 1
     if 2**num_qubits != rows or num_qubits < 1:
         raise FileFormatError(f"{path}: dimension {rows} is not 2^n for n >= 1")
-    if not is_unitary(mat, GATE_UNITARY_TOL):
-        raise FileFormatError(f"{path}: matrix is not unitary within {GATE_UNITARY_TOL}")
+    if not is_unitary(mat):
+        raise FileFormatError(f"{path}: matrix is not unitary within {UNITARY_TOL}")
     return DenseOperator(num_qubits, mat)
 
 

@@ -8,15 +8,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tensor_core import DenseOperator, PureState, is_unitary
+from .tensor_core import UNITARY_TOL, DenseOperator, PureState, is_unitary
 
 # Keeping full circuit unitaries dense above this register size is a memory
 # hazard (2^24 complex entries at 12 qubits is the practical desk limit).
+# The dense builders below and final_state refuse larger registers.
 DENSE_LIMIT = 12
-
-# Gates are checked once, when a GateSpec is built, at the tolerance that
-# circuit files document; the kernels that apply them do not check again.
-GATE_UNITARY_TOL = 1e-8
 
 # Gates are fused into blocks acting on at most this many qubits, and each
 # block is one pass over the columns.  4n random gates fuse into about n
@@ -74,10 +71,15 @@ def _haar_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
+def check_dense_size(num_qubits: int) -> None:
+    """Refuse a dense 2^n x 2^n unitary unless 1 <= n <= DENSE_LIMIT."""
+    if not 1 <= num_qubits <= DENSE_LIMIT:
+        raise ValueError(f"a dense unitary needs 1 <= n <= {DENSE_LIMIT} qubits, got {num_qubits}")
+
+
 def haar_unitary(num_qubits: int, seed: SeedSpec) -> DenseOperator:
     """Haar-random unitary on a register of ``num_qubits`` qubits."""
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be >= 1")
+    check_dense_size(num_qubits)
     return DenseOperator(num_qubits, _haar_matrix(2**num_qubits, seed.generator()))
 
 
@@ -86,8 +88,7 @@ def haar_product_unitary(num_qubits: int, seed: SeedSpec) -> DenseOperator:
 
     Qubit k's factor is drawn from ``seed.child(k)``.
     """
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be >= 1")
+    check_dense_size(num_qubits)
     mat = np.array([[1.0 + 0.0j]])
     for k in range(num_qubits):
         mat = np.kron(mat, haar_unitary(1, seed.child(k)).matrix)
@@ -99,7 +100,7 @@ class GateSpec:
     """One 4x4 unitary applied to an ordered pair of distinct qubits.
 
     Construction rejects a matrix that is not unitary within
-    ``GATE_UNITARY_TOL``.
+    ``UNITARY_TOL``; the kernels that apply gates do not check again.
     """
 
     targets: tuple[int, int]
@@ -115,8 +116,8 @@ class GateSpec:
         # Both products are checked, so G-dagger, which the adjoint
         # evolution applies, is unitary within the same tolerance.
         adjoint = mat.conj().T
-        if not (is_unitary(mat, GATE_UNITARY_TOL) and is_unitary(adjoint, GATE_UNITARY_TOL)):
-            raise ValueError(f"gate is not unitary within {GATE_UNITARY_TOL}")
+        if not (is_unitary(mat) and is_unitary(adjoint)):
+            raise ValueError(f"gate is not unitary within {UNITARY_TOL}")
         object.__setattr__(self, "targets", (int(q1), int(q2)))
         object.__setattr__(self, "matrix", mat)
 
@@ -260,8 +261,5 @@ def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
 def circuit_unitary(circuit: Circuit) -> DenseOperator:
     """Materialize the full unitary; refuses registers above DENSE_LIMIT."""
     n = circuit.num_qubits
-    if n > DENSE_LIMIT:
-        raise ValueError(
-            f"refusing to build a dense 2^{n} x 2^{n} unitary (limit {DENSE_LIMIT})"
-        )
+    check_dense_size(n)
     return DenseOperator(n, evolve_columns(circuit, np.eye(2**n, dtype=np.complex128)))

@@ -52,6 +52,8 @@ EDGE_CASES = [
     ["concentration", "--na", "0", "--nb", "3", "--samples", "2", "--delta", "0"],
     ["trace-estimate", "--circuit", "c4.circ", "--circuit-qubits", "4", "--tau", "0.5"],
     ["tree-edge", "--leaves", "6", "--trees", "2", "--seed", str(2**64 - 1)],
+    *(["truncation", "--n", n, "--tau", "0.3"] for n in ("5", "6", "7", "8")),
+    ["truncation", "--n", "7", "--tau", "0"],
 ]
 
 

@@ -100,8 +100,8 @@ def test_median_equipartition_rank_scaling():
 
 def test_balanced_cut_rank_floors_exhaustive():
     started = time.perf_counter()
-    config = Dqc1Config(8, 1.0, haar_unitary(8, MASTER.child(0)))
-    report = rank_bound_scan(config, exhaustive=True)
+    config = Dqc1Config(1.0, haar_unitary(8, MASTER.child(0)))
+    report = rank_bound_scan(config, num_cuts=None)
     elapsed = time.perf_counter() - started
     ok = report.all_meet_floor and report.min_rank >= 4 and elapsed < 60
     verdict(
@@ -139,7 +139,7 @@ def test_pure_state_operator_rank_square():
 
 def _product_cut_ranks(n: int, seed: SeedSpec) -> list[tuple[Bipartition, int]]:
     """Operator rank on every top-on-A cut of the joint state for a product U."""
-    config = Dqc1Config(n, 1.0, haar_product_unitary(n, seed))
+    config = Dqc1Config(1.0, haar_product_unitary(n, seed))
     rho = final_state(config)
     ranks = []
     for size in range(0, n):
@@ -248,25 +248,26 @@ def test_shifted_distribution_majorant():
 
 
 def test_reduction_spectrum_concentration():
-    report = concentration_report(2, 9, 0.5, 200, MASTER)
+    report = concentration_report(2, 9, 200, MASTER)
     counts_ok = all(count == 4 for count in report.nonzero_counts)
-    ok = report.fraction_within >= 0.99 and counts_ok
+    fraction = report.fraction_for(0.5)
+    ok = fraction >= 0.99 and counts_ok
     verdict(
         "reduced spectra of random 2x9-qubit states concentrate near uniform",
         ok,
-        f"fraction within delta=0.5 ball: {report.fraction_within:.3f} "
+        f"fraction within delta=0.5 ball: {fraction:.3f} "
         f"(need >= 0.99), all eigenvalue counts == 4: {counts_ok}",
     )
 
 
 def test_truncation_floor_certification():
-    config = Dqc1Config(7, 1.0, haar_unitary(7, MASTER.child(0)))
+    config = Dqc1Config(1.0, haar_unitary(7, MASTER.child(0)))
     table = truncation_experiment(config, Bipartition(8, (0, 1, 2)))
     sweep_ok = all(row.bound_satisfied for row in table)
     grid_worst = 0.0
     for eps in np.linspace(0.0, 0.25, 100):
         for delta in np.linspace(0.0, 1.0, 100):
-            bound = robust_rank_bound(float(eps), float(delta), 5)
+            bound = robust_rank_bound(float(eps), float(delta), 5, 1.0)
             grid_worst = max(grid_worst, bound.linear_bound - bound.exact_bound)
     grid_ok = grid_worst <= 1e-12
     verdict(
@@ -287,7 +288,7 @@ def test_trace_estimation_accuracy():
         circuit = random_two_qubit_circuit(6, 12, seed.child(0))
         exact = normalized_trace(circuit)
         path_mismatches += exact != normalized_trace(circuit_unitary(circuit))
-        config = Dqc1Config(6, 1.0, circuit)
+        config = Dqc1Config(1.0, circuit)
         estimate = simulate_trace_estimation(config, shots, seed.child(1))
         delta = estimate.estimate - exact
         if abs(delta.real) <= threshold and abs(delta.imag) <= threshold:
@@ -302,7 +303,7 @@ def test_trace_estimation_accuracy():
 
 
 def test_zero_polarization_degeneracy():
-    config = Dqc1Config(6, 0.0, haar_unitary(6, MASTER.child(0)))
+    config = Dqc1Config(0.0, haar_unitary(6, MASTER.child(0)))
     rho = final_state(config)
     degenerate_ok = True
     for size in range(0, 6):
@@ -312,7 +313,7 @@ def test_zero_polarization_degeneracy():
                 degenerate_ok = False
     min_ranks = {}
     for tau in (0.1, 0.5):
-        tiny = Dqc1Config(8, tau, haar_unitary(8, MASTER.child(0)))
+        tiny = Dqc1Config(tau, haar_unitary(8, MASTER.child(0)))
         report = rank_bound_scan(tiny, num_cuts=30, seed=MASTER.child(2))
         min_ranks[tau] = report.min_rank
     tiny_ok = all(rank >= 4 for rank in min_ranks.values())

@@ -11,7 +11,7 @@ import pytest
 import dqc1kit
 from dqc1kit import SeedSpec, haar_unitary, write_cmat, write_circuit
 from dqc1kit import random_two_qubit_circuit
-from dqc1kit import cli
+from dqc1kit import cli, correlation_analysis, randomness
 from dqc1kit.cli import main
 
 
@@ -234,6 +234,35 @@ def test_truncation_accepts_a_measured_delta_above_one(capsys):
     assert float(out.split("\n")[-2].split(",")[3]) > 1
 
 
+@pytest.mark.parametrize("n", ["5", "6", "7", "8"])
+def test_truncation_floor_holds_at_partial_polarization(capsys, n):
+    code, out, err = run(capsys, ["truncation", "--n", n, "--tau", "0.3"])
+    assert (code, err) == (0, "")
+    assert "# all_satisfied = true" in out.split("\n")
+
+
+def test_truncation_at_zero_polarization_has_no_floor(capsys):
+    code, out, _err = run(capsys, ["truncation", "--n", "7", "--tau", "0", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["rank"], r["fidelity"], r["linear_bound"]) for r in rows] == [(1, 1.0, 0.0)]
+
+
+def test_truncation_refuses_a_polarization_below_resolution(capsys):
+    code, out, err = run(capsys, ["truncation", "--n", "5", "--tau", "1e-8"])
+    assert (code, out) == (1, "")
+    assert "polarization below 1e-06" in err
+
+
+@pytest.mark.parametrize("tau", ["1", "0.3"])
+def test_truncation_still_falsifies_a_broken_spectrum(capsys, monkeypatch, tau):
+    # every rank claiming fidelity 1 must break the floor at small ranks
+    monkeypatch.setattr(correlation_analysis, "truncation_fidelity", lambda spectrum, rank: 1.0)
+    code, out, _err = run(capsys, ["truncation", "--n", "7", "--tau", tau])
+    assert code == 2
+    assert "# all_satisfied = false" in out.split("\n")
+
+
 def test_truncation_out_of_range_rank_is_usage_error(capsys):
     code, _out, _err = run(capsys, ["truncation", "--n", "5", "--ranks", "99"])
     assert code == 1
@@ -292,6 +321,19 @@ def test_module_run_executes_the_cli():
     assert proc.returncode == 0, proc.stderr
     header = next(ln for ln in proc.stdout.split("\n") if not ln.startswith("#"))
     assert header == "tree_id,edge_u,edge_v,n_0,window_low,window_high"
+
+
+@pytest.mark.parametrize("unitary", ["haar", "product"])
+def test_bound_scan_refuses_a_dense_unitary_above_the_limit_before_drawing(
+    capsys, monkeypatch, unitary
+):
+    def drew(*_args):
+        raise AssertionError("a Haar matrix was drawn")
+
+    monkeypatch.setattr(randomness, "_haar_matrix", drew)
+    code, out, err = run(capsys, ["bound-scan", "--n", "13", "--unitary", unitary])
+    assert (code, out) == (1, "")
+    assert "1 <= n <= 12 qubits, got 13" in err
 
 
 # One bad value per range-checked flag.  The first five are cases that used

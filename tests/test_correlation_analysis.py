@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqc1kit import (
     Bipartition,
@@ -33,7 +34,12 @@ from dqc1kit import (
     truncation_fidelity,
 )
 from dqc1kit.cli import main as cli_main
-from dqc1kit.correlation_analysis import _sample_cuts, _unrank_combination, parallel_map
+from dqc1kit.correlation_analysis import (
+    TRUNCATION_MIN_TAU,
+    _sample_cuts,
+    _unrank_combination,
+    parallel_map,
+)
 
 import oracles
 from lemmas import (
@@ -154,8 +160,8 @@ def test_min_rank_sampled_subset_matches_exhaustive():
 
 
 def test_rank_bound_scan_exhaustive_count_and_floors():
-    config = Dqc1Config(8, 1.0, haar_unitary(8, SeedSpec(63)))
-    report = rank_bound_scan(config, exhaustive=True)
+    config = Dqc1Config(1.0, haar_unitary(8, SeedSpec(63)))
+    report = rank_bound_scan(config, num_cuts=None)
     expected = sum(math.comb(8, a) for a in (2, 3, 5, 6))
     assert len(report.records) == expected
     for record in report.records:
@@ -171,7 +177,7 @@ def test_rank_bound_scan_exhaustive_count_and_floors():
 
 
 def test_rank_bound_scan_sampled_mode():
-    config = Dqc1Config(10, 1.0, haar_unitary(10, SeedSpec(64)))
+    config = Dqc1Config(1.0, haar_unitary(10, SeedSpec(64)))
     report = rank_bound_scan(config, num_cuts=20, seed=SeedSpec(65))
     assert [list(r.side_a) for r in report.records] == PINNED_BOUND_SCAN_N10
     assert report.all_meet_floor
@@ -217,7 +223,7 @@ def test_circuit_rank_bound_scan_matches_per_cut_oracle(randomize):
     u = np.eye(2**n, dtype=np.complex128)
     for gate in circuit.gates:
         u = oracles.embed_gate(gate.matrix, gate.targets, n) @ u
-    config = Dqc1Config(n, tau, circuit)
+    config = Dqc1Config(tau, circuit)
     report = rank_bound_scan(config, num_cuts=25, seed=seed, randomize_index=randomize)
     assert rank_bound_scan(
         config, num_cuts=25, seed=seed, randomize_index=randomize, workers=4
@@ -246,7 +252,7 @@ def test_default_index_circuit_scan_evolves_one_column(monkeypatch):
         return kernel(circuit, columns, adjoint)
 
     monkeypatch.setattr(dqc1_model, "evolve_columns", counting)
-    config = Dqc1Config(10, 1.0, random_two_qubit_circuit(10, 40, SeedSpec(71)))
+    config = Dqc1Config(1.0, random_two_qubit_circuit(10, 40, SeedSpec(71)))
     report = rank_bound_scan(config, num_cuts=20, seed=SeedSpec(72), workers=2)
     assert len(report.records) == 20
     assert evolved == [1]
@@ -281,7 +287,7 @@ def test_fused_plan_is_built_once_per_circuit(monkeypatch):
     monkeypatch.setattr(randomness, "plan_blocks", counting_planner)
     monkeypatch.setattr(dqc1_model, "evolve_columns", counting_kernel)
     circuit = random_two_qubit_circuit(10, 40, SeedSpec(74))
-    config = Dqc1Config(10, 1.0, circuit)
+    config = Dqc1Config(1.0, circuit)
     report = rank_bound_scan(config, num_cuts=300, seed=SeedSpec(75), randomize_index=True)
     assert len(report.records) == 300
     # several column blocks in each direction, then the streamed trace
@@ -291,29 +297,29 @@ def test_fused_plan_is_built_once_per_circuit(monkeypatch):
 
 
 def test_rank_bound_scan_product_unitary_collapses():
-    config = Dqc1Config(6, 1.0, haar_product_unitary(6, SeedSpec(66)))
-    report = rank_bound_scan(config, exhaustive=True)
+    config = Dqc1Config(1.0, haar_product_unitary(6, SeedSpec(66)))
+    report = rank_bound_scan(config, num_cuts=None)
     assert report.min_rank <= 2
     assert not report.all_meet_floor
 
 
 def test_rank_bound_scan_zero_polarization():
-    config = Dqc1Config(6, 0.0, haar_unitary(6, SeedSpec(67)))
-    report = rank_bound_scan(config, exhaustive=True)
+    config = Dqc1Config(0.0, haar_unitary(6, SeedSpec(67)))
+    report = rank_bound_scan(config, num_cuts=None)
     assert {r.rank for r in report.records} == {1}
 
 
 def test_rank_bound_scan_monotone_in_polarization():
     u = haar_unitary(6, SeedSpec(68))
-    floor_0 = rank_bound_scan(Dqc1Config(6, 0.0, u), exhaustive=True).min_rank
+    floor_0 = rank_bound_scan(Dqc1Config(0.0, u), num_cuts=None).min_rank
     for tau in (0.2, 1.0):
         assert (
-            rank_bound_scan(Dqc1Config(6, tau, u), exhaustive=True).min_rank >= floor_0
+            rank_bound_scan(Dqc1Config(tau, u), num_cuts=None).min_rank >= floor_0
         )
 
 
 def test_rank_bound_scan_randomized_index_deterministic():
-    config = Dqc1Config(7, 1.0, haar_unitary(7, SeedSpec(69)))
+    config = Dqc1Config(1.0, haar_unitary(7, SeedSpec(69)))
     a = rank_bound_scan(config, num_cuts=10, seed=SeedSpec(70), randomize_index=True)
     b = rank_bound_scan(config, num_cuts=10, seed=SeedSpec(70), randomize_index=True)
     assert a == b
@@ -321,15 +327,15 @@ def test_rank_bound_scan_randomized_index_deterministic():
 
 
 def test_rank_bound_scan_randomized_index_needs_a_seed():
-    config = Dqc1Config(6, 1.0, haar_unitary(6, SeedSpec(69)))
+    config = Dqc1Config(1.0, haar_unitary(6, SeedSpec(69)))
     with pytest.raises(ValueError, match="seed"):
-        rank_bound_scan(config, exhaustive=True, randomize_index=True)
+        rank_bound_scan(config, num_cuts=None, randomize_index=True)
 
 
 def test_rank_bound_scan_rejects_small_registers():
-    config = Dqc1Config(4, 1.0, haar_unitary(4, SeedSpec(71)))
+    config = Dqc1Config(1.0, haar_unitary(4, SeedSpec(71)))
     with pytest.raises(ValueError):
-        rank_bound_scan(config, exhaustive=True)
+        rank_bound_scan(config, num_cuts=None)
 
 
 def test_max_overlap_formula_cases():
@@ -391,52 +397,104 @@ def test_majorant_dominates_random_admissible_shifts():
 
 
 def test_concentration_report_trivial_side():
-    report = concentration_report(0, 5, 0.5, 10, SeedSpec(74))
-    assert report.d_a == 1
-    assert report.fraction_within == 1.0
+    report = concentration_report(0, 5, 10, SeedSpec(74))
+    assert report.fraction_for(0.5) == 1.0
     assert all(dev < 1e-12 for dev in report.max_deviations)
     assert all(count == 1 for count in report.nonzero_counts)
 
 
 def test_concentration_report_regime_and_determinism():
-    report = concentration_report(2, 9, 0.5, 20, SeedSpec(75))
+    report = concentration_report(2, 9, 20, SeedSpec(75))
     assert all(count == 4 for count in report.nonzero_counts)
-    assert report.fraction_within >= 0.95
-    again = concentration_report(2, 9, 0.5, 20, SeedSpec(75), workers=4)
+    assert report.fraction_for(0.5) >= 0.95
+    again = concentration_report(2, 9, 20, SeedSpec(75), workers=4)
     assert again == report
     # fraction is nonincreasing as the window shrinks
     fractions = [report.fraction_for(d) for d in (0.5, 0.3, 0.1, 0.05)]
     assert all(a >= b for a, b in zip(fractions, fractions[1:]))
     with pytest.raises(ValueError):
-        concentration_report(3, 2, 0.5, 5, SeedSpec(76))
+        concentration_report(3, 2, 5, SeedSpec(76))
     with pytest.raises(ValueError):
-        concentration_report(1, 2, 0.5, 0, SeedSpec(76))
+        concentration_report(1, 2, 0, SeedSpec(76))
 
 
 def test_robust_rank_bound_values():
-    both = robust_rank_bound(0.0, 0.0, 5)
+    both = robust_rank_bound(0.0, 0.0, 5, 1.0)
     assert both.exact_bound == pytest.approx(32.0)
     assert both.linear_bound == pytest.approx(32.0)
-    mid = robust_rank_bound(0.1, 0.2, 5)
+    mid = robust_rank_bound(0.1, 0.2, 5, 1.0)
     assert mid.exact_bound == pytest.approx(32 * (2 * 0.81 - 1) / 1.2, rel=1e-12)
     assert mid.linear_bound == pytest.approx(12.8, rel=1e-12)
     assert mid.exact_bound >= mid.linear_bound
-    vacuous = robust_rank_bound(1 - 1 / np.sqrt(2) + 1e-12, 0.0, 5)
+    vacuous = robust_rank_bound(1 - 1 / np.sqrt(2) + 1e-12, 0.0, 5, 1.0)
     assert vacuous.exact_bound == pytest.approx(0.0, abs=1e-9)
-    assert robust_rank_bound(0.5, 0.0, 5).linear_bound == 0.0
+    assert robust_rank_bound(0.5, 0.0, 5, 1.0).linear_bound == 0.0
     # delta >= 1 is valid: the linear floor is 0, the exact floor stays above it
-    wide = robust_rank_bound(0.1, 1.5, 3)
+    wide = robust_rank_bound(0.1, 1.5, 3, 1.0)
     assert wide.linear_bound == 0.0
     assert wide.exact_bound == pytest.approx(8 * 0.62 / 2.5, rel=1e-12)
     with pytest.raises(ValueError):
-        robust_rank_bound(1.0, 0.0, 3)
+        robust_rank_bound(1.0, 0.0, 3, 1.0)
     for delta in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            robust_rank_bound(0.1, delta, 3)
+            robust_rank_bound(0.1, delta, 3, 1.0)
+    for tau in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError):
+            robust_rank_bound(0.1, 0.2, 3, tau)
+
+
+def test_robust_rank_bound_below_full_polarization():
+    half = robust_rank_bound(0.01, 0.1, 5, 0.5)
+    assert half.linear_bound == pytest.approx(32 * (1 - 2 * 0.01 * 1.25 / 0.25 - 0.1), rel=1e-12)
+    assert half.exact_bound == pytest.approx(32 * (1.25 * 0.99**2 - 1) / (0.25 * 1.1), rel=1e-12)
+    # rho = I/2^{n+1} at tau = 0: no rank claim at all
+    assert robust_rank_bound(0.0, 0.0, 5, 0.0) == robust_rank_bound(0.5, 3.0, 5, 0.0)
+    assert robust_rank_bound(0.0, 0.0, 5, 0.0).exact_bound == 0.0
+    # a lower polarization never raises a floor
+    for eps, delta in [(0.0, 0.0), (0.01, 0.1), (0.05, 0.5)]:
+        floors = [robust_rank_bound(eps, delta, 5, tau) for tau in (0.1, 0.3, 0.6, 1.0)]
+        assert all(a.linear_bound <= b.linear_bound for a, b in zip(floors, floors[1:]))
+        assert all(a.exact_bound <= b.exact_bound + 1e-12 for a, b in zip(floors, floors[1:]))
+
+
+def test_robust_rank_bound_at_full_polarization_is_the_paper_floor_bit_for_bit():
+    rng = np.random.default_rng(79)
+    for eps, delta in rng.uniform(0.0, 0.3, (500, 2)):
+        bound = robust_rank_bound(float(eps), float(delta), 4, 1.0)
+        assert bound.linear_bound == 16 * max(0.0, 1.0 - 4.0 * eps - delta)
+        assert bound.exact_bound == 16 * max(0.0, (2.0 * (1.0 - eps) ** 2 - 1.0) / (1.0 + delta))
+    config = Dqc1Config(1.0, haar_unitary(7, SeedSpec(80)))
+    for row in truncation_experiment(config, Bipartition(8, (0, 1, 2))):
+        assert row.linear_bound == 4 * max(0.0, 1.0 - 4.0 * row.epsilon - row.delta_hat)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.sampled_from([5, 6]),
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.floats(TRUNCATION_MIN_TAU, 1.0),
+)
+def test_truncation_floor_holds_for_any_resolvable_polarization(n, seed, tau):
+    config = Dqc1Config(tau, haar_unitary(n, SeedSpec(seed)))
+    window = balanced_window(n)[0]
+    rows = truncation_experiment(config, Bipartition(n + 1, tuple(range(window + 1))))
+    for row in rows:
+        assert row.bound_satisfied
+        bound = robust_rank_bound(row.epsilon, row.delta_hat, window, tau)
+        assert bound.linear_bound == row.linear_bound
+        assert bound.linear_bound <= bound.exact_bound <= row.rank + 1e-9
+
+
+@pytest.mark.parametrize("tau", [5e-324, 1e-12, 1.5e-8, 0.99e-6])
+def test_truncation_refuses_an_unresolvable_polarization(tau):
+    # below TRUNCATION_MIN_TAU a double rounds F to 1 and the floor to d(1 - delta)
+    config = Dqc1Config(tau, haar_unitary(5, SeedSpec(82)))
+    with pytest.raises(ValueError, match="polarization"):
+        truncation_experiment(config, Bipartition(6, (0, 1)))
 
 
 def test_truncation_experiment_endpoints():
-    config = Dqc1Config(6, 1.0, haar_unitary(6, SeedSpec(77)))
+    config = Dqc1Config(1.0, haar_unitary(6, SeedSpec(77)))
     cut = Bipartition(7, (0, 1, 2))
     rows = truncation_experiment(config, cut)
     assert rows[-1].fidelity == pytest.approx(1.0, abs=1e-12)
@@ -462,7 +520,7 @@ def test_truncation_experiment_matches_reconstruction_oracle(n, tau):
     # realigned state, and delta_hat against the Gram-matrix Schmidt
     # coefficients of U|0> across the register cut
     u = haar_unitary(n, SeedSpec(81).child(n))
-    config = Dqc1Config(n, tau, u)
+    config = Dqc1Config(tau, u)
     side_a = tuple(range(balanced_window(n)[0] + 1))
     rows = truncation_experiment(config, Bipartition(n + 1, side_a))
     realigned = oracles.realign_entrywise(final_state(config).matrix, n + 1, side_a)
@@ -482,7 +540,7 @@ def test_truncation_experiment_matches_reconstruction_oracle(n, tau):
 
 
 def test_truncation_experiment_flips_cut_automatically():
-    config = Dqc1Config(5, 1.0, haar_unitary(5, SeedSpec(78)))
+    config = Dqc1Config(1.0, haar_unitary(5, SeedSpec(78)))
     rows_direct = truncation_experiment(config, Bipartition(6, (0, 1)), ranks=[2, 5])
     rows_flipped = truncation_experiment(config, Bipartition(6, (2, 3, 4, 5)), ranks=[2, 5])
     assert rows_direct == rows_flipped

@@ -54,6 +54,18 @@ def test_cmat_header_and_shape_errors(tmp_path):
         read_cmat(path)
 
 
+def test_cmat_allows_only_blank_lines_after_the_entries(tmp_path):
+    path = tmp_path / "tail.cmat"
+    write_cmat(path, np.eye(2))
+    entries = path.read_text()
+    path.write_text(entries + "\n  \n")
+    assert np.array_equal(read_cmat(path), np.eye(2))
+    path.write_text(entries + "\njunk 1 2\n")
+    with pytest.raises(FileFormatError, match="trailing content after 4 entries"):
+        read_cmat(path)
+    assert cli_main(["trace-estimate", "--cmat", str(path)]) == 3
+
+
 def test_cmat_header_the_file_cannot_hold_is_refused_before_allocating(tmp_path):
     path = tmp_path / "huge.cmat"
     path.write_text("CMAT v1 1024 1024\n0 0\n")

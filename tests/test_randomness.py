@@ -14,9 +14,11 @@ from dqc1kit import (
     basis_state,
     circuit_unitary,
     evolve_columns,
+    haar_product_unitary,
     haar_unitary,
     random_two_qubit_circuit,
 )
+from dqc1kit import randomness
 from dqc1kit.randomness import DENSE_LIMIT, _mix64, plan_blocks
 
 import oracles
@@ -165,6 +167,16 @@ def test_circuit_unitary_basics():
     assert np.allclose(circuit_unitary(single).matrix, g, atol=1e-12)
     with pytest.raises(ValueError):
         circuit_unitary(Circuit(DENSE_LIMIT + 1))
+
+
+def test_dense_builders_refuse_registers_above_the_limit_before_drawing(monkeypatch):
+    def drew(*_args):
+        raise AssertionError("a Haar matrix was drawn")
+
+    monkeypatch.setattr(randomness, "_haar_matrix", drew)
+    for build in (haar_unitary, haar_product_unitary):
+        with pytest.raises(ValueError, match=f"n <= {DENSE_LIMIT} qubits, got {DENSE_LIMIT + 1}"):
+            build(DENSE_LIMIT + 1, SeedSpec(19))
 
 
 def test_disjoint_gates_commute():

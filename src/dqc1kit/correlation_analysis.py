@@ -23,8 +23,8 @@ from .dqc1_model import (
     ProductStateIndex,
     column_blocks,
     final_state,
-    probe_from_column,
     probe_key,
+    probe_spectrum,
     register_columns,
     top_on_side_a,
 )
@@ -36,6 +36,7 @@ from .tensor_core import (
     operator_schmidt_decompose,
     rank_of,
     schmidt_decompose,
+    singular_values,
     truncation_fidelity,
 )
 from .randomness import SeedSpec
@@ -168,10 +169,9 @@ def _sample_cuts(
 
 
 def _cut_record(
-    psi: PureState, cut: Bipartition, window: int, rel_tol: float, floored: bool
+    spectrum: SchmidtSpectrum, cut: Bipartition, window: int, rel_tol: float, floored: bool
 ) -> CutRecord:
-    """Schmidt rank of ``psi`` across ``cut``, with floor 2^window if ``floored``."""
-    spectrum = schmidt_decompose(psi, cut)
+    """Rank of a Schmidt spectrum across ``cut``, with floor 2^window if ``floored``."""
     rank = rank_of(spectrum, rel_tol)
     floor = 2**window if floored else None
     return CutRecord(
@@ -206,7 +206,8 @@ def min_rank_over_equipartitions(
     cuts, exhaustive = _sample_cuts(n - 1, [half - 1], partition_cap, seed)
 
     def evaluate(side_a: tuple[int, ...]) -> CutRecord:
-        return _cut_record(state, Bipartition(n, side_a), half, rel_tol, floored=False)
+        cut = Bipartition(n, side_a)
+        return _cut_record(schmidt_decompose(state, cut), cut, half, rel_tol, floored=False)
 
     return RankScanReport(tuple(parallel_map(evaluate, cuts)), exhaustive)
 
@@ -254,12 +255,12 @@ def rank_bound_scan(
             )
         else:
             idx = _ZERO_INDEX
-        probes.append((cut, min(a, n - a), probe_key(config, cut, idx)))
+        probes.append((cut, min(a, n - a), idx.j, probe_key(config, cut, idx)))
 
     # Each distinct column W|x> is evolved once, in the column blocks of its
     # direction (U or U-dagger); a block's cuts are scanned while it is held.
     tasks: dict[tuple[bool, int], list[int]] = {}
-    for task_id, (_, _, key) in enumerate(probes):
+    for task_id, (*_, key) in enumerate(probes):
         tasks.setdefault(key, []).append(task_id)
 
     records: list[Optional[CutRecord]] = [None] * len(probes)
@@ -270,9 +271,9 @@ def rank_bound_scan(
             task_ids = [t for x in columns for t in tasks[adjoint, x]]
 
             def evaluate(task_id: int) -> CutRecord:
-                cut, window, key = probes[task_id]
-                psi = probe_from_column(config, key, columns[key[1]])
-                return _cut_record(psi, cut, window, rel_tol, floored=True)
+                cut, window, j, key = probes[task_id]
+                spectrum = probe_spectrum(config, cut, j, columns[key[1]])
+                return _cut_record(spectrum, cut, window, rel_tol, floored=True)
 
             for task_id, record in zip(task_ids, parallel_map(evaluate, task_ids, workers)):
                 records[task_id] = record
@@ -318,7 +319,7 @@ def concentration_report(
         rng = seed.child(k).generator()
         v = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
         v /= np.linalg.norm(v)
-        sing = np.linalg.svd(v.reshape(d_a, d_b), compute_uv=False)
+        sing = singular_values(v.reshape(d_a, d_b))
         deviation = float(np.max(np.abs(sing**2 * d_a - 1.0)))
         return deviation, rank_of(SchmidtSpectrum(sing), rel_tol)
 

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .randomness import Circuit, SeedSpec, check_dense_size, evolve_columns
-from .tensor_core import Bipartition, DenseOperator, PureState
+from .tensor_core import Bipartition, DenseOperator, PureState, SchmidtSpectrum, singular_values
 
 UnitarySource = Union[DenseOperator, Circuit]
 
@@ -83,10 +83,6 @@ class TraceEstimate:
     std_error_real: float
     std_error_imag: float
     exact: complex
-
-    @property
-    def std_error(self) -> float:
-        return math.hypot(self.std_error_real, self.std_error_imag)
 
 
 def top_on_side_a(cut: Bipartition) -> Bipartition:
@@ -185,19 +181,6 @@ def probe_key(
     return bool(idx.t), register_index
 
 
-def probe_from_column(
-    config: Dqc1Config, key: tuple[bool, int], evolved: np.ndarray
-) -> PureState:
-    """The probe vector of :func:`apply_to_product` from its column W|x>."""
-    adjoint, register_index = key
-    t = int(adjoint)
-    dim = 2**config.num_register_qubits
-    amp = np.zeros(2 * dim, dtype=np.complex128)
-    amp[t * dim + register_index] = 1.0
-    amp[(1 - t) * dim : (2 - t) * dim] += config.polarization * evolved
-    return PureState(config.total_qubits, amp / (2 * dim))
-
-
 def apply_to_product(
     config: Dqc1Config, cut: Bipartition, idx: ProductStateIndex
 ) -> PureState:
@@ -206,9 +189,42 @@ def apply_to_product(
     Equals (1/2^{n+1}) (|t,i,j> + tau |1-t> (x) W|i,j>) with W = U for
     t = 0 and W = U-dagger for t = 1.  Memory use stays O(2^n).
     """
-    key = probe_key(config, cut, idx)
-    evolved = register_columns(config.unitary, [key[1]], adjoint=key[0])[:, 0]
-    return probe_from_column(config, key, evolved)
+    adjoint, x = probe_key(config, cut, idx)
+    dim = 2**config.num_register_qubits
+    amp = np.zeros(2 * dim, dtype=np.complex128)
+    amp[idx.t * dim + x] = 1.0
+    amp[(1 - idx.t) * dim : (2 - idx.t) * dim] += (
+        config.polarization * register_columns(config.unitary, [x], adjoint)[:, 0]
+    )
+    return PureState(config.total_qubits, amp / (2 * dim))
+
+
+def probe_spectrum(
+    config: Dqc1Config, cut: Bipartition, j: int, evolved: np.ndarray
+) -> SchmidtSpectrum:
+    """Schmidt spectrum of :func:`apply_to_product`'s vector, from W|x>.
+
+    ``j`` is the side-B index of the probed |t,i,j> and ``evolved`` its
+    column W|x>, x = (i, j); the spectrum across ``cut`` does not depend
+    on t.
+
+    With the top qubit on side A, the probe's 2^a rows of top bit t hold a
+    single entry, 1 at (i, j), and its 2^a rows of top bit 1-t hold
+    tau R(W|x>), the column reshaped across the register cut.  The singular
+    values are therefore those of the (2^a + 1) x 2^b matrix
+    [e_j^T ; tau R(W|x>)] / 2^{n+1}, built here from the column alone;
+    the rest of the min(2^{a+1}, 2^b) coefficients are zero.
+    """
+    n = config.num_register_qubits
+    side_a_reg, side_b = _register_sides(cut)
+    rows, cols = 2 ** len(side_a_reg), 2 ** len(side_b)
+    axes = [q - 1 for q in side_a_reg + side_b]
+    m = np.zeros((rows + 1, cols), dtype=np.complex128)
+    m[0, j] = 1.0
+    m[1:] = config.polarization * evolved.reshape((2,) * n).transpose(axes).reshape(rows, cols)
+    m /= 2 ** (n + 1)
+    coeffs = singular_values(m)
+    return SchmidtSpectrum(np.pad(coeffs, (0, min(2 * rows, cols) - coeffs.size)))
 
 
 def normalized_trace(unitary: UnitarySource) -> complex:

@@ -22,6 +22,24 @@ DEFAULT_RANK_TOL = 1e-10
 UNITARY_TOL = 1e-8
 HERMITIAN_TOL = 1e-10
 
+# singular_values reduces a matrix to its square R factor before the SVD when
+# the long side is at least QR_MIN_ASPECT times the short side and the matrix
+# holds at least QR_MIN_ENTRIES entries (Chan, ACM TOMS 8, 72 (1982)).
+# ms per call, plain SVD -> QR first, complex128, one OpenBLAS thread, numpy
+# 2.4.6 on 2 vCPUs; wide | tall orientation:
+#   aspect 1:  64x64 0.53 -> 0.68;  129x129 2.41 -> 3.15
+#   aspect 2:  32x64 0.23 -> 0.21 | 0.21 -> 0.21;  64x128 1.05 -> 0.92 | 1.00 -> 0.94
+#   aspect 3:  32x96 0.38 -> 0.28 | 0.27 -> 0.26;  64x192 1.56 -> 1.11 | 1.30 -> 1.14
+#   4x256 (1024 entries): 0.033 -> 0.028 | 0.027 -> 0.032
+#   16x64 (1024 entries): 0.091 -> 0.084 | 0.069 -> 0.082
+#   9x144 (1296 entries): 0.078 -> 0.059 | 0.055 -> 0.060
+#   8x256 (2048 entries): 0.100 -> 0.058 | 0.069 -> 0.060
+#   17x136 (2312 entries): 0.18 -> 0.12 | 0.13 -> 0.11
+#   9x2048: 1.13 -> 0.20;  2049x8: 0.62 -> 0.20;  65x256: 1.88 -> 1.46
+#   257x64: 1.62 -> 1.45;  64x1024: 6.9 -> 4.0;  4096x16: 2.8 -> 1.4
+QR_MIN_ASPECT = 3
+QR_MIN_ENTRIES = 2048
+
 
 def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """Max-entry check of M == M†."""
@@ -159,12 +177,25 @@ def _check_register(name: str, num_qubits: int, cut: Bipartition) -> None:
         )
 
 
+def singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Singular values of a 2-d matrix, decreasing; every SVD of the package.
+
+    Past the QR_MIN_ASPECT / QR_MIN_ENTRIES crossover the matrix is turned
+    tall and replaced by its square R factor, which has the same singular
+    values; any other matrix goes to the SVD as it is.
+    """
+    short, long = sorted(matrix.shape)
+    if long >= QR_MIN_ASPECT * short and matrix.size >= QR_MIN_ENTRIES:
+        tall = matrix if matrix.shape[0] == long else matrix.T
+        matrix = np.linalg.qr(tall, mode="r")
+    return np.linalg.svd(matrix, compute_uv=False)
+
+
 def schmidt_decompose(state: PureState, cut: Bipartition) -> SchmidtSpectrum:
     """Singular values of the state reindexed as a dim_a x dim_b matrix."""
     _check_register("schmidt_decompose", state.num_qubits, cut)
     m = state.tensor().transpose(cut.side_a + cut.side_b).reshape(cut.dim_a, cut.dim_b)
-    coeffs = np.linalg.svd(m, compute_uv=False)
-    return SchmidtSpectrum(coeffs)
+    return SchmidtSpectrum(singular_values(m))
 
 
 def _realign_axes(cut: Bipartition) -> list[int]:
@@ -195,8 +226,7 @@ def unrealign(realigned: np.ndarray, cut: Bipartition) -> np.ndarray:
 def operator_schmidt_decompose(op: DenseOperator, cut: Bipartition) -> SchmidtSpectrum:
     """Singular values of the realigned operator across the cut."""
     _check_register("operator_schmidt_decompose", op.num_qubits, cut)
-    coeffs = np.linalg.svd(realign(op.matrix, cut), compute_uv=False)
-    return SchmidtSpectrum(coeffs)
+    return SchmidtSpectrum(singular_values(realign(op.matrix, cut)))
 
 
 def rank_of(spectrum: SchmidtSpectrum, rel_tol: float = DEFAULT_RANK_TOL) -> int:

@@ -4,7 +4,11 @@
 
 Imports ``dqc1kit`` from SRC_DIR (the ``src`` directory of a checkout),
 runs each command through ``dqc1kit.cli.main`` in-process and prints one
-line per command: ``sha256(stdout + --out file) exit-code argv``.  The
+line per command: ``sha256(stdout + --out file) float-free-sha256
+exit-code argv``.  The second hash is taken over the parsed reports with
+every float replaced by a marker, so two checkouts whose outputs differ
+only in float digits show the same second column; a CSV cell counts as a
+float when it is a number other than an integer literal.  The
 corpus is the byte-determinism command set at seeds 1 and 7 and workers
 1 and 4, every job of the three benchmark workloads (session 0 of the
 default seed), and a few edge cases of flag parsing.  Input files are
@@ -19,7 +23,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
+import re
 import shlex
 import shutil
 import sys
@@ -57,6 +63,38 @@ EDGE_CASES = [
 ]
 
 
+FLOAT = "<float>"
+_INT = re.compile(r"[-+]?\d+")
+_NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|[-+]?inf|nan")
+
+
+def _drop_floats(value):
+    if isinstance(value, float):
+        return FLOAT
+    if isinstance(value, dict):
+        return {key: _drop_floats(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_drop_floats(v) for v in value]
+    return value
+
+
+def _csv_cell(text: str):
+    """A CSV cell's ';'-separated parts, each float part replaced by FLOAT."""
+    parts = text.split(";")
+    return [FLOAT if _NUMBER.fullmatch(p) and not _INT.fullmatch(p) else p for p in parts]
+
+
+def parse_without_floats(report: str):
+    """A JSON or CSV report as nested lists and dicts, every float dropped."""
+    if report.startswith("{"):
+        return _drop_floats(json.loads(report))
+    rows = []
+    for line in report.splitlines():
+        cells = line[2:].split(" = ", 1) if line.startswith("# ") else line.split(",")
+        rows.append([_csv_cell(cell) for cell in cells])
+    return rows
+
+
 def run(argv: list[str]) -> str:
     from dqc1kit.cli import main
 
@@ -64,10 +102,12 @@ def run(argv: list[str]) -> str:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv))
-    data = stdout.getvalue().encode()
+    reports = [stdout.getvalue().encode()]
     if out_path is not None:
-        data += Path(out_path).read_bytes()
-    return f"{hashlib.sha256(data).hexdigest()} {code} {shlex.join(argv)}"
+        reports.append(Path(out_path).read_bytes())
+    parsed = json.dumps([parse_without_floats(report.decode()) for report in reports])
+    digests = (hashlib.sha256(data).hexdigest() for data in (b"".join(reports), parsed.encode()))
+    return f"{' '.join(digests)} {code} {shlex.join(argv)}"
 
 
 def main(src: str) -> None:

@@ -1,3 +1,6 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -10,18 +13,21 @@ from dqc1kit import (
     ProductStateIndex,
     SeedSpec,
     apply_to_product,
+    balanced_window,
     basis_state,
     circuit_unitary,
     final_state,
     haar_unitary,
     normalized_trace,
     random_two_qubit_circuit,
+    rank_of,
     read_circuit,
+    schmidt_decompose,
     simulate_trace_estimation,
     top_on_side_a,
     write_circuit,
 )
-from dqc1kit.dqc1_model import register_columns
+from dqc1kit.dqc1_model import probe_key, probe_spectrum, register_columns
 from dqc1kit.tensor_core import is_unitary
 from dqc1kit.randomness import DENSE_LIMIT
 
@@ -142,6 +148,37 @@ def test_apply_to_product_index_out_of_range():
         apply_to_product(config, Bipartition(4, (0, 1)), ProductStateIndex(0, 2, 0))
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_probe_spectrum_matches_dense_probe(n):
+    # The nonzero-row spectrum of every in-window cut against the SVD of the
+    # whole 2^{n+1}-entry probe vector, for Haar and circuit U.
+    low, high = balanced_window(n)
+    cuts = [
+        Bipartition(n + 1, (0,) + tuple(q + 1 for q in combo))
+        for a in range(1, n)
+        if low <= min(a, n - a) <= high
+        for combo in combinations(range(n), a)
+    ]
+    rng = np.random.default_rng(n)
+    for unitary in (haar_unitary(n, SeedSpec(60 + n)),
+                    random_two_qubit_circuit(n, 4 * n, SeedSpec(70 + n))):
+        for tau in (1.0, 0.6, 0.0):
+            config = Dqc1Config(tau, unitary)
+            for cut in cuts:
+                for t in (0, 1):
+                    idx = ProductStateIndex(
+                        t, int(rng.integers(cut.dim_a // 2)), int(rng.integers(cut.dim_b))
+                    )
+                    key = probe_key(config, cut, idx)
+                    column = register_columns(unitary, [key[1]], key[0])[:, 0]
+                    got = probe_spectrum(config, cut, idx.j, column)
+                    want = schmidt_decompose(apply_to_product(config, cut, idx), cut)
+                    assert got.coefficients.shape == want.coefficients.shape
+                    scale = want.coefficients[0]
+                    assert np.max(np.abs(got.coefficients - want.coefficients)) <= 1e-12 * scale
+                    assert rank_of(got) == rank_of(want)
+
+
 def test_probe_reduction_identity_unitary_rank_two():
     config = identity_config(3, 1.0)
     sigma = probe_reduction(config, Bipartition(4, (0, 1)), ProductStateIndex(0, 1, 0))
@@ -175,8 +212,6 @@ def test_probe_reduction_spectrum_matches_flipped_side():
     cut = Bipartition(5, (0, 1))
     idx = ProductStateIndex(0, 1, 2)
     psi = apply_to_product(config, cut, idx)
-    from dqc1kit import schmidt_decompose
-
     coeffs = schmidt_decompose(psi, cut).coefficients
     sigma_spectrum = np.sort(np.linalg.eigvalsh(probe_reduction(config, cut, idx)))[::-1]
     head = coeffs.size
@@ -291,7 +326,7 @@ def test_trace_estimation_tracks_exact_value():
     limit = 4 / np.sqrt(10**5) / 0.8
     assert abs(est.estimate.real - exact.real) < limit
     assert abs(est.estimate.imag - exact.imag) < limit
-    assert est.std_error > 0
+    assert math.hypot(est.std_error_real, est.std_error_imag) > 0
     assert est.exact == exact
 
 

@@ -16,6 +16,8 @@ from dqc1kit import (
     truncation_fidelity,
     unrealign,
 )
+from dqc1kit import tensor_core
+from dqc1kit.tensor_core import singular_values
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -28,6 +30,58 @@ def random_state(num_qubits: int, seed: int) -> PureState:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(2**num_qubits) + 1j * rng.standard_normal(2**num_qubits)
     return PureState(num_qubits, v / np.linalg.norm(v))
+
+
+def planted_rank(shape: tuple[int, int], rank: int, seed: int) -> np.ndarray:
+    """Complex shape[0] x shape[1] product of rank-``rank`` factors."""
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((shape[0], rank)) + 1j * rng.standard_normal((shape[0], rank))
+    right = rng.standard_normal((rank, shape[1])) + 1j * rng.standard_normal((rank, shape[1]))
+    return left @ right
+
+
+# (shape, QR first): square, near-square, too few entries, and elongated
+# matrices past the crossover, each wide and tall.
+KERNEL_SHAPES = [
+    ((64, 64), False),
+    ((32, 64), False),
+    ((64, 32), False),
+    ((16, 64), False),
+    ((64, 16), False),
+    ((8, 256), True),
+    ((256, 8), True),
+    ((64, 192), True),
+    ((192, 64), True),
+    ((9, 2048), True),
+    ((2049, 8), True),
+]
+
+
+@pytest.mark.parametrize("shape,qr_first", KERNEL_SHAPES)
+def test_singular_values_match_plain_svd(shape, qr_first, monkeypatch):
+    qr_shapes = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, mode="reduced"):
+        qr_shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(tensor_core.np.linalg, "qr", counting_qr)
+    for rank in (min(shape), min(shape) // 2, 1):
+        m = planted_rank(shape, rank, seed=shape[0] * 7919 + shape[1] + rank)
+        if rank < min(shape):
+            m[:, 0] = 0.0  # an exactly zero column as well as planted zero values
+        want = np.linalg.svd(m, compute_uv=False)
+        got = singular_values(m)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+        assert rank_of(SchmidtSpectrum(got), 1e-10) == rank_of(SchmidtSpectrum(want), 1e-10)
+        assert rank_of(SchmidtSpectrum(got), 1e-10) == rank
+    real = np.random.default_rng(shape[1]).standard_normal(shape)
+    want = np.linalg.svd(real, compute_uv=False)
+    assert np.max(np.abs(singular_values(real) - want)) <= 1e-13 * want[0]
+    # the QR runs on the tall orientation, and only past the crossover
+    assert qr_shapes == ([tuple(sorted(shape, reverse=True))] * 4 if qr_first else [])
 
 
 def test_pure_state_validation():

@@ -31,13 +31,11 @@ from .randomness import (
 )
 from .dqc1_model import (
     Dqc1Config,
-    ProductStateIndex,
     TraceEstimate,
     apply_to_product,
     final_state,
     normalized_trace,
     simulate_trace_estimation,
-    top_on_side_a,
 )
 from .fileio import (
     FileFormatError,

@@ -40,7 +40,7 @@ from .randomness import (
     haar_unitary,
     random_two_qubit_circuit,
 )
-from .tensor_core import Bipartition, basis_state
+from .tensor_core import DEFAULT_RANK_TOL, Bipartition, basis_state
 
 
 class _Parser(argparse.ArgumentParser):
@@ -287,7 +287,8 @@ def _build_parser() -> _Parser:
     )
     common.add_argument("--workers", type=_AT_LEAST_1, default=1, help="thread count (default 1)")
     common.add_argument(
-        "--tol", type=_ranged(float, lambda v: 0 < v < 1, "lie in (0, 1)"), default=1e-10,
+        "--tol", type=_ranged(float, lambda v: 0 < v < 1, "lie in (0, 1)"),
+        default=DEFAULT_RANK_TOL,
         help="relative rank tolerance in (0, 1)",
     )
     common.add_argument("--out", default="-", help="output path, '-' for stdout")

@@ -18,16 +18,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .dqc1_model import (
-    Dqc1Config,
-    ProductStateIndex,
-    column_blocks,
-    final_state,
-    probe_key,
-    probe_spectrum,
-    register_columns,
-    top_on_side_a,
-)
+from .dqc1_model import Dqc1Config, column_blocks, final_state, probe_spectrum, register_columns
 from .tensor_core import (
     DEFAULT_RANK_TOL,
     Bipartition,
@@ -43,9 +34,6 @@ from .randomness import SeedSpec
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-# The probe |t,i,j> = |0,0,0> that a scan without randomize_index uses.
-_ZERO_INDEX = ProductStateIndex(0, 0, 0)
 
 # The truncation floor divides 1-F by tau^2, and the off-diagonal blocks hold
 # a share tau^2/(1+tau^2) of ||rho||_F^2.  Once that share nears the 2^-52
@@ -169,13 +157,13 @@ def _sample_cuts(
 
 
 def _cut_record(
-    spectrum: SchmidtSpectrum, cut: Bipartition, window: int, rel_tol: float, floored: bool
+    spectrum: SchmidtSpectrum, side_a: tuple[int, ...], window: int, rel_tol: float, floored: bool
 ) -> CutRecord:
-    """Rank of a Schmidt spectrum across ``cut``, with floor 2^window if ``floored``."""
+    """Rank of the spectrum across side_a's cut, with floor 2^window if ``floored``."""
     rank = rank_of(spectrum, rel_tol)
     floor = 2**window if floored else None
     return CutRecord(
-        side_a=cut.side_a,
+        side_a=side_a,
         window_size=window,
         rank=rank,
         log2_rank=math.log2(rank) if rank else float("-inf"),
@@ -206,8 +194,8 @@ def min_rank_over_equipartitions(
     cuts, exhaustive = _sample_cuts(n - 1, [half - 1], partition_cap, seed)
 
     def evaluate(side_a: tuple[int, ...]) -> CutRecord:
-        cut = Bipartition(n, side_a)
-        return _cut_record(schmidt_decompose(state, cut), cut, half, rel_tol, floored=False)
+        spectrum = schmidt_decompose(state, Bipartition(n, side_a))
+        return _cut_record(spectrum, side_a, half, rel_tol, floored=False)
 
     return RankScanReport(tuple(parallel_map(evaluate, cuts)), exhaustive)
 
@@ -228,8 +216,9 @@ def rank_bound_scan(
     cut, and the per-cut floor is 2^window_size.  ``num_cuts`` cuts are
     sampled, or every in-window cut when it is None.  Registers below n = 5
     are refused as a policy (see :func:`balanced_window`).  Every cut probes
-    |0,0,0> unless ``randomize_index`` draws each cut's index from
-    ``seed.child(task_id)``, so that mode needs a seed.
+    rho|t,x> at t = 0, x = 0 unless ``randomize_index`` draws each cut's t
+    and register sides (i, j) from ``seed.child(task_id)``, so that mode
+    needs a seed.
     """
     n = config.num_register_qubits
     if n < 5:
@@ -242,20 +231,17 @@ def rank_bound_scan(
     sizes = [a for a in range(1, n) if low <= min(a, n - a) <= high]
     cuts, exhaustive = _sample_cuts(n, sizes, num_cuts, seed)
 
+    # A probe is named by its register cut (side A less the top qubit) and
+    # the column key (adjoint, x).  The draws come in the order t, i, j,
+    # which the output bytes depend on.
     probes = []
     for task_id, side_a in enumerate(cuts):
-        cut = Bipartition(n + 1, side_a)
-        a = len(side_a) - 1
+        cut = Bipartition(n, tuple(q - 1 for q in side_a[1:]))
+        t = i = j = 0
         if randomize_index:
             rng = seed.child(task_id).generator()
-            idx = ProductStateIndex(
-                int(rng.integers(2)),
-                int(rng.integers(2**a)),
-                int(rng.integers(2 ** (n - a))),
-            )
-        else:
-            idx = _ZERO_INDEX
-        probes.append((cut, min(a, n - a), idx.j, probe_key(config, cut, idx)))
+            t, i, j = (int(rng.integers(size)) for size in (2, cut.dim_a, cut.dim_b))
+        probes.append((side_a, cut, j, (bool(t), cut.basis_index(i, j))))
 
     # Each distinct column W|x> is evolved once, in the column blocks of its
     # direction (U or U-dagger); a block's cuts are scanned while it is held.
@@ -271,9 +257,10 @@ def rank_bound_scan(
             task_ids = [t for x in columns for t in tasks[adjoint, x]]
 
             def evaluate(task_id: int) -> CutRecord:
-                cut, window, j, key = probes[task_id]
-                spectrum = probe_spectrum(config, cut, j, columns[key[1]])
-                return _cut_record(spectrum, cut, window, rel_tol, floored=True)
+                side_a, cut, j, key = probes[task_id]
+                spectrum = probe_spectrum(config.polarization, cut, j, columns[key[1]])
+                window = min(cut.n_a, cut.n_b)
+                return _cut_record(spectrum, side_a, window, rel_tol, floored=True)
 
             for task_id, record in zip(task_ids, parallel_map(evaluate, task_ids, workers)):
                 records[task_id] = record
@@ -413,7 +400,8 @@ def truncation_experiment(
         raise ValueError("truncation sweep needs the dense state (n <= 8)")
     if 0 < config.polarization < TRUNCATION_MIN_TAU:
         raise ValueError(f"polarization below {TRUNCATION_MIN_TAU} cannot be resolved")
-    cut = top_on_side_a(cut)
+    if 0 not in cut.side_a:
+        cut = cut.flipped()  # every spectrum here is symmetric under the exchange
     if cut.total_qubits != n + 1:
         raise ValueError(f"cut is over {cut.total_qubits} qubits, need {n + 1}")
     a_reg = cut.n_a - 1
@@ -428,7 +416,7 @@ def truncation_experiment(
 
     # The squared Schmidt coefficients of U|0> across the register cut are
     # the nonzero eigenvalues of its reduction; there are 2^window of them.
-    register_cut = Bipartition(n, tuple(q - 1 for q in cut.side_a if q != 0))
+    register_cut = Bipartition(n, tuple(q - 1 for q in cut.side_a[1:]))
     column = PureState(n, register_columns(config.unitary, [0], False)[:, 0])
     q_spectrum = schmidt_decompose(column, register_cut).coefficients ** 2
     delta_hat = float(np.max(np.abs(q_spectrum * 2**window - 1.0)))

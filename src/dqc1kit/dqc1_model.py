@@ -54,25 +54,6 @@ class Dqc1Config:
 
 
 @dataclass(frozen=True)
-class ProductStateIndex:
-    """Basis label (t, i, j): top-qubit bit, A-side index, B-side index.
-
-    i runs over the register qubits on side A of the active cut, j over
-    side B; range checks happen where the cut is known.
-    """
-
-    t: int
-    i: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if self.t not in (0, 1):
-            raise ValueError("t must be 0 or 1")
-        if self.i < 0 or self.j < 0:
-            raise ValueError("basis indices must be nonnegative")
-
-
-@dataclass(frozen=True)
 class TraceEstimate:
     """Shot-based estimate of a normalized trace with per-axis errors.
 
@@ -83,32 +64,6 @@ class TraceEstimate:
     std_error_real: float
     std_error_imag: float
     exact: complex
-
-
-def top_on_side_a(cut: Bipartition) -> Bipartition:
-    """Return the cut with the top qubit (label 0) on side A.
-
-    Legitimate because every spectrum here is symmetric under exchanging
-    the two sides.
-    """
-    return cut if 0 in cut.side_a else cut.flipped()
-
-
-def _scatter_bits(value: int, positions: tuple[int, ...], total_qubits: int) -> int:
-    """Place value's bits (MSB first) at the given ascending qubit labels."""
-    width = len(positions)
-    out = 0
-    for k, pos in enumerate(positions):
-        bit = (value >> (width - 1 - k)) & 1
-        out |= bit << (total_qubits - 1 - pos)
-    return out
-
-
-def _register_sides(cut: Bipartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Register-qubit labels (top qubit dropped) on each side of the cut."""
-    cut = top_on_side_a(cut)
-    side_a_reg = tuple(q for q in cut.side_a if q != 0)
-    return side_a_reg, cut.side_b
 
 
 def register_columns(
@@ -161,68 +116,47 @@ def final_state(config: Dqc1Config) -> DenseOperator:
     return DenseOperator(n + 1, rho)
 
 
-def probe_key(
-    config: Dqc1Config, cut: Bipartition, idx: ProductStateIndex
-) -> tuple[bool, int]:
-    """(adjoint, register index x) naming the column W|x> a probe needs."""
-    total = config.total_qubits
-    if cut.total_qubits != total:
-        raise ValueError(
-            f"cut is over {cut.total_qubits} qubits, system has {total}"
-        )
-    side_a_reg, side_b = _register_sides(cut)
-    if idx.i >= 2 ** len(side_a_reg) or idx.j >= 2 ** len(side_b):
-        raise ValueError(f"index {idx} out of range for cut {cut.side_a}")
-    # Full-system label q (1..n) sits at shift (n+1)-1-q = n-q, which is
-    # exactly the register-index bit position for register qubit q-1.
-    register_index = _scatter_bits(idx.i, side_a_reg, total) | _scatter_bits(
-        idx.j, side_b, total
-    )
-    return bool(idx.t), register_index
+def apply_to_product(config: Dqc1Config, t: int, x: int) -> PureState:
+    """Unnormalized probe vector rho|t,x> without materializing rho.
 
-
-def apply_to_product(
-    config: Dqc1Config, cut: Bipartition, idx: ProductStateIndex
-) -> PureState:
-    """Unnormalized probe vector rho|t,i,j> without materializing rho.
-
-    Equals (1/2^{n+1}) (|t,i,j> + tau |1-t> (x) W|i,j>) with W = U for
-    t = 0 and W = U-dagger for t = 1.  Memory use stays O(2^n).
+    Equals (1/2^{n+1}) (|t,x> + tau |1-t> (x) W|x>) with W = U for t = 0
+    and W = U-dagger for t = 1.  Memory use stays O(2^n).
     """
-    adjoint, x = probe_key(config, cut, idx)
     dim = 2**config.num_register_qubits
+    if t not in (0, 1):
+        raise ValueError("t must be 0 or 1")
+    if not 0 <= x < dim:
+        raise ValueError(f"register index {x} out of range 0..{dim - 1}")
     amp = np.zeros(2 * dim, dtype=np.complex128)
-    amp[idx.t * dim + x] = 1.0
-    amp[(1 - idx.t) * dim : (2 - idx.t) * dim] += (
-        config.polarization * register_columns(config.unitary, [x], adjoint)[:, 0]
+    amp[t * dim + x] = 1.0
+    amp[(1 - t) * dim : (2 - t) * dim] += (
+        config.polarization * register_columns(config.unitary, [x], bool(t))[:, 0]
     )
     return PureState(config.total_qubits, amp / (2 * dim))
 
 
 def probe_spectrum(
-    config: Dqc1Config, cut: Bipartition, j: int, evolved: np.ndarray
+    tau: float, register_cut: Bipartition, j: int, column: np.ndarray
 ) -> SchmidtSpectrum:
     """Schmidt spectrum of :func:`apply_to_product`'s vector, from W|x>.
 
-    ``j`` is the side-B index of the probed |t,i,j> and ``evolved`` its
-    column W|x>, x = (i, j); the spectrum across ``cut`` does not depend
-    on t.
+    The joint cut holds the top qubit and ``register_cut.side_a`` (shifted
+    up by one label) on side A.  ``column`` is W|x> for the probed x, whose
+    side-B index under ``register_cut`` is ``j``; the spectrum does not
+    depend on t.
 
-    With the top qubit on side A, the probe's 2^a rows of top bit t hold a
-    single entry, 1 at (i, j), and its 2^a rows of top bit 1-t hold
-    tau R(W|x>), the column reshaped across the register cut.  The singular
-    values are therefore those of the (2^a + 1) x 2^b matrix
-    [e_j^T ; tau R(W|x>)] / 2^{n+1}, built here from the column alone;
-    the rest of the min(2^{a+1}, 2^b) coefficients are zero.
+    The probe's 2^a rows of top bit t hold a single entry, 1 at (i, j), and
+    its 2^a rows of top bit 1-t hold tau R(W|x>), the column matricized
+    across the register cut.  The singular values are therefore those of
+    the (2^a + 1) x 2^b matrix [e_j^T ; tau R(W|x>)] / 2^{n+1}, built here
+    from the column alone; the rest of the min(2^{a+1}, 2^b) coefficients
+    are zero.
     """
-    n = config.num_register_qubits
-    side_a_reg, side_b = _register_sides(cut)
-    rows, cols = 2 ** len(side_a_reg), 2 ** len(side_b)
-    axes = [q - 1 for q in side_a_reg + side_b]
+    rows, cols = register_cut.dim_a, register_cut.dim_b
     m = np.zeros((rows + 1, cols), dtype=np.complex128)
     m[0, j] = 1.0
-    m[1:] = config.polarization * evolved.reshape((2,) * n).transpose(axes).reshape(rows, cols)
-    m /= 2 ** (n + 1)
+    m[1:] = tau * register_cut.matricize(column)
+    m /= 2 ** (register_cut.total_qubits + 1)
     coeffs = singular_values(m)
     return SchmidtSpectrum(np.pad(coeffs, (0, min(2 * rows, cols) - coeffs.size)))
 
@@ -260,8 +194,9 @@ def simulate_trace_estimation(
     if tau == 0.0:
         raise ValueError("estimator undefined at zero polarization")
     t = normalized_trace(config.unitary)
-    p_x = (1.0 + tau * t.real) / 2.0
-    p_y = (1.0 - tau * t.imag) / 2.0
+    # A unitary accepted within UNITARY_TOL can have |t| slightly above 1.
+    p_x = min(max((1.0 + tau * t.real) / 2.0, 0.0), 1.0)
+    p_y = min(max((1.0 - tau * t.imag) / 2.0, 0.0), 1.0)
     rng = seed.generator()
     mean_x = rng.binomial(shots, p_x) / shots
     mean_y = rng.binomial(shots, p_y) / shots

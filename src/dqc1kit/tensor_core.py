@@ -152,6 +152,25 @@ class Bipartition:
         """The same cut with the side labels exchanged."""
         return Bipartition(self.total_qubits, self.side_b)
 
+    def matricize(self, vector: np.ndarray) -> np.ndarray:
+        """The 2^n entries as a dim_a x dim_b matrix; the one map x -> (i, j).
+
+        Row i reads the side-A bits of x and column j its side-B bits, each
+        side's labels ascending with the first the most significant.
+        """
+        t = np.asarray(vector).reshape((2,) * self.total_qubits)
+        return t.transpose(self.side_a + self.side_b).reshape(self.dim_a, self.dim_b)
+
+    def basis_index(self, i: int, j: int) -> int:
+        """The basis index x that :meth:`matricize` puts at (i, j)."""
+        if not (0 <= i < self.dim_a and 0 <= j < self.dim_b):
+            raise ValueError(f"({i}, {j}) out of range for cut {self.side_a}")
+        x = 0
+        for value, side in ((i, self.side_a), (j, self.side_b)):
+            for k, q in enumerate(reversed(side)):
+                x |= ((value >> k) & 1) << (self.total_qubits - 1 - q)
+        return x
+
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
@@ -194,16 +213,13 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
 def schmidt_decompose(state: PureState, cut: Bipartition) -> SchmidtSpectrum:
     """Singular values of the state reindexed as a dim_a x dim_b matrix."""
     _check_register("schmidt_decompose", state.num_qubits, cut)
-    m = state.tensor().transpose(cut.side_a + cut.side_b).reshape(cut.dim_a, cut.dim_b)
-    return SchmidtSpectrum(singular_values(m))
+    return SchmidtSpectrum(singular_values(cut.matricize(state.amplitudes)))
 
 
-def _realign_axes(cut: Bipartition) -> list[int]:
-    """Axis order (rA, cA, rB, cB) of an operator tensor with rows first."""
+def _doubled(cut: Bipartition) -> Bipartition:
+    """The cut over an operator's 2n row and column labels, row labels first."""
     n = cut.total_qubits
-    a = list(cut.side_a)
-    b = list(cut.side_b)
-    return a + [n + q for q in a] + b + [n + q for q in b]
+    return Bipartition(2 * n, cut.side_a + tuple(n + q for q in cut.side_a))
 
 
 def realign(matrix: np.ndarray, cut: Bipartition) -> np.ndarray:
@@ -212,15 +228,15 @@ def realign(matrix: np.ndarray, cut: Bipartition) -> np.ndarray:
     The result is a dim_a^2 x dim_b^2 matrix whose singular values are the
     operator Schmidt coefficients of the input across the cut.
     """
-    t = np.asarray(matrix, dtype=np.complex128).reshape((2,) * (2 * cut.total_qubits))
-    return t.transpose(_realign_axes(cut)).reshape(cut.dim_a**2, cut.dim_b**2)
+    return _doubled(cut).matricize(np.asarray(matrix, dtype=np.complex128))
 
 
 def unrealign(realigned: np.ndarray, cut: Bipartition) -> np.ndarray:
     """Inverse of :func:`realign`; returns the ordinary 2^n x 2^n matrix."""
-    n = cut.total_qubits
-    t = np.asarray(realigned, dtype=np.complex128).reshape((2,) * (2 * n))
-    return t.transpose(np.argsort(_realign_axes(cut))).reshape(2**n, 2**n)
+    doubled = _doubled(cut)
+    t = np.asarray(realigned, dtype=np.complex128).reshape((2,) * doubled.total_qubits)
+    dim = 2**cut.total_qubits
+    return t.transpose(np.argsort(doubled.side_a + doubled.side_b)).reshape(dim, dim)
 
 
 def operator_schmidt_decompose(op: DenseOperator, cut: Bipartition) -> SchmidtSpectrum:

@@ -54,6 +54,7 @@ EDGE_CASES = [
     ["rank-scaling", "--n-list", "4,,6", "--seeds", "1", "--partition-cap", "3"],
     ["bound-scan", "--n", "6", "--exhaustive", "--cuts", "3", "--format", "csv"],
     ["bound-scan", "--n", "7", "--unitary", "circuit", "--gates", "9", "--randomize-index"],
+    ["bound-scan", "--n", "8", "--exhaustive", "--randomize-index", "--tau", "0.6"],
     ["bound-scan", "--n", "6", "--cuts", "4", "--tau", "0"],
     ["concentration", "--na", "0", "--nb", "3", "--samples", "2", "--delta", "0"],
     ["trace-estimate", "--circuit", "c4.circ", "--circuit-qubits", "4", "--tau", "0.5"],

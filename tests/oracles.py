@@ -46,6 +46,23 @@ def split_amplitudes(
     return out
 
 
+def register_index(num_qubits: int, side_a: tuple[int, ...], i: int, j: int) -> int:
+    """Basis index whose side-A bits read i and side-B bits j, bit by bit.
+
+    ``side_a`` is ascending; each side's first label carries its index's MSB.
+    """
+    side_b = [q for q in range(num_qubits) if q not in side_a]
+    bits = [0] * num_qubits
+    for k, q in enumerate(side_a):
+        bits[q] = (i >> (len(side_a) - 1 - k)) & 1
+    for k, q in enumerate(side_b):
+        bits[q] = (j >> (len(side_b) - 1 - k)) & 1
+    x = 0
+    for bit in bits:
+        x = (x << 1) | bit
+    return x
+
+
 def schmidt_coefficients(
     vec: np.ndarray, num_qubits: int, side_a: tuple[int, ...]
 ) -> np.ndarray:

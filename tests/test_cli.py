@@ -146,6 +146,19 @@ def test_trace_estimate_from_cmat(tmp_path, capsys):
     assert out_again == out
 
 
+@pytest.mark.parametrize("scale", [np.diag([1 + 4e-9] + [1.0] * 7), (1 + 4e-9) * np.eye(8)])
+def test_trace_estimate_accepts_a_trace_just_above_one(tmp_path, capsys, scale):
+    # unitary within the reader's 1e-8 tolerance, yet |Tr U|/2^n > 1
+    path = tmp_path / "u.cmat"
+    write_cmat(path, scale.astype(complex))
+    code, out, err = run(capsys, ["trace-estimate", "--cmat", str(path), "--shots", "1000"])
+    assert code == 0, err
+    row = json.loads(out)["rows"][0]
+    assert row["exact_re"] > 1
+    assert all(np.isfinite(row[key]) for key in ("estimate_re", "estimate_im",
+                                                 "std_error_re", "std_error_im"))
+
+
 def test_trace_estimate_from_circuit_file(tmp_path, capsys):
     path = tmp_path / "c.circ"
     write_circuit(path, random_two_qubit_circuit(4, 6, SeedSpec(95)))

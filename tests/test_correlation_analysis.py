@@ -10,7 +10,6 @@ from dqc1kit import (
     Bipartition,
     ClaimFalsified,
     Dqc1Config,
-    ProductStateIndex,
     PureState,
     SchmidtSpectrum,
     SeedSpec,
@@ -186,34 +185,23 @@ def test_rank_bound_scan_sampled_mode():
     assert again == report
 
 
-def _scan_index(seed: SeedSpec, task_id: int, reg_a: int, n: int) -> ProductStateIndex:
-    """The probe index a randomized scan draws for its task_id-th cut."""
+def _scan_index(seed: SeedSpec, task_id: int, reg_a: int, n: int) -> tuple[int, int, int]:
+    """The probe (t, i, j) a randomized scan draws for its task_id-th cut."""
     rng = seed.child(task_id).generator()
-    return ProductStateIndex(
-        int(rng.integers(2)), int(rng.integers(2**reg_a)), int(rng.integers(2 ** (n - reg_a)))
-    )
+    return int(rng.integers(2)), int(rng.integers(2**reg_a)), int(rng.integers(2 ** (n - reg_a)))
 
 
-def _oracle_register_index(n: int, side_a: tuple[int, ...], idx: ProductStateIndex) -> int:
-    """Register basis index of probe (t,i,j), assembled bit by bit."""
-    side_b = [q for q in range(1, n + 1) if q not in side_a]
-    reg_a = [q for q in side_a if q != 0]
-    x = 0
-    for k, q in enumerate(reg_a):
-        x |= ((idx.i >> (len(reg_a) - 1 - k)) & 1) << (n - q)
-    for k, q in enumerate(side_b):
-        x |= ((idx.j >> (len(side_b) - 1 - k)) & 1) << (n - q)
-    return x
-
-
-def _oracle_probe(u: np.ndarray, tau: float, side_a: tuple[int, ...], idx) -> np.ndarray:
-    """Column (t,i,j) of the dense joint state."""
+def _oracle_probe(
+    u: np.ndarray, tau: float, side_a: tuple[int, ...], t: int, i: int, j: int
+) -> np.ndarray:
+    """Column (t,i,j) of the dense joint state; side_a holds the top qubit."""
     n = u.shape[0].bit_length() - 1
     dim = 2**n
     rho = np.eye(2 * dim, dtype=np.complex128)
     rho[:dim, dim:] = tau * u.conj().T
     rho[dim:, :dim] = tau * u
-    return rho[:, idx.t * dim + _oracle_register_index(n, side_a, idx)] / (2 * dim)
+    x = oracles.register_index(n, tuple(q - 1 for q in side_a[1:]), i, j)
+    return rho[:, t * dim + x] / (2 * dim)
 
 
 @pytest.mark.parametrize("randomize", [False, True])
@@ -231,9 +219,9 @@ def test_circuit_rank_bound_scan_matches_per_cut_oracle(randomize):
     indices = set()
     for task_id, record in enumerate(report.records):
         reg_a = len(record.side_a) - 1
-        idx = _scan_index(seed, task_id, reg_a, n) if randomize else ProductStateIndex(0, 0, 0)
-        indices.add(idx.t)
-        psi = _oracle_probe(u, tau, record.side_a, idx)
+        t, i, j = _scan_index(seed, task_id, reg_a, n) if randomize else (0, 0, 0)
+        indices.add(t)
+        psi = _oracle_probe(u, tau, record.side_a, t, i, j)
         coeffs = oracles.schmidt_coefficients(psi, n + 1, record.side_a)
         assert np.abs(coeffs[:4] - record.spectrum_head).max() < 1e-12
         # the Gram-matrix oracle resolves coefficients to ~1e-8 relative
@@ -261,8 +249,9 @@ def test_default_index_circuit_scan_evolves_one_column(monkeypatch):
     report = rank_bound_scan(config, num_cuts=20, seed=seed, randomize_index=True)
     keys = set()
     for task_id, record in enumerate(report.records):
-        idx = _scan_index(seed, task_id, len(record.side_a) - 1, 10)
-        keys.add((idx.t, _oracle_register_index(10, record.side_a, idx)))
+        t, i, j = _scan_index(seed, task_id, len(record.side_a) - 1, 10)
+        register_side = tuple(q - 1 for q in record.side_a[1:])
+        keys.add((t, oracles.register_index(10, register_side, i, j)))
     # every distinct column once, in one pass per direction (U and U-dagger)
     assert sum(evolved) == len(keys) and len(evolved) == 2
 

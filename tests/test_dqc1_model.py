@@ -10,7 +10,6 @@ from dqc1kit import (
     GateSpec,
     DenseOperator,
     Dqc1Config,
-    ProductStateIndex,
     SeedSpec,
     apply_to_product,
     balanced_window,
@@ -24,10 +23,9 @@ from dqc1kit import (
     read_circuit,
     schmidt_decompose,
     simulate_trace_estimation,
-    top_on_side_a,
     write_circuit,
 )
-from dqc1kit.dqc1_model import probe_key, probe_spectrum, register_columns
+from dqc1kit.dqc1_model import probe_spectrum, register_columns
 from dqc1kit.tensor_core import is_unitary
 from dqc1kit.randomness import DENSE_LIMIT
 
@@ -45,10 +43,15 @@ def side_b_reduction(vec: np.ndarray, num_qubits: int, side_a: tuple[int, ...]) 
     return m.T @ m.conj()
 
 
-def probe_reduction(config: Dqc1Config, cut: Bipartition, idx: ProductStateIndex) -> np.ndarray:
-    """B-side reduction of the probe projector, cut taken with the top qubit on A."""
-    cut = top_on_side_a(cut)
-    psi = apply_to_product(config, cut, idx)
+def probe_index(cut: Bipartition, i: int, j: int) -> int:
+    """Register index x of the probe |t,i,j> across a joint cut with the top qubit on A."""
+    n = cut.total_qubits - 1
+    return oracles.register_index(n, tuple(q - 1 for q in cut.side_a[1:]), i, j)
+
+
+def probe_reduction(config: Dqc1Config, cut: Bipartition, t: int, x: int) -> np.ndarray:
+    """B-side reduction of the probe projector; the cut holds the top qubit on A."""
+    psi = apply_to_product(config, t, x)
     return side_b_reduction(psi.amplitudes, config.total_qubits, cut.side_a)
 
 
@@ -57,8 +60,6 @@ def test_config_validation():
         identity_config(2, 1.5)
     with pytest.raises(ValueError):
         identity_config(2, -0.1)
-    with pytest.raises(ValueError):
-        ProductStateIndex(2, 0, 0)
 
 
 def test_final_state_single_qubit_identity():
@@ -94,18 +95,9 @@ def test_final_state_accepts_circuits_and_respects_limit():
         final_state(Dqc1Config(1.0, big))
 
 
-def test_top_on_side_a_flips_when_needed():
-    cut = Bipartition(4, (1, 2))
-    fixed = top_on_side_a(cut)
-    assert 0 in fixed.side_a and fixed.side_a == (0, 3)
-    assert top_on_side_a(fixed) is fixed
-
-
 def test_apply_to_product_identity_unitary():
     n = 3
-    psi = apply_to_product(
-        identity_config(n, 1.0), Bipartition(n + 1, (0, 1)), ProductStateIndex(0, 0, 0)
-    )
+    psi = apply_to_product(identity_config(n, 1.0), 0, 0)
     want = np.zeros(2 ** (n + 1))
     want[0] = want[2**n] = 1 / 2 ** (n + 1)
     assert np.allclose(psi.amplitudes, want, atol=1e-15)
@@ -115,9 +107,7 @@ def test_apply_to_product_norm_identity():
     for tau in (0.0, 0.4, 1.0):
         for t in (0, 1):
             config = Dqc1Config(tau, haar_unitary(4, SeedSpec(36)))
-            psi = apply_to_product(
-                config, Bipartition(5, (0, 2, 3)), ProductStateIndex(t, 2, 1)
-            )
+            psi = apply_to_product(config, t, probe_index(Bipartition(5, (0, 2, 3)), 2, 1))
             norm = np.linalg.norm(psi.amplitudes)
             assert norm**2 == pytest.approx((1 + tau**2) / 4**5, rel=1e-12)
 
@@ -129,32 +119,27 @@ def test_apply_to_product_matches_dense_state():
     for unitary in (circuit, circuit_unitary(circuit)):
         config = Dqc1Config(0.8, unitary)
         rho = final_state(config).matrix
-        cut = Bipartition(n + 1, (0, 2))
-        side_a_reg, side_b = (2,), (1, 3, 4)
         for t, i, j in [(0, 0, 0), (0, 1, 5), (1, 0, 3), (1, 1, 7)]:
-            column = 0
-            for bit_pos, label in enumerate((2,)):
-                column |= ((i >> (len(side_a_reg) - 1 - bit_pos)) & 1) << (n - label)
-            for bit_pos, label in enumerate(side_b):
-                column |= ((j >> (len(side_b) - 1 - bit_pos)) & 1) << (n - label)
-            column |= t << n
-            psi = apply_to_product(config, cut, ProductStateIndex(t, i, j))
-            assert np.allclose(psi.amplitudes, rho[:, column], atol=1e-12)
+            x = oracles.register_index(n, (1,), i, j)  # joint cut (0, 2)
+            psi = apply_to_product(config, t, x)
+            assert np.allclose(psi.amplitudes, rho[:, t * 2**n + x], atol=1e-12)
 
 
 def test_apply_to_product_index_out_of_range():
     config = identity_config(3, 1.0)
-    with pytest.raises(ValueError):
-        apply_to_product(config, Bipartition(4, (0, 1)), ProductStateIndex(0, 2, 0))
+    for t, x in [(2, 0), (-1, 0), (0, 8), (1, -1)]:
+        with pytest.raises(ValueError):
+            apply_to_product(config, t, x)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_probe_spectrum_matches_dense_probe(n):
-    # The nonzero-row spectrum of every in-window cut against the SVD of the
-    # whole 2^{n+1}-entry probe vector, for Haar and circuit U.
+    # The nonzero-row spectrum of every in-window register cut against the
+    # SVD of the whole 2^{n+1}-entry probe vector across the joint cut, for
+    # Haar and circuit U.
     low, high = balanced_window(n)
     cuts = [
-        Bipartition(n + 1, (0,) + tuple(q + 1 for q in combo))
+        Bipartition(n, combo)
         for a in range(1, n)
         if low <= min(a, n - a) <= high
         for combo in combinations(range(n), a)
@@ -165,14 +150,13 @@ def test_probe_spectrum_matches_dense_probe(n):
         for tau in (1.0, 0.6, 0.0):
             config = Dqc1Config(tau, unitary)
             for cut in cuts:
+                joint = Bipartition(n + 1, (0,) + tuple(q + 1 for q in cut.side_a))
                 for t in (0, 1):
-                    idx = ProductStateIndex(
-                        t, int(rng.integers(cut.dim_a // 2)), int(rng.integers(cut.dim_b))
-                    )
-                    key = probe_key(config, cut, idx)
-                    column = register_columns(unitary, [key[1]], key[0])[:, 0]
-                    got = probe_spectrum(config, cut, idx.j, column)
-                    want = schmidt_decompose(apply_to_product(config, cut, idx), cut)
+                    i, j = int(rng.integers(cut.dim_a)), int(rng.integers(cut.dim_b))
+                    x = oracles.register_index(n, cut.side_a, i, j)
+                    column = register_columns(unitary, [x], bool(t))[:, 0]
+                    got = probe_spectrum(tau, cut, j, column)
+                    want = schmidt_decompose(apply_to_product(config, t, x), joint)
                     assert got.coefficients.shape == want.coefficients.shape
                     scale = want.coefficients[0]
                     assert np.max(np.abs(got.coefficients - want.coefficients)) <= 1e-12 * scale
@@ -181,7 +165,8 @@ def test_probe_spectrum_matches_dense_probe(n):
 
 def test_probe_reduction_identity_unitary_rank_two():
     config = identity_config(3, 1.0)
-    sigma = probe_reduction(config, Bipartition(4, (0, 1)), ProductStateIndex(0, 1, 0))
+    cut = Bipartition(4, (0, 1))
+    sigma = probe_reduction(config, cut, 0, probe_index(cut, 1, 0))
     eigs = np.linalg.eigvalsh(sigma)
     assert np.sum(eigs > 1e-12 * eigs.max()) <= 2
 
@@ -194,10 +179,10 @@ def test_probe_reduction_block_identity():
     config = Dqc1Config(tau, u)
     cut = Bipartition(n + 1, (0, 1, 2))
     i, j = 2, 5
-    psi = apply_to_product(config, cut, ProductStateIndex(0, i, j)).amplitudes
+    column = (i << 3) | j  # side-A register labels {1,2}, side-B {3,4,5}
+    psi = apply_to_product(config, 0, column).amplitudes
     sigma = oracles.partial_trace_entrywise(np.outer(psi, psi.conj()), n + 1, cut.side_a)
     # independent Q: evolve the basis column and trace out side A by hand
-    column = (i << 3) | j  # side-A register labels {1,2}, side-B {3,4,5}
     phi = u.matrix[:, column].reshape(4, 8)
     q = phi.T @ phi.conj()
     want = np.zeros((8, 8), dtype=complex)
@@ -210,10 +195,10 @@ def test_probe_reduction_block_identity():
 def test_probe_reduction_spectrum_matches_flipped_side():
     config = Dqc1Config(1.0, haar_unitary(4, SeedSpec(39)))
     cut = Bipartition(5, (0, 1))
-    idx = ProductStateIndex(0, 1, 2)
-    psi = apply_to_product(config, cut, idx)
+    x = probe_index(cut, 1, 2)
+    psi = apply_to_product(config, 0, x)
     coeffs = schmidt_decompose(psi, cut).coefficients
-    sigma_spectrum = np.sort(np.linalg.eigvalsh(probe_reduction(config, cut, idx)))[::-1]
+    sigma_spectrum = np.sort(np.linalg.eigvalsh(probe_reduction(config, cut, 0, x)))[::-1]
     head = coeffs.size
     assert np.allclose(coeffs**2, sigma_spectrum[:head], atol=1e-12)
     assert np.allclose(sigma_spectrum[head:], 0.0, atol=1e-14)
@@ -222,7 +207,7 @@ def test_probe_reduction_spectrum_matches_flipped_side():
 def test_probe_reduction_haar_min_side_rank():
     # 2 register qubits on side A: rank is d_A + 1 = 5 >= d_A.
     config = Dqc1Config(1.0, haar_unitary(8, SeedSpec(40)))
-    sigma = probe_reduction(config, Bipartition(9, (0, 1, 2)), ProductStateIndex(0, 0, 0))
+    sigma = probe_reduction(config, Bipartition(9, (0, 1, 2)), 0, 0)
     eigs = np.linalg.eigvalsh(sigma)
     rank = int(np.sum(eigs > 1e-10 * eigs.max()))
     assert rank >= 4
@@ -270,11 +255,10 @@ def test_probe_reduction_permutation_covariance():
     u_perm = DenseOperator(n, qubit_permutation(u.matrix, perm))
     cut = Bipartition(n + 1, (0, 1, 3))  # register labels {1,3} on side A
     permuted_side = (0,) + tuple(sorted(perm[q - 1] + 1 for q in cut.side_a if q))
-    idx = ProductStateIndex(0, 0, 0)
 
-    spec = np.linalg.eigvalsh(probe_reduction(Dqc1Config(1.0, u), cut, idx))
+    spec = np.linalg.eigvalsh(probe_reduction(Dqc1Config(1.0, u), cut, 0, 0))
     spec_perm = np.linalg.eigvalsh(
-        probe_reduction(Dqc1Config(1.0, u_perm), Bipartition(n + 1, permuted_side), idx)
+        probe_reduction(Dqc1Config(1.0, u_perm), Bipartition(n + 1, permuted_side), 0, 0)
     )
     assert np.allclose(np.sort(spec), np.sort(spec_perm), atol=1e-10)
 

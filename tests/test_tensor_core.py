@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,28 @@ def test_operator_schmidt_cnot():
     spectrum = operator_schmidt_decompose(DenseOperator(2, cnot), Bipartition(2, (0,)))
     assert np.allclose(spectrum.coefficients, [np.sqrt(2), np.sqrt(2), 0.0, 0.0], atol=1e-12)
     assert rank_of(spectrum) == 2
+
+
+def test_matricize_and_basis_index_match_bitwise_oracles():
+    # Every cut at n = 2-6: matricize against the oracle's amplitude split,
+    # basis_index against the oracle's index assembly, and the two agree.
+    rng = np.random.default_rng(3)
+    for n in range(2, 7):
+        vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        for a in range(1, n):
+            for side_a in combinations(range(n), a):
+                cut = Bipartition(n, side_a)
+                assert np.array_equal(cut.matricize(vec), oracles.split_amplitudes(vec, n, side_a))
+                positions = cut.matricize(np.arange(2**n))
+                for i in range(cut.dim_a):
+                    for j in range(cut.dim_b):
+                        x = cut.basis_index(i, j)
+                        assert x == oracles.register_index(n, side_a, i, j)
+                        assert x == positions[i, j]
+    cut = Bipartition(3, (1,))
+    for i, j in [(2, 0), (0, 4), (-1, 0)]:
+        with pytest.raises(ValueError):
+            cut.basis_index(i, j)
 
 
 def test_realign_matches_entrywise_oracle():

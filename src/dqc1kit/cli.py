@@ -10,10 +10,14 @@ numerically, 3 input/output error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import glob
+import os
 import statistics
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -41,6 +45,46 @@ from .randomness import (
     random_two_qubit_circuit,
 )
 from .tensor_core import DEFAULT_RANK_TOL, Bipartition, basis_state
+
+
+def _openblas_thread_calls() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """The get/set thread-count calls of the OpenBLAS in numpy's wheel, if there is one."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+# Looked up once: the library is already loaded by numpy, this only finds it.
+_OPENBLAS_THREADS = _openblas_thread_calls()
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run BLAS on one thread inside the block and restore the old count after.
+
+    Two OpenBLAS threads move SVD outputs in the last digits, so the output
+    bytes hold at one thread; --workers is the one parallelism knob.
+    """
+    if _OPENBLAS_THREADS is None:
+        yield
+        return
+    get, set_ = _OPENBLAS_THREADS
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,23 +141,22 @@ def _base_meta(args: argparse.Namespace, command: str) -> dict:
 def _cmd_rank_scaling(args: argparse.Namespace) -> CommandResult:
     master = SeedSpec(args.seed)
     tasks = [(n, s) for n in args.n_list for s in range(args.num_seeds)]
-
-    def run_task(task: tuple[int, tuple[int, int]]) -> dict:
-        task_id, (n, seed_index) = task
+    rows = []
+    # The tasks run in turn and each scan spreads its cuts over the workers:
+    # one task per worker left the largest n alone on one thread.
+    for task_id, (n, seed_index) in enumerate(tasks):
         task_seed = master.child(task_id)
         circuit = random_two_qubit_circuit(n, args.gates_factor * n, task_seed.child(0))
         state = apply_circuit(circuit, basis_state(n, 0))
         report = min_rank_over_equipartitions(
-            state, args.tol, args.partition_cap, task_seed.child(1)
+            state, args.tol, args.partition_cap, task_seed.child(1), args.workers
         )
-        return {
+        rows.append({
             "n": n,
             "seed": seed_index,
             "min_rank": report.min_rank,
             "log2_min_rank": float(np.log2(report.min_rank)),
-        }
-
-    rows = parallel_map(run_task, list(enumerate(tasks)), args.workers)
+        })
     medians = [statistics.median(r["min_rank"] for r in rows if r["n"] == n) for n in args.n_list]
     rows += [
         {"n": n, "seed": "median", "min_rank": float(med), "log2_min_rank": float(np.log2(med))}
@@ -390,7 +433,8 @@ def _serialize(result: CommandResult, chosen_format: Optional[str]) -> str:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        result = args.run(args)
+        with _one_blas_thread():
+            result = args.run(args)
         text = _serialize(result, args.format)
         if args.out == "-":
             sys.stdout.write(text)

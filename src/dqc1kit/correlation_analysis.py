@@ -18,7 +18,14 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .dqc1_model import Dqc1Config, column_blocks, final_state, probe_spectrum, register_columns
+from .dqc1_model import (
+    COLUMN_BLOCK_ENTRIES,
+    Dqc1Config,
+    column_blocks,
+    final_state,
+    probe_spectrum,
+    register_columns,
+)
 from .tensor_core import (
     DEFAULT_RANK_TOL,
     Bipartition,
@@ -60,6 +67,28 @@ def parallel_map(
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _stacked_singular_values(
+    fill: Callable[[int, np.ndarray], None], count: int, shape: tuple[int, int], workers: int = 1
+) -> np.ndarray:
+    """Singular values of ``count`` same-shape matrices, row k for matrix k.
+
+    ``fill(k, out)`` writes matrix k into the (m, n) array ``out``.  The
+    matrices go to :func:`singular_values` in stacks of at most
+    COLUMN_BLOCK_ENTRIES amplitudes (at least one matrix), each filled in
+    place, and the stacks are the items of :func:`parallel_map`: one SVD
+    per item loses to serial on two threads, a stack of them wins.
+    """
+    per_stack = max(1, COLUMN_BLOCK_ENTRIES // (shape[0] * shape[1]))
+
+    def run(start: int) -> np.ndarray:
+        stack = np.empty((min(per_stack, count - start), *shape), dtype=np.complex128)
+        for k, out in enumerate(stack, start):
+            fill(k, out)
+        return singular_values(stack)
+
+    return np.concatenate(parallel_map(run, range(0, count, per_stack), workers))
 
 
 def balanced_window(num_register_qubits: int) -> tuple[int, int]:
@@ -178,12 +207,15 @@ def min_rank_over_equipartitions(
     rel_tol: float = DEFAULT_RANK_TOL,
     partition_cap: Optional[int] = None,
     seed: Optional[SeedSpec] = None,
+    workers: int = 1,
 ) -> RankScanReport:
     """Smallest Schmidt rank over half:half cuts of an even register.
 
     Qubit 0 is fixed to side A, which halves the enumeration without
     losing any cut (sides are interchangeable).  With ``partition_cap``
-    set, that many cuts are sampled uniformly without replacement.
+    set, that many cuts are sampled uniformly without replacement.  The
+    cuts' SVDs run stacked on ``workers`` threads; the records do not
+    depend on the worker count.
     """
     n = state.num_qubits
     if n % 2 != 0:
@@ -193,11 +225,15 @@ def min_rank_over_equipartitions(
         raise ValueError("partition_cap must be >= 1")
     cuts, exhaustive = _sample_cuts(n - 1, [half - 1], partition_cap, seed)
 
-    def evaluate(side_a: tuple[int, ...]) -> CutRecord:
-        spectrum = schmidt_decompose(state, Bipartition(n, side_a))
-        return _cut_record(spectrum, side_a, half, rel_tol, floored=False)
+    def fill(k: int, out: np.ndarray) -> None:
+        out[...] = Bipartition(n, cuts[k]).matricize(state.amplitudes)
 
-    return RankScanReport(tuple(parallel_map(evaluate, cuts)), exhaustive)
+    spectra = _stacked_singular_values(fill, len(cuts), (2**half, 2**half), workers)
+    records = (
+        _cut_record(SchmidtSpectrum(values), side_a, half, rel_tol, floored=False)
+        for side_a, values in zip(cuts, spectra)
+    )
+    return RankScanReport(tuple(records), exhaustive)
 
 
 def rank_bound_scan(
@@ -302,18 +338,16 @@ def concentration_report(
         raise ValueError("samples must be >= 1")
     d_a, d_b = 2**n_a, 2**n_b
 
-    def sample(k: int) -> tuple[float, int]:
+    def fill(k: int, out: np.ndarray) -> None:
         rng = seed.child(k).generator()
         v = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
         v /= np.linalg.norm(v)
-        sing = singular_values(v.reshape(d_a, d_b))
-        deviation = float(np.max(np.abs(sing**2 * d_a - 1.0)))
-        return deviation, rank_of(SchmidtSpectrum(sing), rel_tol)
+        out[...] = v.reshape(d_a, d_b)
 
-    results = parallel_map(sample, list(range(samples)), workers)
-    deviations = tuple(dev for dev, _ in results)
-    counts = tuple(cnt for _, cnt in results)
-    return ConcentrationReport(deviations, counts)
+    sing = _stacked_singular_values(fill, samples, (d_a, d_b), workers)
+    deviations = np.max(np.abs(sing**2 * d_a - 1.0), axis=1)
+    counts = (rank_of(SchmidtSpectrum(row), rel_tol) for row in sing)
+    return ConcentrationReport(tuple(deviations.tolist()), tuple(counts))
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,11 @@ def write_cmat(path: str, matrix: np.ndarray) -> None:
     rows, cols = mat.shape
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{CMAT_MAGIC} {rows} {cols}\n")
-        for entry in mat.reshape(-1):
-            fh.write(f"{format_float(entry.real)} {format_float(entry.imag)}\n")
+        # format_float's spec on Python floats, one join per row: joining the
+        # whole 256x256 matrix at once took 14 MiB more peak memory.
+        entry = "{:.17g} {:.17g}\n".format
+        for row in mat:
+            fh.write("".join(map(entry, row.real.tolist(), row.imag.tolist())))
 
 
 def read_cmat(path: str) -> np.ndarray:

@@ -197,15 +197,18 @@ def _check_register(name: str, num_qubits: int, cut: Bipartition) -> None:
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Singular values of a 2-d matrix, decreasing; every SVD of the package.
+    """Singular values of an m x n matrix, or of each in a (k, m, n) stack, decreasing.
 
-    Past the QR_MIN_ASPECT / QR_MIN_ENTRIES crossover the matrix is turned
-    tall and replaced by its square R factor, which has the same singular
-    values; any other matrix goes to the SVD as it is.
+    Every SVD of the package.  Past the QR_MIN_ASPECT / QR_MIN_ENTRIES
+    crossover (entries per matrix) each matrix is turned tall and replaced
+    by its square R factor, which has the same singular values; any other
+    matrix goes to the SVD as it is.  A stack gives, row by row, the bits
+    of the per-matrix calls: LAPACK runs on each matrix of it in turn.
     """
-    short, long = sorted(matrix.shape)
-    if long >= QR_MIN_ASPECT * short and matrix.size >= QR_MIN_ENTRIES:
-        tall = matrix if matrix.shape[0] == long else matrix.T
+    rows, cols = matrix.shape[-2:]
+    short, long = sorted((rows, cols))
+    if long >= QR_MIN_ASPECT * short and rows * cols >= QR_MIN_ENTRIES:
+        tall = matrix if rows == long else matrix.swapaxes(-1, -2)
         matrix = np.linalg.qr(tall, mode="r")
     return np.linalg.svd(matrix, compute_uv=False)
 

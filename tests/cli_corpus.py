@@ -11,7 +11,8 @@ only in float digits show the same second column; a CSV cell counts as a
 float when it is a number other than an integer literal.  The
 corpus is the byte-determinism command set at seeds 1 and 7 and workers
 1 and 4, every job of the three benchmark workloads (session 0 of the
-default seed), and a few edge cases of flag parsing.  Input files are
+default seed), and a few edge cases of flag parsing and of the thread
+pool's SVD stacks.  Input files are
 written to a fixed temporary directory and named by relative paths, so
 ``meta.source`` is the same for every checkout; two checkouts are then
 compared with one ``diff`` of their outputs.  pytest does not collect
@@ -57,6 +58,8 @@ EDGE_CASES = [
     ["bound-scan", "--n", "8", "--exhaustive", "--randomize-index", "--tau", "0.6"],
     ["bound-scan", "--n", "6", "--cuts", "4", "--tau", "0"],
     ["concentration", "--na", "0", "--nb", "3", "--samples", "2", "--delta", "0"],
+    ["rank-scaling", "--n-list", "12", "--seeds", "1", "--partition-cap", "37", "--workers", "4"],
+    ["concentration", "--na", "6", "--nb", "6", "--samples", "40", "--workers", "3"],
     ["trace-estimate", "--circuit", "c4.circ", "--circuit-qubits", "4", "--tau", "0.5"],
     ["tree-edge", "--leaves", "6", "--trees", "2", "--seed", str(2**64 - 1)],
     *(["truncation", "--n", n, "--tau", "0.3"] for n in ("5", "6", "7", "8")),

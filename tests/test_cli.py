@@ -336,6 +336,32 @@ def test_module_run_executes_the_cli():
     assert header == "tree_id,edge_u,edge_v,n_0,window_low,window_high"
 
 
+# The n=16 circuit scan's spectrum_head digits moved with two OpenBLAS threads
+# before main pinned one.
+BLAS_THREAD_COMMANDS = [
+    ["bound-scan", "--unitary", "circuit", "--n", "16", "--cuts", "50", "--randomize-index"],
+    ["rank-scaling", "--n-list", "12", "--seeds", "1", "--partition-cap", "37", "--workers", "2"],
+    ["concentration", "--na", "6", "--nb", "6", "--samples", "40", "--workers", "2"],
+]
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(dqc1kit.__file__).parents[1]))
+        for k, argv in enumerate(BLAS_THREAD_COMMANDS):
+            out = tmp_path / f"{threads}-{k}.out"
+            proc = subprocess.run(
+                [sys.executable, "-m", "dqc1kit.cli", *argv, "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode in (0, 2), proc.stderr
+            outputs[threads, k] = (proc.returncode, out.read_bytes())
+    for k, argv in enumerate(BLAS_THREAD_COMMANDS):
+        assert outputs["1", k] == outputs["2", k], argv
+
+
 @pytest.mark.parametrize("unitary", ["haar", "product"])
 def test_bound_scan_refuses_a_dense_unitary_above_the_limit_before_drawing(
     capsys, monkeypatch, unitary

@@ -134,6 +134,34 @@ def test_min_rank_bell_pairs():
     assert report.argmin_side_a == (0, 1)
 
 
+def test_min_rank_scan_is_the_per_cut_schmidt_ranks_at_any_worker_count(monkeypatch):
+    from dqc1kit import apply_circuit, correlation_analysis, schmidt_decompose
+
+    state = apply_circuit(random_two_qubit_circuit(12, 24, SeedSpec(62)), basis_state(12, 0))
+    stacks = []
+    svd = correlation_analysis.singular_values
+
+    def recording_svd(matrix):
+        stacks.append(matrix.shape)
+        return svd(matrix)
+
+    monkeypatch.setattr(correlation_analysis, "singular_values", recording_svd)
+    reports = {
+        workers: min_rank_over_equipartitions(state, partition_cap=37, seed=SeedSpec(63),
+                                              workers=workers)
+        for workers in (1, 2, 4)
+    }
+    # 2^16-amplitude stacks of 64 x 64 cuts: 16 + 16 + a partial 5, at each worker count
+    assert sorted(stacks) == [(5, 64, 64)] * 3 + [(16, 64, 64)] * 6
+    assert reports[1] == reports[2] == reports[4]
+    records = reports[1].records
+    assert len(records) == 37
+    for record in records:
+        spectrum = schmidt_decompose(state, Bipartition(12, record.side_a))
+        assert record.rank == rank_of(spectrum)
+        assert record.spectrum_head == tuple(spectrum.coefficients[:4].tolist())
+
+
 def test_min_rank_rejects_odd_registers():
     with pytest.raises(ValueError):
         min_rank_over_equipartitions(basis_state(5, 0))
@@ -405,6 +433,18 @@ def test_concentration_report_regime_and_determinism():
         concentration_report(3, 2, 5, SeedSpec(76))
     with pytest.raises(ValueError):
         concentration_report(1, 2, 0, SeedSpec(76))
+
+
+def test_concentration_report_is_the_per_sample_draws_at_any_worker_count():
+    # 64 x 64 samples: stacks of 16, 16 and 8, on 1 and 3 threads
+    report = concentration_report(6, 6, 40, SeedSpec(77))
+    assert concentration_report(6, 6, 40, SeedSpec(77), workers=3) == report
+    for k, (deviation, count) in enumerate(zip(report.max_deviations, report.nonzero_counts)):
+        rng = SeedSpec(77).child(k).generator()
+        v = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+        sing = np.linalg.svd((v / np.linalg.norm(v)).reshape(64, 64), compute_uv=False)
+        assert deviation == float(np.max(np.abs(sing**2 * 64 - 1.0)))
+        assert count == rank_of(SchmidtSpectrum(sing)) == 64
 
 
 def test_robust_rank_bound_values():

@@ -32,6 +32,20 @@ def test_cmat_round_trip_is_exact(tmp_path):
     assert np.array_equal(back, mat)
 
 
+def test_write_cmat_bytes_are_the_per_entry_format(tmp_path):
+    rng = np.random.default_rng(91)
+    mat = rng.standard_normal((4, 6)) * 10.0 ** rng.integers(-300, 300, (4, 6))
+    mat = mat + 1j * rng.standard_normal((4, 6))
+    mat[0, :4] = [0.0, -0.0, 1.0, -1e-320]
+    mat[1, :3] = [complex(0.1, -0.0), complex(3, 1e308), complex(2**-1074, -2.5)]
+    path = tmp_path / "m.cmat"
+    write_cmat(path, mat)
+    want = "CMAT v1 4 6\n" + "".join(
+        f"{format_float(z.real)} {format_float(z.imag)}\n" for z in mat.reshape(-1)
+    )
+    assert path.read_bytes() == want.encode("ascii")
+
+
 def test_cmat_header_and_shape_errors(tmp_path):
     path = tmp_path / "bad.cmat"
     path.write_text("CMAT v2 2 2\n0 0\n0 0\n0 0\n0 0\n")

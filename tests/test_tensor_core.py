@@ -86,6 +86,29 @@ def test_singular_values_match_plain_svd(shape, qr_first, monkeypatch):
     assert qr_shapes == ([tuple(sorted(shape, reverse=True))] * 4 if qr_first else [])
 
 
+@pytest.mark.parametrize("shape,qr_first", KERNEL_SHAPES)
+def test_singular_values_of_a_stack_are_the_per_matrix_bits(shape, qr_first, monkeypatch):
+    qr_shapes = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, mode="reduced"):
+        qr_shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    ranks = (min(shape), min(shape) // 2, 1)
+    stack = np.stack([planted_rank(shape, r, seed=31 * shape[0] + r) for r in ranks])
+    per_matrix = [singular_values(m) for m in stack]
+    assert all(values.ndim == 1 for values in per_matrix)  # a plain 2-d input
+    monkeypatch.setattr(tensor_core.np.linalg, "qr", counting_qr)
+    got = singular_values(stack)
+    assert got.shape == (len(ranks), min(shape))
+    assert np.array_equal(got, np.stack(per_matrix))
+    assert np.array_equal(singular_values(stack[:1]), per_matrix[0][None])
+    # one QR for the whole stack, on the tall orientation, past the crossover only
+    tall = tuple(sorted(shape, reverse=True))
+    assert qr_shapes == ([(len(ranks), *tall), (1, *tall)] if qr_first else [])
+
+
 def test_pure_state_validation():
     with pytest.raises(ValueError):
         PureState(2, np.zeros(3))

@@ -30,12 +30,11 @@ from .correlation_analysis import (
     balanced_window,
     concentration_report,
     min_rank_over_equipartitions,
-    parallel_map,
     random_degree3_tree,
     rank_bound_scan,
     truncation_experiment,
 )
-from .dqc1_model import Dqc1Config, simulate_trace_estimation
+from .dqc1_model import STREAM_LIMIT, Dqc1Config, simulate_trace_estimation
 from .fileio import FileFormatError, read_circuit, read_unitary_cmat, render_csv, render_json
 from .randomness import (
     SeedSpec,
@@ -126,13 +125,13 @@ _AT_LEAST_1 = _ranged(int, lambda v: v >= 1, "be >= 1")
 _UNIT_TAU = _ranged(float, lambda v: 0 <= v <= 1, "lie in [0, 1]")
 
 
-def _base_meta(args: argparse.Namespace, command: str) -> dict:
+def _base_meta(args: argparse.Namespace) -> dict:
     # workers and output location are excluded: results must not depend
     # on them, and the meta block records only what shapes the bytes.
     return {
         "tool": "dqc1kit",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "master_seed": args.seed,
         "tol": args.tol,
     }
@@ -162,7 +161,7 @@ def _cmd_rank_scaling(args: argparse.Namespace) -> CommandResult:
         {"n": n, "seed": "median", "min_rank": float(med), "log2_min_rank": float(np.log2(med))}
         for n, med in zip(args.n_list, medians)
     ]
-    meta = _base_meta(args, "rank-scaling")
+    meta = _base_meta(args)
     meta.update(
         n_list=args.n_list,
         seeds=args.num_seeds,
@@ -193,12 +192,11 @@ def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
         rel_tol=args.tol,
         seed=master.child(1),
         randomize_index=args.randomize_index,
-        workers=args.workers,
     )
     low, _high = balanced_window(args.n)
     global_floor = 2**low
     global_pass = report.min_rank >= global_floor
-    meta = _base_meta(args, "bound-scan")
+    meta = _base_meta(args)
     meta.update(
         n=args.n,
         tau=args.tau,
@@ -231,7 +229,7 @@ def _cmd_concentration(args: argparse.Namespace) -> CommandResult:
         {"sample": k, "max_deviation": dev, "nonzero_count": cnt}
         for k, (dev, cnt) in enumerate(zip(report.max_deviations, report.nonzero_counts))
     ]
-    meta = _base_meta(args, "concentration")
+    meta = _base_meta(args)
     meta.update(na=args.na, nb=args.nb, delta=args.delta, samples=args.samples)
     extras = {
         "d_a": 2**args.na,
@@ -256,7 +254,7 @@ def _cmd_trace_estimate(args: argparse.Namespace) -> CommandResult:
     config = Dqc1Config(args.tau, unitary)
     estimate = simulate_trace_estimation(config, args.shots, SeedSpec(args.seed).child(0))
     exact = estimate.exact
-    meta = _base_meta(args, "trace-estimate")
+    meta = _base_meta(args)
     meta.update(
         n=unitary.num_qubits,
         tau=args.tau,
@@ -277,21 +275,19 @@ def _cmd_trace_estimate(args: argparse.Namespace) -> CommandResult:
 def _cmd_tree_edge(args: argparse.Namespace) -> CommandResult:
     master = SeedSpec(args.seed)
     low, high = balanced_window(args.leaves - 1)
-
-    def run_tree(tree_id: int) -> dict:
+    rows = []
+    for tree_id in range(args.trees):
         tree = random_degree3_tree(args.leaves, master.child(tree_id))
         (u, v), n_0 = balanced_tree_edge(tree)
-        return {
+        rows.append({
             "tree_id": tree_id,
             "edge_u": u,
             "edge_v": v,
             "n_0": n_0,
             "window_low": low,
             "window_high": high,
-        }
-
-    rows = parallel_map(run_tree, list(range(args.trees)), args.workers)
-    meta = _base_meta(args, "tree-edge")
+        })
+    meta = _base_meta(args)
     meta.update(leaves=args.leaves, trees=args.trees)
     columns = ["tree_id", "edge_u", "edge_v", "n_0", "window_low", "window_high"]
     return CommandResult(meta, columns, rows)
@@ -307,7 +303,7 @@ def _cmd_truncation(args: argparse.Namespace) -> CommandResult:
     config = Dqc1Config(args.tau, haar_unitary(args.n, SeedSpec(args.seed).child(0)))
     ranks = _int_list(args.ranks) if args.ranks is not None else None
     table = truncation_experiment(config, cut, ranks, args.tol)
-    meta = _base_meta(args, "truncation")
+    meta = _base_meta(args)
     meta.update(
         n=args.n,
         tau=args.tau,
@@ -328,7 +324,10 @@ def _build_parser() -> _Parser:
         "--seed", type=_ranged(int, lambda v: 0 <= v < 2**64, "lie in [0, 2^64)"), default=1,
         help="master seed (default 1)",
     )
-    common.add_argument("--workers", type=_AT_LEAST_1, default=1, help="thread count (default 1)")
+    common.add_argument(
+        "--workers", type=_AT_LEAST_1, default=1,
+        help="threads for the stacked SVDs of rank-scaling and concentration (default 1)",
+    )
     common.add_argument(
         "--tol", type=_ranged(float, lambda v: 0 < v < 1, "lie in (0, 1)"),
         default=DEFAULT_RANK_TOL,
@@ -346,8 +345,9 @@ def _build_parser() -> _Parser:
     )
     p.add_argument(
         "--n-list", default="4,6,8,10,12",
-        type=_ranged(_int_list, lambda ns: ns and all(n >= 2 and n % 2 == 0 for n in ns),
-                     "list even qubit counts >= 2"),
+        type=_ranged(_int_list,
+                     lambda ns: ns and all(2 <= n <= STREAM_LIMIT and n % 2 == 0 for n in ns),
+                     f"list even qubit counts in [2, {STREAM_LIMIT}]"),
     )
     p.add_argument("--seeds", dest="num_seeds", type=_AT_LEAST_1, default=10)
     p.add_argument("--gates-factor", type=_AT_LEAST_1, default=2)
@@ -358,7 +358,10 @@ def _build_parser() -> _Parser:
         "bound-scan", parents=[common],
         help="certified rank floors over balanced cuts of the joint state",
     )
-    p.add_argument("--n", type=_ranged(int, lambda v: v >= 5, "be >= 5"), default=8)
+    p.add_argument(
+        "--n", type=_ranged(int, lambda v: 5 <= v <= STREAM_LIMIT, f"lie in [5, {STREAM_LIMIT}]"),
+        default=8,
+    )
     p.add_argument("--cuts", type=_AT_LEAST_1, default=50)
     p.add_argument("--tau", type=_UNIT_TAU, default=1.0)
     p.add_argument("--exhaustive", action="store_true")

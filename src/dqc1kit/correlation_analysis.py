@@ -20,6 +20,7 @@ import numpy as np
 
 from .dqc1_model import (
     COLUMN_BLOCK_ENTRIES,
+    STREAM_LIMIT,
     Dqc1Config,
     column_blocks,
     final_state,
@@ -137,7 +138,6 @@ class RankScanReport:
     """Per-cut records plus the scan minimum."""
 
     records: tuple[CutRecord, ...]
-    exhaustive: bool
 
     def __post_init__(self) -> None:
         if not self.records:
@@ -158,18 +158,17 @@ class RankScanReport:
 
 def _sample_cuts(
     m: int, sizes: Sequence[int], count: Optional[int], seed: Optional[SeedSpec]
-) -> tuple[list[tuple[int, ...]], bool]:
+) -> list[tuple[int, ...]]:
     """Side-A labels (0,) + (1 + a k-subset of range(m)) for k in ``sizes``.
 
-    Returns the cuts in (size, lexicographic) order and whether they are
-    the whole population.  With ``count`` set below the population size,
-    that many cuts are drawn uniformly without replacement.
+    Returns the cuts in (size, lexicographic) order: the whole population,
+    or, with ``count`` set below its size, that many cuts drawn uniformly
+    without replacement.
     """
     blocks = [(k, math.comb(m, k)) for k in sizes]
     total = sum(block for _, block in blocks)
     if count is None or count >= total:
         combos = [combo for k in sizes for combo in combinations(range(m), k)]
-        exhaustive = True
     else:
         if seed is None:
             raise ValueError("sampled mode needs a seed")
@@ -181,8 +180,7 @@ def _sample_cuts(
                     combos.append(_unrank_combination(r, m, k))
                     break
                 r -= block
-        exhaustive = False
-    return [(0,) + tuple(q + 1 for q in combo) for combo in combos], exhaustive
+    return [(0,) + tuple(q + 1 for q in combo) for combo in combos]
 
 
 def _cut_record(
@@ -223,7 +221,7 @@ def min_rank_over_equipartitions(
     half = n // 2
     if partition_cap is not None and partition_cap < 1:
         raise ValueError("partition_cap must be >= 1")
-    cuts, exhaustive = _sample_cuts(n - 1, [half - 1], partition_cap, seed)
+    cuts = _sample_cuts(n - 1, [half - 1], partition_cap, seed)
 
     def fill(k: int, out: np.ndarray) -> None:
         out[...] = Bipartition(n, cuts[k]).matricize(state.amplitudes)
@@ -233,7 +231,7 @@ def min_rank_over_equipartitions(
         _cut_record(SchmidtSpectrum(values), side_a, half, rel_tol, floored=False)
         for side_a, values in zip(cuts, spectra)
     )
-    return RankScanReport(tuple(records), exhaustive)
+    return RankScanReport(tuple(records))
 
 
 def rank_bound_scan(
@@ -242,7 +240,6 @@ def rank_bound_scan(
     rel_tol: float = DEFAULT_RANK_TOL,
     seed: Optional[SeedSpec] = None,
     randomize_index: bool = False,
-    workers: int = 1,
 ) -> RankScanReport:
     """Certified rank floors over balanced cuts of the joint state.
 
@@ -254,7 +251,8 @@ def rank_bound_scan(
     are refused as a policy (see :func:`balanced_window`).  Every cut probes
     rho|t,x> at t = 0, x = 0 unless ``randomize_index`` draws each cut's t
     and register sides (i, j) from ``seed.child(task_id)``, so that mode
-    needs a seed.
+    needs a seed.  The probes run serially: each is one SVD, and a thread
+    pool of them lost to one thread.
     """
     n = config.num_register_qubits
     if n < 5:
@@ -265,42 +263,32 @@ def rank_bound_scan(
         raise ValueError("randomize_index needs a seed")
     low, high = balanced_window(n)
     sizes = [a for a in range(1, n) if low <= min(a, n - a) <= high]
-    cuts, exhaustive = _sample_cuts(n, sizes, num_cuts, seed)
+    cuts = _sample_cuts(n, sizes, num_cuts, seed)
 
-    # A probe is named by its register cut (side A less the top qubit) and
-    # the column key (adjoint, x).  The draws come in the order t, i, j,
-    # which the output bytes depend on.
-    probes = []
+    # Probes are grouped by the column W|x> they read, keyed (adjoint, x);
+    # each entry is (task_id, side_a, register cut, j).  The draws come in
+    # the order t, i, j, which the output bytes depend on.
+    probes: dict[tuple[bool, int], list[tuple[int, tuple[int, ...], Bipartition, int]]] = {}
     for task_id, side_a in enumerate(cuts):
         cut = Bipartition(n, tuple(q - 1 for q in side_a[1:]))
         t = i = j = 0
         if randomize_index:
             rng = seed.child(task_id).generator()
             t, i, j = (int(rng.integers(size)) for size in (2, cut.dim_a, cut.dim_b))
-        probes.append((side_a, cut, j, (bool(t), cut.basis_index(i, j))))
+        probes.setdefault((bool(t), cut.basis_index(i, j)), []).append((task_id, side_a, cut, j))
 
-    # Each distinct column W|x> is evolved once, in the column blocks of its
-    # direction (U or U-dagger); a block's cuts are scanned while it is held.
-    tasks: dict[tuple[bool, int], list[int]] = {}
-    for task_id, (*_, key) in enumerate(probes):
-        tasks.setdefault(key, []).append(task_id)
-
-    records: list[Optional[CutRecord]] = [None] * len(probes)
+    # Each distinct column is evolved once, in the column blocks of its
+    # direction (U or U-dagger); its probes are scanned while the block is held.
+    records: list[Optional[CutRecord]] = [None] * len(cuts)
     for adjoint in (False, True):
-        distinct = [x for direction, x in tasks if direction == adjoint]
+        distinct = [x for direction, x in probes if direction == adjoint]
         for xs, evolved in column_blocks(config.unitary, distinct, adjoint):
-            columns = dict(zip(xs.tolist(), evolved.T))
-            task_ids = [t for x in columns for t in tasks[adjoint, x]]
-
-            def evaluate(task_id: int) -> CutRecord:
-                side_a, cut, j, key = probes[task_id]
-                spectrum = probe_spectrum(config.polarization, cut, j, columns[key[1]])
-                window = min(cut.n_a, cut.n_b)
-                return _cut_record(spectrum, side_a, window, rel_tol, floored=True)
-
-            for task_id, record in zip(task_ids, parallel_map(evaluate, task_ids, workers)):
-                records[task_id] = record
-    return RankScanReport(tuple(records), exhaustive)
+            for x, column in zip(xs.tolist(), evolved.T):
+                for task_id, side_a, cut, j in probes[adjoint, x]:
+                    spectrum = probe_spectrum(config.polarization, cut, j, column)
+                    window = min(cut.n_a, cut.n_b)
+                    records[task_id] = _cut_record(spectrum, side_a, window, rel_tol, floored=True)
+    return RankScanReport(tuple(records))
 
 
 @dataclass(frozen=True)
@@ -334,6 +322,8 @@ def concentration_report(
         raise ValueError("need n_a >= 0 and n_b >= 1")
     if n_a > n_b:
         raise ValueError("concentration regime requires n_a <= n_b")
+    if n_a + n_b > STREAM_LIMIT:
+        raise ValueError(f"n_a + n_b = {n_a + n_b} exceeds the register limit {STREAM_LIMIT}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d_a, d_b = 2**n_a, 2**n_b

@@ -23,7 +23,8 @@ from .tensor_core import Bipartition, DenseOperator, PureState, SchmidtSpectrum,
 
 UnitarySource = Union[DenseOperator, Circuit]
 
-# The streamed trace touches 2^n basis columns; beyond this it is hopeless.
+# The register limit for every path that builds 2^n amplitudes: a state, a
+# column block, a Haar sample, and the streamed trace over 2^n columns.
 STREAM_LIMIT = 20
 
 # Basis columns are evolved in blocks of at most this many amplitudes

@@ -308,6 +308,21 @@ def test_workers_must_be_positive(capsys):
     assert code == 1
 
 
+def test_bound_scan_and_tree_edge_run_serially_at_any_worker_count(capsys, monkeypatch):
+    # Their items are one SVD or one small tree each, and a pool of them lost
+    # to serial; only the stacked SVDs of rank-scaling and concentration use it.
+    def pool(*_args, **_kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(correlation_analysis, "ThreadPoolExecutor", pool)
+    for argv in (
+        ["bound-scan", "--n", "6", "--cuts", "8", "--workers", "4"],
+        ["tree-edge", "--leaves", "8", "--trees", "5", "--workers", "4"],
+    ):
+        code, _out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+
+
 @pytest.mark.parametrize("tol", ["0", "1", "1.5", "nan"])
 def test_tol_must_lie_in_open_unit_interval(capsys, tol):
     # trace-estimate names a missing file: without the tol check it exits 3
@@ -406,6 +421,8 @@ REFUSED_FLAGS = [
     (["rank-scaling", "--seeds", "0"], "--seeds"),
     (["rank-scaling", "--gates-factor", "0"], "--gates-factor"),
     (["rank-scaling", "--partition-cap", "0"], "--partition-cap"),
+    (["bound-scan", "--unitary", "circuit", "--n", "21"], "--n"),
+    (["rank-scaling", "--n-list", "22"], "--n-list"),
 ]
 
 # Everything a command reads or builds before its library call does any work.

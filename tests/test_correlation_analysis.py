@@ -70,8 +70,7 @@ def test_cut_sampler_draws_distinct_cuts_above_two_million():
     low, high = balanced_window(n)
     sizes = [a for a in range(1, n) if low <= min(a, n - a) <= high]
     assert sum(math.comb(n, a) for a in sizes) > 2_000_000
-    cuts, exhaustive = _sample_cuts(n, sizes, 10**4, SeedSpec(76))
-    assert not exhaustive
+    cuts = _sample_cuts(n, sizes, 10**4, SeedSpec(76))
     assert len(set(cuts)) == len(cuts) == 10**4
     assert cuts == sorted(cuts, key=lambda c: (len(c), c))
     assert all(c[0] == 0 and low <= min(len(c) - 1, n + 1 - len(c)) <= high for c in cuts)
@@ -121,7 +120,6 @@ def test_parallel_map_preserves_order():
 def test_min_rank_product_state_is_one():
     report = min_rank_over_equipartitions(basis_state(6, 0))
     assert report.min_rank == 1
-    assert report.exhaustive
     assert len(report.records) == math.comb(5, 2)
 
 
@@ -174,14 +172,14 @@ def test_min_rank_sampled_subset_matches_exhaustive():
     state = apply_circuit(circuit, basis_state(8, 0))
     full = min_rank_over_equipartitions(state)
     sampled = min_rank_over_equipartitions(state, partition_cap=10, seed=SeedSpec(61))
-    assert not sampled.exhaustive
+    assert len(sampled.records) == 10
     assert [list(r.side_a) for r in sampled.records] == PINNED_EQUIPARTITIONS_N8
     ranks_by_cut = {r.side_a: r.rank for r in full.records}
     assert all(ranks_by_cut[r.side_a] == r.rank for r in sampled.records)
     again = min_rank_over_equipartitions(state, partition_cap=10, seed=SeedSpec(61))
     assert [r.side_a for r in again.records] == [r.side_a for r in sampled.records]
     capped = min_rank_over_equipartitions(state, partition_cap=10**6, seed=SeedSpec(61))
-    assert capped.exhaustive
+    assert len(capped.records) == math.comb(7, 3)
     with pytest.raises(ValueError):
         min_rank_over_equipartitions(state, partition_cap=5)
 
@@ -198,7 +196,6 @@ def test_rank_bound_scan_exhaustive_count_and_floors():
         assert record.rank_floor == 2**record.window_size
         assert record.side_a[0] == 0
     assert report.all_meet_floor
-    assert report.exhaustive
     # asking for the whole population is the exhaustive scan
     assert rank_bound_scan(config, num_cuts=expected, seed=SeedSpec(63)) == report
 
@@ -209,8 +206,6 @@ def test_rank_bound_scan_sampled_mode():
     assert [list(r.side_a) for r in report.records] == PINNED_BOUND_SCAN_N10
     assert report.all_meet_floor
     assert report.min_rank >= 4  # 2^ceil(10/5)
-    again = rank_bound_scan(config, num_cuts=20, seed=SeedSpec(65), workers=4)
-    assert again == report
 
 
 def _scan_index(seed: SeedSpec, task_id: int, reg_a: int, n: int) -> tuple[int, int, int]:
@@ -241,9 +236,6 @@ def test_circuit_rank_bound_scan_matches_per_cut_oracle(randomize):
         u = oracles.embed_gate(gate.matrix, gate.targets, n) @ u
     config = Dqc1Config(tau, circuit)
     report = rank_bound_scan(config, num_cuts=25, seed=seed, randomize_index=randomize)
-    assert rank_bound_scan(
-        config, num_cuts=25, seed=seed, randomize_index=randomize, workers=4
-    ) == report
     indices = set()
     for task_id, record in enumerate(report.records):
         reg_a = len(record.side_a) - 1
@@ -269,7 +261,7 @@ def test_default_index_circuit_scan_evolves_one_column(monkeypatch):
 
     monkeypatch.setattr(dqc1_model, "evolve_columns", counting)
     config = Dqc1Config(1.0, random_two_qubit_circuit(10, 40, SeedSpec(71)))
-    report = rank_bound_scan(config, num_cuts=20, seed=SeedSpec(72), workers=2)
+    report = rank_bound_scan(config, num_cuts=20, seed=SeedSpec(72))
     assert len(report.records) == 20
     assert evolved == [1]
     evolved.clear()
@@ -433,6 +425,23 @@ def test_concentration_report_regime_and_determinism():
         concentration_report(3, 2, 5, SeedSpec(76))
     with pytest.raises(ValueError):
         concentration_report(1, 2, 0, SeedSpec(76))
+
+
+def test_concentration_report_refuses_registers_past_the_limit_before_drawing(monkeypatch):
+    from dqc1kit import correlation_analysis
+
+    class Drew(Exception):
+        pass
+
+    def drew(*_args):
+        raise Drew
+
+    monkeypatch.setattr(correlation_analysis, "_stacked_singular_values", drew)
+    with pytest.raises(Drew):  # n_a + n_b = 20 is accepted and reaches the draws
+        concentration_report(10, 10, 1, SeedSpec(78))
+    for n_a, n_b in ((10, 11), (14, 14)):
+        with pytest.raises(ValueError, match="register limit 20"):
+            concentration_report(n_a, n_b, 1, SeedSpec(78))
 
 
 def test_concentration_report_is_the_per_sample_draws_at_any_worker_count():

@@ -1,5 +1,7 @@
 """Simulation and correlation-rank analysis toolkit for the one-clean-qubit circuit."""
 
+import types
+
 __version__ = "0.1.0"
 
 from .tensor_core import (
@@ -66,4 +68,6 @@ from .correlation_analysis import (
     truncation_experiment,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names only: importing the submodules above also bound their names here.
+__all__ = sorted(name for name, value in globals().items()
+                 if name[0] != "_" and not isinstance(value, types.ModuleType))

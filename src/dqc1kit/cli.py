@@ -123,6 +123,13 @@ def _int_list(text: str) -> list[int]:
 
 _AT_LEAST_1 = _ranged(int, lambda v: v >= 1, "be >= 1")
 _UNIT_TAU = _ranged(float, lambda v: 0 <= v <= 1, "lie in [0, 1]")
+# Generator.binomial takes a signed 64-bit count.
+_SHOTS = _ranged(int, lambda v: 1 <= v < 2**63, "lie in [1, 2^63 - 1]")
+
+
+def _qubits(low: int):
+    """An argparse type for a register size in [low, STREAM_LIMIT]."""
+    return _ranged(int, lambda v: low <= v <= STREAM_LIMIT, f"lie in [{low}, {STREAM_LIMIT}]")
 
 
 def _base_meta(args: argparse.Namespace) -> dict:
@@ -358,10 +365,7 @@ def _build_parser() -> _Parser:
         "bound-scan", parents=[common],
         help="certified rank floors over balanced cuts of the joint state",
     )
-    p.add_argument(
-        "--n", type=_ranged(int, lambda v: 5 <= v <= STREAM_LIMIT, f"lie in [5, {STREAM_LIMIT}]"),
-        default=8,
-    )
+    p.add_argument("--n", type=_qubits(5), default=8)
     p.add_argument("--cuts", type=_AT_LEAST_1, default=50)
     p.add_argument("--tau", type=_UNIT_TAU, default=1.0)
     p.add_argument("--exhaustive", action="store_true")
@@ -390,8 +394,8 @@ def _build_parser() -> _Parser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--cmat", default=None, help="CMAT v1 unitary file")
     source.add_argument("--circuit", default=None, help="gate-per-line circuit file")
-    p.add_argument("--circuit-qubits", type=_AT_LEAST_1, default=None)
-    p.add_argument("--shots", type=_AT_LEAST_1, default=10000)
+    p.add_argument("--circuit-qubits", type=_qubits(1), default=None)
+    p.add_argument("--shots", type=_SHOTS, default=10000)
     p.add_argument("--tau", type=_ranged(float, lambda v: 0 < v <= 1, "lie in (0, 1]"), default=1.0)
     p.set_defaults(run=_cmd_trace_estimate)
 
@@ -412,7 +416,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--cut", type=_int_list, default=None, help="comma-separated side-A labels")
     p.add_argument(  # kept as text: meta.ranks echoes it
         "--ranks", default=None, help="comma-separated ranks (default: all)",
-        type=_ranged(str, lambda text: all(r >= 1 for r in _int_list(text)), "list ranks >= 1"),
+        type=_ranged(str, lambda text: min(_int_list(text), default=0) >= 1,
+                     "list at least one rank, each >= 1"),
     )
     p.set_defaults(run=_cmd_truncation)
 

@@ -416,8 +416,9 @@ def truncation_experiment(
     sqrt(sum_{i<=r} s_i^2 / sum_i s_i^2), and the floor
     robust_rank_bound(1-F, delta_hat, window, tau).linear_bound is compared
     against r.  delta_hat is measured from the reduction of U|0> across
-    the register part of the same cut rather than assumed.  A polarization
-    in (0, TRUNCATION_MIN_TAU) is refused: double precision cannot resolve it.
+    the register part of the same cut rather than assumed.  Side A must hold
+    the top qubit 0 and ``ranks`` at least one rank.  A polarization in
+    (0, TRUNCATION_MIN_TAU) is refused: double precision cannot resolve it.
     """
     n = config.num_register_qubits
     if n > 8:
@@ -425,7 +426,7 @@ def truncation_experiment(
     if 0 < config.polarization < TRUNCATION_MIN_TAU:
         raise ValueError(f"polarization below {TRUNCATION_MIN_TAU} cannot be resolved")
     if 0 not in cut.side_a:
-        cut = cut.flipped()  # every spectrum here is symmetric under the exchange
+        raise ValueError("the cut's side A must hold the top qubit 0")
     if cut.total_qubits != n + 1:
         raise ValueError(f"cut is over {cut.total_qubits} qubits, need {n + 1}")
     a_reg = cut.n_a - 1
@@ -446,6 +447,8 @@ def truncation_experiment(
     delta_hat = float(np.max(np.abs(q_spectrum * 2**window - 1.0)))
 
     sweep = list(ranks) if ranks is not None else list(range(1, full_rank + 1))
+    if not sweep:
+        raise ValueError("ranks must list at least one rank")
     for r in sweep:
         if not 1 <= r <= full_rank:
             raise ValueError(f"rank {r} outside 1..{full_rank}")
@@ -478,30 +481,33 @@ class TreeGraph:
     def __post_init__(self) -> None:
         if self.num_leaves < 2:
             raise ValueError("need at least 2 leaves")
-        edges = tuple(tuple(sorted((int(u), int(v)))) for u, v in self.edges)
-        edges = tuple(sorted(edges))
+        edges = tuple(sorted(tuple(sorted((int(u), int(v)))) for u, v in self.edges))
         object.__setattr__(self, "edges", edges)
-        nodes = {u for e in edges for u in e}
-        expected = len(edges) + 1
-        if len(nodes) != expected:
+        adjacency = self.adjacency
+        if len(adjacency) != len(edges) + 1:
             raise ValueError("edge list does not describe a tree")
-        if not set(range(self.num_leaves)) <= nodes:
+        if not set(range(self.num_leaves)) <= adjacency.keys():
             raise ValueError("every leaf label must appear")
-        degree: dict[int, int] = {}
-        for u, v in edges:
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        for node, deg in degree.items():
+        for node, others in adjacency.items():
+            deg = len(others)
             if node < self.num_leaves:
                 if deg != 1:
                     raise ValueError(f"leaf {node} must have degree 1, got {deg}")
             elif not 2 <= deg <= 3:
                 raise ValueError(f"internal node {node} must have degree 2 or 3")
-        # edge count == node count - 1 plus full connectivity <=> tree
-        if len(self.bfs[1]) != len(nodes):
+        # edge count == node count - 1 plus full connectivity <=> tree, which
+        # also rules out self-loops and repeated edges
+        if len(self.bfs[1]) != len(adjacency):
             raise ValueError("tree is not connected")
+
+    @cached_property
+    def adjacency(self) -> dict[int, list[int]]:
+        """Neighbours of every node, built once per tree; its keys are the nodes."""
+        adjacency: dict[int, list[int]] = {}
+        for u, v in self.edges:
+            adjacency.setdefault(u, []).append(v)
+            adjacency.setdefault(v, []).append(u)
+        return adjacency
 
     @cached_property
     def bfs(self) -> tuple[dict[int, int], tuple[int, ...]]:
@@ -510,22 +516,14 @@ class TreeGraph:
         Run once per tree; leaf 0's parent is -1, and the order reaches
         every node exactly when the tree is connected.
         """
-        adjacency = self.adjacency()
         parent = {0: -1}
         order = [0]
         for node in order:
-            for other in adjacency[node]:
+            for other in self.adjacency[node]:
                 if other not in parent:
                     parent[other] = node
                     order.append(other)
         return parent, tuple(order)
-
-    def adjacency(self) -> dict[int, list[int]]:
-        adjacency: dict[int, list[int]] = {}
-        for u, v in self.edges:
-            adjacency.setdefault(u, []).append(v)
-            adjacency.setdefault(v, []).append(u)
-        return adjacency
 
 
 def random_degree3_tree(num_leaves: int, seed: SeedSpec) -> TreeGraph:

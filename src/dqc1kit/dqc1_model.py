@@ -52,10 +52,6 @@ class Dqc1Config:
     def num_register_qubits(self) -> int:
         return self.unitary.num_qubits
 
-    @property
-    def total_qubits(self) -> int:
-        return self.num_register_qubits + 1
-
 
 @dataclass(frozen=True)
 class TraceEstimate:
@@ -136,7 +132,7 @@ def apply_to_product(config: Dqc1Config, t: int, x: int) -> PureState:
     amp[(1 - t) * dim : (2 - t) * dim] += (
         config.polarization * register_columns(config.unitary, [x], bool(t))[:, 0]
     )
-    return PureState(config.total_qubits, amp / (2 * dim))
+    return PureState(config.num_register_qubits + 1, amp / (2 * dim))
 
 
 def probe_spectrum(
@@ -192,8 +188,8 @@ def simulate_trace_estimation(
     estimator is unbiased; the returned errors are the binomial standard
     errors of each component.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots < 2**63:  # Generator.binomial takes a signed 64-bit count
+        raise ValueError("shots must lie in [1, 2^63 - 1]")
     tau = config.polarization
     if tau == 0.0:
         raise ValueError("estimator undefined at zero polarization")

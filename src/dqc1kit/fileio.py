@@ -10,10 +10,11 @@ digits so a write/read round trip is exact.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
-from typing import Iterable, Mapping, Sequence, Union
+from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -46,8 +47,21 @@ def write_cmat(path: str, matrix: np.ndarray) -> None:
             fh.write("".join(map(entry, row.real.tolist(), row.imag.tolist())))
 
 
+@contextlib.contextmanager
+def _ascii_text(path: str) -> Iterator[IO[str]]:
+    """Open ``path`` as ASCII text; a byte it cannot decode is a FileFormatError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        # Text mode decodes in chunks, so the line being read when this
+        # surfaces need not hold the byte: the message names the byte only.
+        bad = exc.object[exc.start]
+        raise FileFormatError(f"{path}: not ASCII text (byte {bad:#04x})") from exc
+
+
 def read_cmat(path: str) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
+    with _ascii_text(path) as fh:
         header_line = fh.readline()
         header = header_line.split()
         if len(header) != 4 or " ".join(header[:2]) != CMAT_MAGIC:
@@ -113,7 +127,7 @@ def write_circuit(path: str, circuit: Circuit) -> None:
 def read_circuit(path: str, num_qubits: int) -> Circuit:
     """Parse a gate-per-line circuit file onto a declared register size."""
     gates = []
-    with open(path, "r", encoding="ascii") as fh:
+    with _ascii_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
             if not body:

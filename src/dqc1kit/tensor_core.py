@@ -71,10 +71,6 @@ class PureState:
             )
         object.__setattr__(self, "amplitudes", amp)
 
-    def tensor(self) -> np.ndarray:
-        """View the amplitudes as a (2,)*n tensor; axis q is qubit q."""
-        return self.amplitudes.reshape((2,) * self.num_qubits)
-
 
 def basis_state(num_qubits: int, index: int) -> PureState:
     """Computational basis state |index> with qubit 0 as the MSB."""
@@ -100,9 +96,6 @@ class DenseOperator:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix must be {dim}x{dim}, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -148,17 +141,18 @@ class Bipartition:
     def dim_b(self) -> int:
         return 2**self.n_b
 
-    def flipped(self) -> "Bipartition":
-        """The same cut with the side labels exchanged."""
-        return Bipartition(self.total_qubits, self.side_b)
-
     def matricize(self, vector: np.ndarray) -> np.ndarray:
         """The 2^n entries as a dim_a x dim_b matrix; the one map x -> (i, j).
 
         Row i reads the side-A bits of x and column j its side-B bits, each
-        side's labels ascending with the first the most significant.
+        side's labels ascending with the first the most significant.  Any
+        other entry count is refused, naming both counts.
         """
-        t = np.asarray(vector).reshape((2,) * self.total_qubits)
+        vector = np.asarray(vector)
+        n = self.total_qubits
+        if vector.size != 2**n:
+            raise ValueError(f"a cut over {n} qubits needs {2**n} entries, got {vector.size}")
+        t = vector.reshape((2,) * n)
         return t.transpose(self.side_a + self.side_b).reshape(self.dim_a, self.dim_b)
 
     def basis_index(self, i: int, j: int) -> int:
@@ -188,14 +182,6 @@ class SchmidtSpectrum:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-def _check_register(name: str, num_qubits: int, cut: Bipartition) -> None:
-    if cut.total_qubits != num_qubits:
-        raise ValueError(
-            f"{name}: cut is over {cut.total_qubits} qubits "
-            f"but the register has {num_qubits}"
-        )
-
-
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """Singular values of an m x n matrix, or of each in a (k, m, n) stack, decreasing.
 
@@ -215,7 +201,6 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
 
 def schmidt_decompose(state: PureState, cut: Bipartition) -> SchmidtSpectrum:
     """Singular values of the state reindexed as a dim_a x dim_b matrix."""
-    _check_register("schmidt_decompose", state.num_qubits, cut)
     return SchmidtSpectrum(singular_values(cut.matricize(state.amplitudes)))
 
 
@@ -244,7 +229,6 @@ def unrealign(realigned: np.ndarray, cut: Bipartition) -> np.ndarray:
 
 def operator_schmidt_decompose(op: DenseOperator, cut: Bipartition) -> SchmidtSpectrum:
     """Singular values of the realigned operator across the cut."""
-    _check_register("operator_schmidt_decompose", op.num_qubits, cut)
     return SchmidtSpectrum(singular_values(realign(op.matrix, cut)))
 
 
@@ -263,8 +247,8 @@ def fidelity(op_a: DenseOperator, op_b: DenseOperator) -> float:
     """Normalized Hilbert-Schmidt overlap Re Tr(A†B) / (||A|| ||B||)."""
     if op_a.matrix.shape != op_b.matrix.shape:
         raise ValueError("operands must act on the same register")
-    norm_a = op_a.frobenius_norm()
-    norm_b = op_b.frobenius_norm()
+    norm_a = float(np.linalg.norm(op_a.matrix))
+    norm_b = float(np.linalg.norm(op_b.matrix))
     if norm_a == 0 or norm_b == 0:
         raise ValueError("fidelity is undefined for a zero-norm operand")
     overlap = np.vdot(op_a.matrix, op_b.matrix)
@@ -289,7 +273,8 @@ def apply_two_qubit_gate(
         raise ValueError("gate must be a 4x4 matrix")
     if not is_unitary(gate):
         raise ValueError(f"gate is not unitary within {UNITARY_TOL}")
-    out = np.tensordot(gate.reshape(2, 2, 2, 2), state.tensor(), axes=[(2, 3), (q1, q2)])
+    psi = state.amplitudes.reshape((2,) * n)  # axis q is qubit q
+    out = np.tensordot(gate.reshape(2, 2, 2, 2), psi, axes=[(2, 3), (q1, q2)])
     out = np.moveaxis(out, (0, 1), (q1, q2))
     return PureState(n, np.ascontiguousarray(out).reshape(-1))
 

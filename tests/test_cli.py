@@ -71,6 +71,21 @@ def test_bound_scan_passes_and_is_deterministic(capsys):
     assert out_c == out_a
 
 
+def test_bound_scan_exit_code_follows_the_global_floor_only(capsys):
+    # Two cuts of this 2n-gate circuit miss their own 2^window floor (rank 5
+    # < 8), but the scan minimum meets global_floor = 2^ceil(n/5) = 4, so the
+    # run passes: exit 2 is for a minimum below the global floor.
+    argv = ["bound-scan", "--unitary", "circuit", "--n", "9", "--gates", "18", "--cuts", "40",
+            "--seed", "6"]
+    code, out, _ = run(capsys, argv)
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["global_pass"], payload["all_cuts_meet_floor"]) == (True, False)
+    assert (payload["min_rank"], payload["global_floor"]) == (4, 4)
+    missed = [(r["rank"], r["rank_floor"]) for r in payload["rows"] if not r["meets_floor"]]
+    assert missed == [(5, 8), (5, 8)]
+
+
 def test_bound_scan_zero_polarization_falsifies(capsys):
     code, out, _ = run(capsys, ["bound-scan", "--n", "6", "--cuts", "4", "--tau", "0"])
     assert code == 2
@@ -192,6 +207,20 @@ def test_trace_estimate_missing_file_is_io_error(capsys):
     code, _out, err = run(capsys, ["trace-estimate", "--cmat", "/no/such/file.cmat"])
     assert code == 3
     assert "io error" in err or "input error" in err
+
+
+def test_shots_up_to_the_largest_signed_64_bit_count_run(tmp_path, capsys):
+    path = tmp_path / "u.cmat"
+    write_cmat(path, haar_unitary(2, SeedSpec(3)).matrix)
+    code, out, _ = run(capsys, ["trace-estimate", "--cmat", str(path), "--shots", str(2**63 - 1)])
+    assert code == 0
+    assert json.loads(out)["meta"]["shots"] == 2**63 - 1
+
+
+def test_package_exports_public_names_only():
+    modules = [name for name in dqc1kit.__all__ if isinstance(getattr(dqc1kit, name), type(dqc1kit))]
+    assert modules == []
+    assert {"Bipartition", "Dqc1Config", "read_cmat", "rank_bound_scan"} <= set(dqc1kit.__all__)
 
 
 def test_trace_estimate_non_unitary_cmat_is_format_error(tmp_path, capsys):
@@ -423,6 +452,10 @@ REFUSED_FLAGS = [
     (["rank-scaling", "--partition-cap", "0"], "--partition-cap"),
     (["bound-scan", "--unitary", "circuit", "--n", "21"], "--n"),
     (["rank-scaling", "--n-list", "22"], "--n-list"),
+    (["trace-estimate", "--cmat", "u.cmat", "--shots", str(2**63)], "--shots"),
+    (["trace-estimate", "--circuit", "missing.circ", "--circuit-qubits", "21"],
+     "--circuit-qubits"),
+    (["truncation", "--n", "7", "--ranks", ","], "--ranks"),
 ]
 
 # Everything a command reads or builds before its library call does any work.

@@ -577,11 +577,17 @@ def test_truncation_experiment_matches_reconstruction_oracle(n, tau):
         assert abs(row.delta_hat - delta_hat) <= 1e-14
 
 
-def test_truncation_experiment_flips_cut_automatically():
+def test_truncation_experiment_refuses_a_cut_without_the_top_qubit():
     config = Dqc1Config(1.0, haar_unitary(5, SeedSpec(78)))
-    rows_direct = truncation_experiment(config, Bipartition(6, (0, 1)), ranks=[2, 5])
-    rows_flipped = truncation_experiment(config, Bipartition(6, (2, 3, 4, 5)), ranks=[2, 5])
-    assert rows_direct == rows_flipped
+    assert len(truncation_experiment(config, Bipartition(6, (0, 1)), ranks=[2, 5])) == 2
+    with pytest.raises(ValueError, match="side A must hold the top qubit 0"):
+        truncation_experiment(config, Bipartition(6, (2, 3, 4, 5)), ranks=[2, 5])
+
+
+def test_truncation_experiment_refuses_an_empty_rank_list():
+    config = Dqc1Config(1.0, haar_unitary(5, SeedSpec(78)))
+    with pytest.raises(ValueError, match="at least one rank"):
+        truncation_experiment(config, Bipartition(6, (0, 1)), ranks=[])
 
 
 def test_tree_graph_validation():
@@ -594,6 +600,19 @@ def test_tree_graph_validation():
         TreeGraph(4, ((0, 4), (1, 4), (2, 5), (3, 5)))  # disconnected
     with pytest.raises(ValueError):
         TreeGraph(2, ((0, 1), (0, 1)))  # duplicate edge
+    with pytest.raises(ValueError):
+        TreeGraph(2, ((0, 1), (2, 2)))  # self-loop
+    with pytest.raises(ValueError):
+        TreeGraph(3, ((0, 3), (1, 3), (2, 3), (3, 3)))  # self-loop on an internal node
+
+
+def test_tree_graph_builds_one_adjacency_and_walks_it():
+    tree = TreeGraph(3, ((3, 0), (1, 3), (2, 3)))
+    assert tree.adjacency == {0: [3], 1: [3], 2: [3], 3: [0, 1, 2]}
+    assert tree.adjacency is tree.adjacency
+    parent, order = tree.bfs
+    assert order == (0, 3, 1, 2)
+    assert parent == {0: -1, 3: 0, 1: 3, 2: 3}
 
 
 def test_random_degree3_tree_structure():

@@ -52,7 +52,7 @@ def probe_index(cut: Bipartition, i: int, j: int) -> int:
 def probe_reduction(config: Dqc1Config, cut: Bipartition, t: int, x: int) -> np.ndarray:
     """B-side reduction of the probe projector; the cut holds the top qubit on A."""
     psi = apply_to_product(config, t, x)
-    return side_b_reduction(psi.amplitudes, config.total_qubits, cut.side_a)
+    return side_b_reduction(psi.amplitudes, config.num_register_qubits + 1, cut.side_a)
 
 
 def test_config_validation():
@@ -319,3 +319,5 @@ def test_trace_estimation_rejects_zero_polarization():
         simulate_trace_estimation(identity_config(2, 0.0), 100, SeedSpec(49))
     with pytest.raises(ValueError):
         simulate_trace_estimation(identity_config(2, 1.0), 0, SeedSpec(49))
+    with pytest.raises(ValueError, match=r"shots must lie in \[1, 2\^63 - 1\]"):
+        simulate_trace_estimation(identity_config(2, 1.0), 2**63, SeedSpec(49))

@@ -173,6 +173,30 @@ def test_circuit_file_errors(tmp_path):
         read_circuit(path, 2)
 
 
+@pytest.mark.parametrize("kind", ["cmat", "circuit"])
+def test_undecodable_byte_is_a_format_error_naming_the_file(tmp_path, capsys, kind):
+    # One non-ASCII byte, in a CMAT entry or in a circuit-file comment.
+    if kind == "cmat":
+        path = tmp_path / "u.cmat"
+        write_cmat(path, haar_unitary(3, SeedSpec(5)).matrix)
+        lines = path.read_bytes().split(b"\n")
+        lines[40] += b"\xc3\xa9"
+        argv = ["trace-estimate", "--cmat", str(path)]
+        read = lambda: read_cmat(path)
+    else:
+        path = tmp_path / "c.circ"
+        write_circuit(path, random_two_qubit_circuit(3, 4, SeedSpec(5)))
+        lines = [b"# caf\xc3\xa9"] + path.read_bytes().split(b"\n")
+        argv = ["trace-estimate", "--circuit", str(path), "--circuit-qubits", "3"]
+        read = lambda: read_circuit(path, 3)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(FileFormatError) as info:
+        read()
+    assert str(info.value) == f"{path}: not ASCII text (byte 0xc3)"
+    assert cli_main(argv) == 3
+    assert capsys.readouterr().err == f"input error: {path}: not ASCII text (byte 0xc3)\n"
+
+
 def test_format_float_round_trips():
     values = [0.1, 1 / 3, 2**-52, 1e300, -0.0, 123456789.123456789]
     for v in values:

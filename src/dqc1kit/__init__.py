@@ -23,6 +23,7 @@ from .tensor_core import (
 from .randomness import (
     Circuit,
     GateSpec,
+    LazyUnitary,
     SeedSpec,
     apply_circuit,
     circuit_unitary,

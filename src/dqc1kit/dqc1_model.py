@@ -18,10 +18,10 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .randomness import Circuit, SeedSpec, check_dense_size, evolve_columns
+from .randomness import Circuit, LazyUnitary, SeedSpec, check_dense_size, evolve_columns
 from .tensor_core import Bipartition, DenseOperator, PureState, SchmidtSpectrum, singular_values
 
-UnitarySource = Union[DenseOperator, Circuit]
+UnitarySource = Union[DenseOperator, LazyUnitary, Circuit]
 
 # The register limit for every path that builds 2^n amplitudes: a state, a
 # column block, a Haar sample, and the streamed trace over 2^n columns.
@@ -71,18 +71,21 @@ def register_columns(
 ) -> np.ndarray:
     """Columns W|x> for every listed x, as a (2^n, k) block; W = U or U-dagger.
 
-    The one place that tells a dense U from a circuit: a matrix's columns
-    are sliced out, and a circuit evolves all k basis columns in one pass
-    over its fused blocks.
+    The one place that tells unitary kinds apart: a circuit evolves all k
+    basis columns in one pass over its fused blocks, a :class:`LazyUnitary`
+    serves U|0> from its up-front column without building its matrix, and
+    otherwise a matrix's columns are sliced out.
     """
     indices = np.asarray(register_indices, dtype=np.intp)
-    if isinstance(unitary, DenseOperator):
-        if adjoint:
-            return unitary.matrix[indices, :].conj().T
-        return unitary.matrix[:, indices]
-    basis = np.zeros((2**unitary.num_qubits, indices.size), dtype=np.complex128)
-    basis[indices, np.arange(indices.size)] = 1.0
-    return evolve_columns(unitary, basis, adjoint)
+    if isinstance(unitary, Circuit):
+        basis = np.zeros((2**unitary.num_qubits, indices.size), dtype=np.complex128)
+        basis[indices, np.arange(indices.size)] = 1.0
+        return evolve_columns(unitary, basis, adjoint)
+    if isinstance(unitary, LazyUnitary) and not adjoint and not indices.any():
+        return np.repeat(unitary.first_column[:, np.newaxis], indices.size, axis=1)
+    if adjoint:
+        return unitary.matrix[indices, :].conj().T
+    return unitary.matrix[:, indices]
 
 
 def column_blocks(

@@ -93,6 +93,10 @@ def read_cmat(path: str) -> np.ndarray:
                 entries[k] = complex(float(parts[0]), float(parts[1]))
             except ValueError as exc:
                 raise FileFormatError(f"{path}: bad number on line {k + 2}") from exc
+        # One pass after the loop: a per-line check would slow the parse.
+        bad = np.flatnonzero(~np.isfinite(entries))
+        if bad.size:
+            raise FileFormatError(f"{path}: non-finite number on line {bad[0] + 2}")
         if any(line.strip() for line in fh):
             raise FileFormatError(f"{path}: trailing content after {rows * cols} entries")
     return entries.reshape(rows, cols)
@@ -142,6 +146,8 @@ def read_circuit(path: str, num_qubits: int) -> Circuit:
                 values = [float(p) for p in parts[2:]]
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{lineno}: bad number") from exc
+            if not np.isfinite(values).all():
+                raise FileFormatError(f"{path}:{lineno}: non-finite number")
             mat = np.array(values[0::2]) + 1j * np.array(values[1::2])
             try:
                 gates.append(GateSpec((q1, q2), mat.reshape(4, 4)))

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, reduce
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -61,14 +61,24 @@ class SeedSpec:
         return np.random.default_rng(_mix64(self.master_seed ^ self.stream_id))
 
 
-def _haar_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via the phase-fixed QR of a Ginibre matrix."""
+def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Ginibre matrix: i.i.d. standard complex normal entries."""
     ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     ginibre /= np.sqrt(2.0)
+    return ginibre
+
+
+def _phase_fixed_q(ginibre: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitary: the phase-fixed QR of a Ginibre matrix."""
     q, r = np.linalg.qr(ginibre)
     diag = np.diagonal(r)
     # Without this phase fix the QR convention biases the distribution.
     return q * (diag / np.abs(diag))
+
+
+def _haar_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via the phase-fixed QR of a Ginibre matrix."""
+    return _phase_fixed_q(_ginibre(dim, rng))
 
 
 def check_dense_size(num_qubits: int) -> None:
@@ -77,22 +87,48 @@ def check_dense_size(num_qubits: int) -> None:
         raise ValueError(f"a dense unitary needs 1 <= n <= {DENSE_LIMIT} qubits, got {num_qubits}")
 
 
-def haar_unitary(num_qubits: int, seed: SeedSpec) -> DenseOperator:
-    """Haar-random unitary on a register of ``num_qubits`` qubits."""
-    check_dense_size(num_qubits)
-    return DenseOperator(num_qubits, _haar_matrix(2**num_qubits, seed.generator()))
+@dataclass(frozen=True)
+class LazyUnitary:
+    """A drawn dense unitary: U|0> computed up front, the matrix built on first use.
+
+    Column 0 of the built matrix holds ``first_column``'s bits, so every path reads one U|0>.
+    """
+
+    num_qubits: int
+    first_column: np.ndarray
+    build: Callable[[], np.ndarray]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        mat = self.build()
+        mat[:, 0] = self.first_column
+        return mat
 
 
-def haar_product_unitary(num_qubits: int, seed: SeedSpec) -> DenseOperator:
-    """Tensor product of independent Haar single-qubit unitaries.
+def haar_unitary(num_qubits: int, seed: SeedSpec) -> LazyUnitary:
+    """Haar-random unitary on a register of ``num_qubits`` qubits.
 
-    Qubit k's factor is drawn from ``seed.child(k)``.
+    U|0> is z[:,0]/|z[:,0]| for the Ginibre draw z: column 0 of its phase-fixed
+    QR in exact arithmetic (Mezzadri, Notices AMS 54, 592 (2007)).
     """
     check_dense_size(num_qubits)
-    mat = np.array([[1.0 + 0.0j]])
-    for k in range(num_qubits):
-        mat = np.kron(mat, haar_unitary(1, seed.child(k)).matrix)
-    return DenseOperator(num_qubits, mat)
+    ginibre = _ginibre(2**num_qubits, seed.generator())
+    first = ginibre[:, 0] / np.linalg.norm(ginibre[:, 0])
+    return LazyUnitary(num_qubits, first, lambda: _phase_fixed_q(ginibre))
+
+
+def haar_product_unitary(num_qubits: int, seed: SeedSpec) -> LazyUnitary:
+    """Tensor product of independent Haar single-qubit unitaries.
+
+    Qubit k's factor is drawn from ``seed.child(k)``; U|0> is the Kronecker
+    product of the factors' first columns.
+    """
+    check_dense_size(num_qubits)
+    factors = [_haar_matrix(2, seed.child(k).generator()) for k in range(num_qubits)]
+    first = reduce(np.kron, [f[:, 0] for f in factors], np.ones(1, complex))
+    return LazyUnitary(
+        num_qubits, first, lambda: reduce(np.kron, factors, np.ones((1, 1), complex))
+    )
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,8 @@ EDGE_CASES = [
     ["tree-edge", "--leaves", "6", "--trees", "2", "--seed", str(2**64 - 1)],
     *(["truncation", "--n", n, "--tau", "0.3"] for n in ("5", "6", "7", "8")),
     ["truncation", "--n", "7", "--tau", "0"],
+    ["bound-scan", "--n", "10", "--cuts", "10"],
+    ["bound-scan", "--n", "10", "--cuts", "10", "--randomize-index"],
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dqc1kit import (
     Bipartition,
     ClaimFalsified,
+    DenseOperator,
     Dqc1Config,
     PureState,
     SchmidtSpectrum,
@@ -325,6 +326,34 @@ def test_rank_bound_scan_monotone_in_polarization():
         assert (
             rank_bound_scan(Dqc1Config(tau, u), num_cuts=None).min_rank >= floor_0
         )
+
+
+@pytest.mark.parametrize("build,n,kind", [(haar_unitary, 9, "qr"), (haar_product_unitary, 8, "kron")])
+def test_default_index_scan_never_builds_the_dense_matrix(dense_builds, build, n, kind):
+    u = build(n, SeedSpec(83))
+    report = rank_bound_scan(Dqc1Config(1.0, u), num_cuts=None)
+    assert [b for b in dense_builds if b[0] == kind] == []
+    # The matrix built afterwards gives the same scan, bit for bit.
+    assert rank_bound_scan(Dqc1Config(1.0, DenseOperator(n, u.matrix)), num_cuts=None) == report
+
+
+@pytest.mark.parametrize("use", ["randomized scan", "truncation", "normalized trace"])
+def test_haar_matrix_is_built_once_when_a_use_reads_past_the_first_column(dense_builds, use):
+    n = 7
+    u = haar_unitary(n, SeedSpec(85))
+    assert dense_builds == []
+    config = Dqc1Config(1.0, u)
+    cut = Bipartition(n + 1, tuple(range(balanced_window(n)[0] + 1)))
+    run = {
+        "randomized scan": lambda: rank_bound_scan(
+            config, num_cuts=10, seed=SeedSpec(86), randomize_index=True
+        ),
+        "truncation": lambda: truncation_experiment(config, cut, [1]),
+        "normalized trace": lambda: normalized_trace(u),
+    }[use]
+    run()
+    run()
+    assert dense_builds == [("qr", (2**n, 2**n))]
 
 
 def test_rank_bound_scan_randomized_index_deterministic():

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,33 @@ def test_undecodable_byte_is_a_format_error_naming_the_file(tmp_path, capsys, ki
     assert str(info.value) == f"{path}: not ASCII text (byte 0xc3)"
     assert cli_main(argv) == 3
     assert capsys.readouterr().err == f"input error: {path}: not ASCII text (byte 0xc3)\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("kind", ["cmat", "circuit"])
+def test_non_finite_entry_is_refused_without_a_warning(tmp_path, capsys, kind, value):
+    if kind == "cmat":
+        path = tmp_path / "u.cmat"
+        write_cmat(path, haar_unitary(3, SeedSpec(5)).matrix)
+        lines = path.read_text().split("\n")
+        lines[40] = f"0.5 {value}"
+        argv = ["trace-estimate", "--cmat", str(path)]
+        message = f"{path}: non-finite number on line 41"
+    else:
+        path = tmp_path / "c.circ"
+        write_circuit(path, random_two_qubit_circuit(3, 4, SeedSpec(5)))
+        lines = path.read_text().split("\n")
+        parts = lines[2].split()
+        parts[7] = value
+        lines[2] = " ".join(parts)
+        argv = ["trace-estimate", "--circuit", str(path), "--circuit-qubits", "3"]
+        message = f"{path}:3: non-finite number"
+    path.write_text("\n".join(lines))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(argv) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_format_float_round_trips():

@@ -19,6 +19,7 @@ from dqc1kit import (
     random_two_qubit_circuit,
 )
 from dqc1kit import randomness
+from dqc1kit.dqc1_model import register_columns
 from dqc1kit.randomness import DENSE_LIMIT, _mix64, plan_blocks
 
 import oracles
@@ -90,6 +91,37 @@ def test_haar_reduction_spectrum_basis_independent():
         return np.asarray(out)
 
     assert stats.ks_2samp(spectra(0), spectra(37)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("seed", [SeedSpec(3), SeedSpec(8).child(5), SeedSpec(2**63)])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_haar_first_column_is_served_without_a_qr(dense_builds, n, seed):
+    u = haar_unitary(n, seed)
+    served = register_columns(u, [0], False)[:, 0]
+    assert dense_builds == []
+    # Oracle: the same Ginibre draw and its whole phase-fixed QR.
+    rng = seed.generator()
+    dim = 2**n
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    assert np.abs(served - q[:, 0] * phases[0]).max() <= 1e-15
+    # The built matrix is the oracle's U, with the served column's bits in column 0.
+    assert np.array_equal(u.matrix[:, 0], served)
+    assert np.array_equal(u.matrix[:, 1:], q[:, 1:] * phases[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_product_first_column_is_served_without_a_matrix_kron(dense_builds, n):
+    seed = SeedSpec(40 + n)
+    u = haar_product_unitary(n, seed)
+    served = register_columns(u, [0], False)[:, 0]
+    assert [b for b in dense_builds if b[0] == "kron"] == []
+    expected = np.ones((1, 1), dtype=np.complex128)
+    for k in range(n):
+        expected = np.kron(expected, randomness._haar_matrix(2, seed.child(k).generator()))
+    assert np.array_equal(u.matrix, expected)
+    assert np.array_equal(u.matrix[:, 0], served)
 
 
 def test_random_circuit_shape_and_determinism():
@@ -174,6 +206,7 @@ def test_dense_builders_refuse_registers_above_the_limit_before_drawing(monkeypa
         raise AssertionError("a Haar matrix was drawn")
 
     monkeypatch.setattr(randomness, "_haar_matrix", drew)
+    monkeypatch.setattr(randomness, "_ginibre", drew)
     for build in (haar_unitary, haar_product_unitary):
         with pytest.raises(ValueError, match=f"n <= {DENSE_LIMIT} qubits, got {DENSE_LIMIT + 1}"):
             build(DENSE_LIMIT + 1, SeedSpec(19))

@@ -81,6 +81,13 @@ def read_cmat(path: str) -> np.ndarray:
                 f"{path}: header declares {rows * cols} entries, "
                 f"but the file can hold at most {capacity}"
             )
+        # The ASCII decoder keeps no state, so tell() is the body's byte offset.
+        body = fh.tell()
+        entries = _read_writer_layout(fh.buffer, body, rows * cols)
+        if entries is not None:
+            return entries.reshape(rows, cols)
+        # Any other layout: this loop owns every accept/refuse decision and message.
+        fh.seek(body)
         entries = np.empty(rows * cols, dtype=np.complex128)
         for k in range(rows * cols):
             line = fh.readline()
@@ -100,6 +107,64 @@ def read_cmat(path: str) -> np.ndarray:
         if any(line.strip() for line in fh):
             raise FileFormatError(f"{path}: trailing content after {rows * cols} entries")
     return entries.reshape(rows, cols)
+
+
+# Bytes write_cmat can emit in an entry line, and the most read for one parse.
+_WRITER_BYTES = b"0123456789.eE+- \n"
+_BLOCK_BYTES = 1 << 16
+
+
+def _read_writer_layout(raw: IO[bytes], start: int, count: int) -> np.ndarray | None:
+    """The ``count`` entries of a CMAT body in ``write_cmat``'s layout, else None.
+
+    The layout is one ``re im`` line per entry, each token non-empty, one
+    space between them and only newlines after the last entry.  The body is
+    read in blocks of at most ``_BLOCK_BYTES`` cut after a newline, and numpy
+    parses each block in C, so no Python object is made per number.  A body
+    in any other layout, or with a token numpy cannot read whole into a
+    finite float, gives None and is left to the per-line loop.
+    """
+    raw.seek(start)
+    flat = np.empty(2 * count)
+    filled = 0
+    while True:
+        block = raw.read(_BLOCK_BYTES)
+        last = len(block) < _BLOCK_BYTES
+        if not last:
+            cut = block.rfind(b"\n") + 1
+            if not cut:
+                return None  # a line longer than a block
+            raw.seek(cut - len(block), os.SEEK_CUR)
+            block = block[:cut]
+        lines = block.rstrip(b"\n")
+        if lines:
+            if block.translate(None, _WRITER_BYTES):
+                return None
+            byte = np.frombuffer(lines, np.uint8)
+            spaces = np.flatnonzero(byte == 32)
+            ends = np.append(np.flatnonzero(byte == 10), len(lines))
+            starts = np.append(0, ends[:-1] + 1)
+            if spaces.size != ends.size or not ((starts < spaces) & (spaces < ends - 1)).all():
+                return None
+            # numpy 2 raises on a token it cannot read whole.  Older numpy warns
+            # and returns the values before it; the " 0" after the last token
+            # makes that a short count here, wherever the token is.
+            try:
+                values = np.fromstring(lines + b" 0", sep=" ")[:-1]
+            except ValueError:
+                return None
+            if values.size != 2 * ends.size or values.size > flat.size - filled:
+                return None
+            if not np.isfinite(values).all():
+                return None
+            flat[filled : filled + values.size] = values
+            filled += values.size
+        if last:
+            return flat.view(np.complex128) if filled == flat.size else None
+        # A block starts on a line, so a second trailing newline, or a first
+        # one with no line before it, ends a blank line.
+        if filled < flat.size and len(block) - len(lines) > bool(lines):
+            return None  # a blank line before the last entry
 
 
 def read_unitary_cmat(path: str) -> DenseOperator:

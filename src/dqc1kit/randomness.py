@@ -102,6 +102,10 @@ class LazyUnitary:
     def matrix(self) -> np.ndarray:
         mat = self.build()
         mat[:, 0] = self.first_column
+        # Drop what build holds (a Haar draw's Ginibre matrix).  cached_property
+        # has no lock on Python 3.12+, so a thread reading .matrix at once
+        # must still get a matrix from build: this one.
+        object.__setattr__(self, "build", lambda: mat)
         return mat
 
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
+import itertools
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dqc1kit import (
     Circuit,
@@ -20,6 +25,7 @@ from dqc1kit import (
     write_circuit,
     write_cmat,
 )
+from dqc1kit import fileio
 from dqc1kit.cli import main as cli_main
 
 
@@ -107,6 +113,214 @@ def test_cmat_reader_accepts_the_smallest_files_it_writes(tmp_path):
         path.write_bytes(path.read_bytes()[:-1])  # one byte short of the last entry
         with pytest.raises(FileFormatError):
             read_cmat(path)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Body offsets of the CMAT files the vectorized pass left to the per-line loop."""
+    declined = []
+    vectorized = fileio._read_writer_layout
+
+    def counted(raw, start, count):
+        entries = vectorized(raw, start, count)
+        if entries is None:
+            declined.append(start)
+        return entries
+
+    monkeypatch.setattr(fileio, "_read_writer_layout", counted)
+    return declined
+
+
+def _read_outcome(path):
+    """(shape, bytes) of what read_cmat returns, or the message it refuses with."""
+    try:
+        mat = read_cmat(path)
+    except FileFormatError as exc:
+        return str(exc)
+    return mat.shape, mat.tobytes()
+
+
+def _loop_outcome(path):
+    """The outcome with the vectorized pass declining, so the per-line loop decides."""
+    with mock.patch.object(fileio, "_read_writer_layout", return_value=None):
+        return _read_outcome(path)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (256, 256)])
+@pytest.mark.parametrize("tail", ["newline", "no final newline", "blank lines", "long blank run"])
+def test_written_cmat_takes_the_vectorized_pass(tmp_path, fallbacks, shape, tail):
+    rng = np.random.default_rng(shape[0])
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if shape == (1, 1):
+        mat[:] = 0  # "0 0", the shortest entry line
+    path = tmp_path / "m.cmat"
+    write_cmat(path, mat)
+    data = path.read_bytes()
+    # The long run spans several blocks holding newlines only.
+    extra = {"newline": b"", "blank lines": b"\n\n", "long blank run": b"\n" * 200_000}
+    path.write_bytes(data.rstrip(b"\n") if tail == "no final newline" else data + extra[tail])
+    back = read_cmat(path)
+    assert back.shape == shape
+    assert back.tobytes() == mat.tobytes()
+    assert fallbacks == []
+
+
+def test_vectorized_read_of_a_256x256_file_stays_in_blocks(tmp_path):
+    path = tmp_path / "u.cmat"
+    write_cmat(path, haar_unitary(8, SeedSpec(17)).matrix)
+    tracemalloc.start()
+    try:
+        read_cmat(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The 1 MiB result plus a few block-sized buffers; reading the whole
+    # 3.3 MB body at once, or a token list, would pass this bound.
+    assert peak < 2.5 * 2**20
+
+
+EXACT_TOKENS = [
+    "9007199254740993",  # halfway between two doubles: rounds to even
+    "2.2250738585072011e-308",  # largest subnormal
+    "4.9406564584124654e-324",  # smallest subnormal
+    "1.7976931348623157e308",  # largest finite double
+    "-0",
+    "+.5",
+    "5.",
+    "1E+05",
+]
+REFUSED_TOKENS = ["1e", ".", "1.2.3", "1+2", "1e5-3", "--1"]
+
+
+def test_vectorized_pass_reads_edge_tokens_as_float_does(tmp_path, fallbacks):
+    path = tmp_path / "t.cmat"
+    path.write_text(
+        f"CMAT v1 {len(EXACT_TOKENS)} 1\n"
+        + "".join(f"{t} {EXACT_TOKENS[-1 - k]}\n" for k, t in enumerate(EXACT_TOKENS))
+    )
+    want = [complex(float(t), float(EXACT_TOKENS[-1 - k])) for k, t in enumerate(EXACT_TOKENS)]
+    assert read_cmat(path).tobytes() == np.array(want).reshape(-1, 1).tobytes()
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("token", REFUSED_TOKENS)
+@pytest.mark.parametrize("place", [(0, 0), (1, 1), (2, 0), (2, 1)])
+def test_unreadable_token_goes_to_the_loop_and_its_message(tmp_path, fallbacks, token, place):
+    line, column = place
+    entries = [["0.5", "-0.25"] for _ in range(3)]
+    entries[line][column] = token
+    path = tmp_path / "t.cmat"
+    path.write_text("CMAT v1 3 1\n" + "".join(f"{re} {im}\n" for re, im in entries))
+    message = f"{path}: bad number on line {line + 2}"
+    assert _read_outcome(path) == message == _loop_outcome(path)
+    assert len(fallbacks) == 1
+
+
+def _prefix_fromstring(string, sep):
+    """np.fromstring as older numpy ran it on a token it cannot read whole:
+    with a DeprecationWarning, keep the values before the token and any
+    prefix of it that reads as a float."""
+    assert sep == " "
+    values = []
+    for token in string.decode("ascii").split():
+        whole = 0
+        for end in range(len(token), 0, -1):
+            with contextlib.suppress(ValueError):
+                values.append(float(token[:end]))
+                whole = end
+                break
+        if whole < len(token):
+            break
+    return np.array(values)
+
+
+@pytest.mark.parametrize("token", REFUSED_TOKENS)
+def test_a_parser_that_stops_early_still_leaves_the_file_to_the_loop(tmp_path, monkeypatch, token):
+    # One line per block.  Without the " 0" after a block, a bad last token
+    # would give a full count; an extra last line makes up the values of a
+    # block cut short, so only the per-block count refuses such a file.
+    monkeypatch.setattr(np, "fromstring", _prefix_fromstring)
+    monkeypatch.setattr(fileio, "_BLOCK_BYTES", 16)
+    path = tmp_path / "t.cmat"
+    for line, column, extra in itertools.product(range(4), range(2), range(2)):
+        entries = [["0.5", "0.25"] for _ in range(4 + extra)]
+        entries[line][column] = token
+        path.write_text("CMAT v1 4 1\n" + "".join(f"{re} {im}\n" for re, im in entries))
+        assert _read_outcome(path) == _loop_outcome(path)
+        assert _read_outcome(path) == f"{path}: bad number on line {line + 2}"
+
+
+MUTANT_TOKENS = ["1e999", "-1e999", "inf", "nan", "1_0", "1e", ".", "1+2", "--1", "+.5", "5.", "-0"]
+
+
+@st.composite
+def mutated_cmat_files(draw):
+    """A write_cmat file of a small unitary, or of a 2x3 matrix, with 1-3 edits."""
+    n = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if n:
+        mat = haar_unitary(n, SeedSpec(int(rng.integers(2**32)))).matrix
+    else:
+        mat = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    # write_cmat's bytes (test_write_cmat_bytes_are_the_per_entry_format)
+    entries = "".join(f"{format_float(z.real)} {format_float(z.imag)}\n" for z in mat.flat)
+    data = f"CMAT v1 {mat.shape[0]} {mat.shape[1]}\n{entries}".encode("ascii")
+    header = data.index(b"\n") + 1  # the header's own checks are tested above
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["flip", "insert", "non-ascii", "duplicate", "drop", "token", "final", "tail"]
+        ))
+        at = draw(st.integers(header, max(len(data) - 1, header)))
+        lines = data.split(b"\n")
+        row = draw(st.integers(1, max(len(lines) - 1, 1)))
+        if kind == "flip":
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1 :]
+        elif kind == "insert":
+            data = data[:at] + draw(st.sampled_from([b"\t", b"\r", b" ", b"\n"])) + data[at:]
+        elif kind == "non-ascii":
+            data = data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+        elif kind in ("duplicate", "drop"):
+            lines[row : row + 1] = [lines[row]] * (2 if kind == "duplicate" else 0)
+            data = b"\n".join(lines)
+        elif kind == "token":
+            tokens = lines[row].split(b" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.sampled_from(MUTANT_TOKENS)
+            ).encode()
+            lines[row] = b" ".join(tokens)
+            data = b"\n".join(lines)
+        elif kind == "final":
+            data = data.rstrip(b"\n")
+        else:
+            data += draw(st.sampled_from([b"\n", b"\n\n", b"  \n", b"\t\n", b"\r\n", b"\n0 0\n"]))
+    return data
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(mutated_cmat_files(), st.booleans())
+@example(b"CMAT v1 1 1\n1 0\n\n\n", True)
+@example(b"CMAT v1 1 1\n1e999 0\n", False)
+# numpy reads 2 numbers a line in each, but the lines are not 're im'
+@example(b"CMAT v1 2 1\n1 2 3\n4\n", False)
+@example(b"CMAT v1 1 1\n1 \r2\n", False)
+# with 32-byte blocks: a blank line ends the first block; the second block is one blank line
+@example(b"CMAT v1 4 1\n" + b"0.5 0.25\n" * 3 + b"\n0.5 0.25\n", True)
+@example(b"CMAT v1 5 1\n" + b"0.5 0.2\n" * 4 + b"\n0.12345678901234 0.123456789012\n", True)
+@example(b"CMAT v1 1 1\n0.12345678901234567 0.12345678901234567\n", True)  # a line past a block
+def test_vectorized_pass_agrees_with_the_per_line_loop_property(tmp_path_factory, data, small):
+    # Small blocks put block edges inside these short files.
+    path = tmp_path_factory.getbasetemp() / "mutated.cmat"
+    path.write_bytes(data)
+    with mock.patch.object(fileio, "_BLOCK_BYTES", 32 if small else fileio._BLOCK_BYTES):
+        assert _read_outcome(path) == _loop_outcome(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main(["trace-estimate", "--cmat", str(path), "--shots", "100"])
+    assert code in (0, 3)
+    assert len(err.getvalue().splitlines()) <= int(code == 3)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_read_unitary_cmat_validations(tmp_path):

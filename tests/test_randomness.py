@@ -1,3 +1,8 @@
+import gc
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -20,7 +25,7 @@ from dqc1kit import (
 )
 from dqc1kit import randomness
 from dqc1kit.dqc1_model import register_columns
-from dqc1kit.randomness import DENSE_LIMIT, _mix64, plan_blocks
+from dqc1kit.randomness import DENSE_LIMIT, LazyUnitary, _mix64, plan_blocks
 
 import oracles
 from lemmas import random_density_matrix
@@ -109,6 +114,44 @@ def test_haar_first_column_is_served_without_a_qr(dense_builds, n, seed):
     # The built matrix is the oracle's U, with the served column's bits in column 0.
     assert np.array_equal(u.matrix[:, 0], served)
     assert np.array_equal(u.matrix[:, 1:], q[:, 1:] * phases[1:])
+
+
+def test_built_haar_matrix_keeps_no_ginibre_draw():
+    # At n = 10 the Ginibre draw and the matrix are 16 MiB each.
+    tracemalloc.start()
+    try:
+        u = haar_unitary(10, SeedSpec(3))
+        drawn = tracemalloc.get_traced_memory()[0]
+        u.matrix
+        gc.collect()
+        built = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert built - drawn < 2**20
+
+
+def test_haar_matrix_read_by_threads_at_once_is_one_matrix():
+    # The getter itself, without the lock cached_property takes before Python 3.12.
+    build_matrix = LazyUnitary.matrix.func
+
+    def read_at_once(u, start):
+        start.wait()
+        return build_matrix(u)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for s in range(10):
+                u = haar_unitary(3, SeedSpec(s))
+                start = threading.Barrier(4)
+                reads = [pool.submit(read_at_once, u, start) for _ in range(4)]
+                mats = [r.result(timeout=60) for r in reads]
+                want = haar_unitary(3, SeedSpec(s)).matrix
+                for mat in mats + [build_matrix(u), u.matrix]:
+                    assert mat.tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])

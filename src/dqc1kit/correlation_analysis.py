@@ -184,10 +184,9 @@ def _sample_cuts(
 
 
 def _cut_record(
-    spectrum: SchmidtSpectrum, side_a: tuple[int, ...], window: int, rel_tol: float, floored: bool
+    spectrum: SchmidtSpectrum, rank: int, side_a: tuple[int, ...], window: int, floored: bool
 ) -> CutRecord:
-    """Rank of the spectrum across side_a's cut, with floor 2^window if ``floored``."""
-    rank = rank_of(spectrum, rel_tol)
+    """A cut's rank and spectrum head, with floor 2^window if ``floored``."""
     floor = 2**window if floored else None
     return CutRecord(
         side_a=side_a,
@@ -228,10 +227,34 @@ def min_rank_over_equipartitions(
 
     spectra = _stacked_singular_values(fill, len(cuts), (2**half, 2**half), workers)
     records = (
-        _cut_record(SchmidtSpectrum(values), side_a, half, rel_tol, floored=False)
-        for side_a, values in zip(cuts, spectra)
+        _cut_record(spectrum, rank_of(spectrum, rel_tol), side_a, half, floored=False)
+        for side_a, spectrum in zip(cuts, map(SchmidtSpectrum, spectra))
     )
     return RankScanReport(tuple(records))
+
+
+def _probe_rank(
+    tau: float,
+    cut: Bipartition,
+    j: int,
+    column: np.ndarray,
+    spectrum: SchmidtSpectrum,
+    rel_tol: float,
+) -> int:
+    """A probe's Schmidt rank, decided on [e_j^T ; R(W|x>)], which has no tau.
+
+    For tau > 0 ``spectrum``'s matrix is that one with its register rows
+    scaled by tau, so both have one rank in exact arithmetic.  On the scaled
+    one, sigma_1 comes from the e_j row and the rest scale with tau, so from
+    tau ~ 1e-10 down every register-row coefficient would fall below the
+    rel_tol cutoff.  At tau = 1 the two differ by a global factor and
+    ``spectrum`` serves; at tau = 0 the register rows vanish and the rank is 1.
+    """
+    if tau == 0.0:
+        return 1
+    if tau != 1.0:
+        spectrum = probe_spectrum(1.0, cut, j, column)
+    return rank_of(spectrum, rel_tol)
 
 
 def rank_bound_scan(
@@ -286,8 +309,9 @@ def rank_bound_scan(
             for x, column in zip(xs.tolist(), evolved.T):
                 for task_id, side_a, cut, j in probes[adjoint, x]:
                     spectrum = probe_spectrum(config.polarization, cut, j, column)
+                    rank = _probe_rank(config.polarization, cut, j, column, spectrum, rel_tol)
                     window = min(cut.n_a, cut.n_b)
-                    records[task_id] = _cut_record(spectrum, side_a, window, rel_tol, floored=True)
+                    records[task_id] = _cut_record(spectrum, rank, side_a, window, floored=True)
     return RankScanReport(tuple(records))
 
 

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .randomness import Circuit, LazyUnitary, SeedSpec, check_dense_size, evolve_columns
+from .randomness import Circuit, LazyUnitary, SeedSpec, check_dense_size, evolve_basis_columns
 from .tensor_core import Bipartition, DenseOperator, PureState, SchmidtSpectrum, singular_values
 
 UnitarySource = Union[DenseOperator, LazyUnitary, Circuit]
@@ -72,15 +72,14 @@ def register_columns(
     """Columns W|x> for every listed x, as a (2^n, k) block; W = U or U-dagger.
 
     The one place that tells unitary kinds apart: a circuit evolves all k
-    basis columns in one pass over its fused blocks, a :class:`LazyUnitary`
+    basis columns in one pass over its fused blocks, each on its light cone
+    (:func:`evolve_basis_columns`), a :class:`LazyUnitary`
     serves U|0> from its up-front column without building its matrix, and
     otherwise a matrix's columns are sliced out.
     """
     indices = np.asarray(register_indices, dtype=np.intp)
     if isinstance(unitary, Circuit):
-        basis = np.zeros((2**unitary.num_qubits, indices.size), dtype=np.complex128)
-        basis[indices, np.arange(indices.size)] = 1.0
-        return evolve_columns(unitary, basis, adjoint)
+        return evolve_basis_columns(unitary, indices, adjoint)
     if isinstance(unitary, LazyUnitary) and not adjoint and not indices.any():
         return np.repeat(unitary.first_column[:, np.newaxis], indices.size, axis=1)
     if adjoint:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -69,11 +69,15 @@ def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _phase_fixed_q(ginibre: np.ndarray) -> np.ndarray:
-    """Haar-distributed unitary: the phase-fixed QR of a Ginibre matrix."""
+    """Haar-distributed unitaries: the phase-fixed QR of each Ginibre matrix.
+
+    Takes one matrix or a stack of them (leading axes); LAPACK factors
+    each matrix of a stack on its own, so the bits match per-matrix calls.
+    """
     q, r = np.linalg.qr(ginibre)
-    diag = np.diagonal(r)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     # Without this phase fix the QR convention biases the distribution.
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., np.newaxis, :]
 
 
 def _haar_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,8 +199,9 @@ class Circuit:
                 (tuple(local[q] for q in self.gates[i].targets), self.gates[i].matrix)
                 for i in members
             ]
-            identity = np.eye(2 ** len(qubits), dtype=np.complex128)
-            blocks.append((qubits, _apply_blocks(steps, identity, len(qubits))))
+            width = len(qubits)
+            identity = np.eye(2**width, dtype=np.complex128).reshape((2**width,) + (2,) * width)
+            blocks.append((qubits, _apply_blocks(steps, identity, range(width), width)))
         return tuple(blocks)
 
 
@@ -213,12 +218,14 @@ def random_two_qubit_circuit(num_qubits: int, num_gates: int, seed: SeedSpec) ->
     if num_gates < 1:
         raise ValueError("num_gates must be >= 1")
     rng = seed.generator()
-    gates = []
+    pairs, ginibres = [], []
     for _ in range(num_gates):
         pair = rng.choice(num_qubits, size=2, replace=False)
-        q1, q2 = int(pair.min()), int(pair.max())
-        gates.append(GateSpec((q1, q2), _haar_matrix(4, rng)))
-    return Circuit(num_qubits, tuple(gates))
+        pairs.append((int(pair.min()), int(pair.max())))
+        ginibres.append(_ginibre(4, rng))
+    # One stacked QR: the draw order, and so each gate's bits, stay per gate.
+    matrices = _phase_fixed_q(np.stack(ginibres))
+    return Circuit(num_qubits, tuple(map(GateSpec, pairs, matrices)))
 
 
 def plan_blocks(gates: Sequence[GateSpec]) -> list[tuple[tuple[int, ...], list[int]]]:
@@ -247,23 +254,67 @@ def plan_blocks(gates: Sequence[GateSpec]) -> list[tuple[tuple[int, ...], list[i
     return [(tuple(sorted(q)), m) for q, m in zip(qubit_sets, members)]
 
 
+def _insert_basis_qubits(
+    t: np.ndarray, order: list[int], qubits: Iterable[int], xs: np.ndarray, n: int
+) -> tuple[np.ndarray, list[int]]:
+    """Carry the listed qubits that ``order`` lacks, each one-hot at its bit of xs[j].
+
+    The new axes go first, right after the column axis; returns the grown
+    tensor and its new qubit order.
+    """
+    new = [q for q in qubits if q not in order]
+    if not new:
+        return t, order
+    k = t.shape[0]
+    bits = np.zeros(k, dtype=np.intp)
+    for q in new:
+        bits = 2 * bits + ((xs >> (n - 1 - q)) & 1)
+    grown = np.zeros((k, 2 ** len(new)) + t.shape[1:], dtype=np.complex128)
+    grown[np.arange(k), bits] = t
+    order = new + order
+    return grown.reshape((k,) + (2,) * len(order)), order
+
+
 def _apply_blocks(
-    blocks: Iterable[tuple[tuple[int, ...], np.ndarray]], columns: np.ndarray, n: int
+    blocks: Iterable[tuple[tuple[int, ...], np.ndarray]],
+    t: np.ndarray,
+    carried: Sequence[int],
+    n: int,
+    xs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Apply (qubits, matrix) blocks in order to the columns of a (2^n, k) block."""
-    k = columns.shape[1]
-    # The column axis comes first, so each column goes through the same
-    # matmul calls, bit for bit, whatever the other columns are.
-    t = columns.T.reshape((k,) + (2,) * n)
-    order = list(range(n))  # axis a + 1 of t holds qubit order[a]
+    """Apply (qubits, matrix) blocks in order to k columns; return them as (2^n, k).
+
+    ``t`` has shape (k, 2, ..., 2), and its axis a + 1 holds qubit
+    ``carried[a]``.  Every other qubit of column j still holds its bit of
+    the basis index ``xs[j]`` (qubit 0 the most significant), so its axis
+    is inserted, one-hot at that bit, just before the first block that
+    touches it, and after the last block if none does.  With every qubit
+    carried, ``xs`` is not read.
+    """
+    k = t.shape[0]
+    order = list(carried)  # axis a + 1 of t holds qubit order[a]
     for qubits, matrix in blocks:
+        t, order = _insert_basis_qubits(t, order, qubits, xs, n)
         rest = [q for q in order if q not in qubits]
+        # The column axis comes first, so each column goes through the same
+        # matmul calls, bit for bit, whatever the other columns are.
         perm = [0] + [1 + order.index(q) for q in (*qubits, *rest)]
         flat = t.transpose(perm).reshape(k, matrix.shape[0], -1)
         t = np.matmul(matrix, flat).reshape(t.shape)
         order = [*qubits, *rest]
+    t, order = _insert_basis_qubits(t, order, range(n), xs, n)
     perm = [1 + order.index(q) for q in range(n)] + [0]
     return t.transpose(perm).reshape(2**n, k)
+
+
+def _directed_blocks(
+    circuit: Circuit, adjoint: bool
+) -> Iterable[tuple[tuple[int, ...], np.ndarray]]:
+    """The circuit's fused blocks, or for C-dagger the reversed blocks' adjoints."""
+    blocks = circuit.fused_blocks
+    if adjoint:
+        return ((qubits, mat.conj().T) for qubits, mat in reversed(blocks))
+    return blocks
 
 
 def evolve_columns(circuit: Circuit, columns: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -282,10 +333,28 @@ def evolve_columns(circuit: Circuit, columns: np.ndarray, adjoint: bool = False)
         raise ValueError(
             f"columns must have shape (2^{n}, k), got shape {columns.shape}"
         )
-    blocks = circuit.fused_blocks
-    if adjoint:
-        blocks = ((qubits, mat.conj().T) for qubits, mat in reversed(blocks))
-    return _apply_blocks(blocks, columns, n)
+    k = columns.shape[1]
+    t = columns.T.reshape((k,) + (2,) * n)
+    return _apply_blocks(_directed_blocks(circuit, adjoint), t, range(n), n)
+
+
+def evolve_basis_columns(
+    circuit: Circuit, xs: Sequence[int], adjoint: bool = False
+) -> np.ndarray:
+    """C|x> (or C-dagger|x>) for every listed basis index x, as a (2^n, k) block.
+
+    Each column is carried on its light cone: only the qubits that the
+    blocks run so far have touched.  A qubit enters, one-hot at x's bit,
+    just before the first block that touches it, and the qubits no block
+    touches enter at the end.  The touched set depends only on the circuit
+    and the direction, so column j is bit for bit that column evolved alone.
+    """
+    n = circuit.num_qubits
+    xs = np.asarray(xs, dtype=np.intp)
+    if xs.size and not (0 <= xs.min() and xs.max() < 2**n):
+        raise ValueError(f"basis indices must lie in 0..{2**n - 1}")
+    t = np.ones(xs.size, dtype=np.complex128)
+    return _apply_blocks(_directed_blocks(circuit, adjoint), t, (), n, xs)
 
 
 def apply_circuit(circuit: Circuit, state: PureState) -> PureState:

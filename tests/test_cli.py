@@ -92,6 +92,27 @@ def test_bound_scan_zero_polarization_falsifies(capsys):
     assert json.loads(out)["min_rank"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "8", "--cuts", "20", "--seed", "3"],
+        ["--n", "7", "--cuts", "15", "--seed", "5", "--unitary", "circuit", "--randomize-index"],
+        ["--n", "6", "--exhaustive", "--unitary", "product"],
+    ],
+)
+def test_bound_scan_ranks_do_not_depend_on_the_polarization_scale(capsys, argv):
+    # The probe's rank is the same for every tau > 0 in exact arithmetic; at
+    # tau = 1e-11 a decision on the tau-scaled spectrum gave rank 1 on every cut.
+    def ranks(tau):
+        code, out, _err = run(capsys, ["bound-scan", *argv, "--tau", tau])
+        return code, [row["rank"] for row in json.loads(out)["rows"]]
+
+    code, want = ranks("1")
+    assert min(want) > 1
+    for tau in ("1e-3", "1e-11", "1e-300", "5e-324"):
+        assert ranks(tau) == (code, want)
+
+
 def test_bound_scan_product_unitary_falsifies(capsys):
     code, out, _ = run(
         capsys,

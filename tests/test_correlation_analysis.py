@@ -254,13 +254,13 @@ def test_default_index_circuit_scan_evolves_one_column(monkeypatch):
     from dqc1kit import dqc1_model
 
     evolved = []
-    kernel = dqc1_model.evolve_columns
+    kernel = dqc1_model.evolve_basis_columns
 
-    def counting(circuit, columns, adjoint=False):
-        evolved.append(columns.shape[1])
-        return kernel(circuit, columns, adjoint)
+    def counting(circuit, xs, adjoint=False):
+        evolved.append(len(xs))
+        return kernel(circuit, xs, adjoint)
 
-    monkeypatch.setattr(dqc1_model, "evolve_columns", counting)
+    monkeypatch.setattr(dqc1_model, "evolve_basis_columns", counting)
     config = Dqc1Config(1.0, random_two_qubit_circuit(10, 40, SeedSpec(71)))
     report = rank_bound_scan(config, num_cuts=20, seed=SeedSpec(72))
     assert len(report.records) == 20
@@ -288,14 +288,14 @@ def test_fused_plan_is_built_once_per_circuit(monkeypatch):
         return planner(gates)
 
     directions = []
-    kernel = dqc1_model.evolve_columns
+    kernel = dqc1_model.evolve_basis_columns
 
-    def counting_kernel(circuit, columns, adjoint=False):
+    def counting_kernel(circuit, xs, adjoint=False):
         directions.append(adjoint)
-        return kernel(circuit, columns, adjoint)
+        return kernel(circuit, xs, adjoint)
 
     monkeypatch.setattr(randomness, "plan_blocks", counting_planner)
-    monkeypatch.setattr(dqc1_model, "evolve_columns", counting_kernel)
+    monkeypatch.setattr(dqc1_model, "evolve_basis_columns", counting_kernel)
     circuit = random_two_qubit_circuit(10, 40, SeedSpec(74))
     config = Dqc1Config(1.0, circuit)
     report = rank_bound_scan(config, num_cuts=300, seed=SeedSpec(75), randomize_index=True)

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import itertools
+import json
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,6 +30,8 @@ from dqc1kit import (
 )
 from dqc1kit import fileio
 from dqc1kit.cli import main as cli_main
+
+import oracles
 
 
 def test_cmat_round_trip_is_exact(tmp_path):
@@ -321,6 +326,101 @@ def test_vectorized_pass_agrees_with_the_per_line_loop_property(tmp_path_factory
     assert code in (0, 3)
     assert len(err.getvalue().splitlines()) <= int(code == 3)
     assert [str(w.message) for w in caught] == []
+
+
+def _circuit_bytes(circuit):
+    """The bytes write_circuit writes for ``circuit``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.circ"
+        write_circuit(path, circuit)
+        return path.read_bytes()
+
+
+def _gates_on(n, m, count, seed):
+    """``count`` random gates on qubits 0..m-1 of an n-qubit register."""
+    return Circuit(n, random_two_qubit_circuit(m, count, SeedSpec(seed)).gates)
+
+
+def _edit_tokens(data, row, edits):
+    """Set tokens of line ``row`` by {index: bytes}; a line too short is left alone."""
+    lines = data.split(b"\n")
+    tokens = lines[row].split(b" ")
+    if len(tokens) > max(edits):
+        for index, token in edits.items():
+            tokens[index] = token
+        lines[row] = b" ".join(tokens)
+    return b"\n".join(lines)
+
+
+def _off_unitary(data, row):
+    """Move the real part of line ``row``'s entry (0, 0) by 1e-7, if it is still a number."""
+    try:
+        value = float(data.split(b"\n")[row].split(b" ")[2])
+    except (IndexError, ValueError):
+        return data
+    return _edit_tokens(data, row, {2: format_float(value + 1e-7).encode()})
+
+
+@st.composite
+def mutated_circuit_files(draw):
+    """A write_circuit file of gates on m of n <= 6 qubits with 0-3 edits, and n."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(2, n))  # qubits m..n-1 are left untouched
+    data = _circuit_bytes(_gates_on(n, m, draw(st.integers(1, 6)), draw(st.integers(0, 2**16))))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ["flip", "non-ascii", "drop", "duplicate", "targets", "token", "off-unitary"]
+        ))
+        at = draw(st.integers(0, len(data) - 1))
+        lines = data.split(b"\n")
+        row = draw(st.integers(1, max(len(lines) - 2, 1)))
+        if kind == "flip":
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1 :]
+        elif kind == "non-ascii":
+            data = data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+        elif kind in ("drop", "duplicate"):
+            lines[row : row + 1] = [lines[row]] * (2 if kind == "duplicate" else 0)
+            data = b"\n".join(lines)
+        elif kind == "targets":  # equal, or out of range
+            q = draw(st.integers(-1, n + 1))
+            other = draw(st.sampled_from([q, n, 99]))
+            data = _edit_tokens(data, row, {0: str(q).encode(), 1: str(other).encode()})
+        elif kind == "token":
+            token = draw(st.sampled_from([b"inf", b"-inf", b"nan", b"NaN", b"1e999"]))
+            data = _edit_tokens(data, row, {draw(st.integers(2, 33)): token})
+        else:
+            data = _off_unitary(data, row)
+    return data, n
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(mutated_circuit_files())
+# untouched qubits 2-4, a gate 1e-7 off unitary, equal targets, a nan entry
+@example((_circuit_bytes(_gates_on(5, 2, 3, 1)), 5))
+@example((_off_unitary(_circuit_bytes(_gates_on(3, 3, 2, 2)), 1), 3))
+@example((_edit_tokens(_circuit_bytes(_gates_on(3, 3, 2, 3)), 1, {0: b"1", 1: b"1"}), 3))
+@example((_edit_tokens(_circuit_bytes(_gates_on(4, 3, 2, 4)), 2, {5: b"nan"}), 4))
+def test_mutated_circuit_file_ends_in_a_documented_exit_property(tmp_path_factory, case):
+    data, n = case
+    path = tmp_path_factory.getbasetemp() / "mutated.circ"
+    path.write_bytes(data)
+    argv = ["trace-estimate", "--circuit", str(path), "--circuit-qubits", str(n), "--shots", "100"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    assert code in (0, 3)
+    assert len(err.getvalue().splitlines()) <= int(code == 3)
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        # The accepted circuit's trace, light cone and all, against the dense gate product.
+        dense = np.eye(2**n, dtype=np.complex128)
+        for gate in read_circuit(path, n).gates:
+            dense = oracles.embed_gate(gate.matrix, gate.targets, n) @ dense
+        row = json.loads(out.getvalue())["rows"][0]
+        exact = complex(row["exact_re"], row["exact_im"])
+        assert abs(exact - np.trace(dense) / 2**n) < 1e-12
 
 
 def test_read_unitary_cmat_validations(tmp_path):

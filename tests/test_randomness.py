@@ -271,6 +271,18 @@ def test_circuit_inverse():
     assert np.allclose(round_trip, state.amplitudes, atol=1e-10)
 
 
+def test_stacked_gate_draws_match_per_gate_draws():
+    # One stacked QR after the loop, and the stream still draws pair, then
+    # Ginibre matrix, gate by gate.
+    for seed in (0, 1, 29, 2**40):
+        circuit = random_two_qubit_circuit(14, 56, SeedSpec(seed))
+        rng = SeedSpec(seed).generator()
+        for gate in circuit.gates:
+            pair = rng.choice(14, size=2, replace=False)
+            assert gate.targets == (int(pair.min()), int(pair.max()))
+            assert np.array_equal(gate.matrix, randomness._haar_matrix(4, rng))
+
+
 def test_circuit_validation():
     with pytest.raises(ValueError):
         GateSpec((0, 0), np.eye(4))
@@ -342,3 +354,54 @@ def test_fused_blocks_match_dense_gate_product_property(circuit):
     for i, j in combinations(range(len(gates)), 2):
         if set(gates[i].targets) & set(gates[j].targets):
             assert place[i] < place[j]
+
+
+@st.composite
+def light_cone_cases(draw):
+    """A circuit on 1-8 qubits whose gates may touch only some, and 1-12 indices with repeats."""
+    n = draw(st.integers(1, 8))
+    active = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    pairs = []
+    if len(active) >= 2:
+        qubit = st.sampled_from(active)
+        pair = st.tuples(qubit, qubit).filter(lambda p: p[0] != p[1])
+        pairs = draw(st.lists(pair, max_size=20))
+    circuit = _circuit_on(n, pairs, draw(st.integers(0, 2**32 - 1)))
+    return circuit, draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=12))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(light_cone_cases())
+# gates only on qubits 0 and 1 of 5, the empty circuit, and a 1-qubit register
+@example((_circuit_on(5, [(0, 1), (1, 0), (0, 1)], 4), [31, 0, 31, 18, 7, 18]))
+@example((_circuit_on(6, [(4, 2), (2, 4), (5, 4)], 5), [63, 1, 42, 42]))
+@example((Circuit(4, ()), [9, 9, 0, 15]))
+@example((Circuit(1, ()), [1, 0, 1]))
+def test_light_cone_columns_match_dense_gate_product_property(case):
+    circuit, xs = case
+    n = circuit.num_qubits
+    dense = np.eye(2**n, dtype=np.complex128)
+    for gate in circuit.gates:
+        dense = oracles.embed_gate(gate.matrix, gate.targets, n) @ dense
+    for adjoint, want in ((False, dense), (True, dense.conj().T)):
+        block = register_columns(circuit, xs, adjoint)
+        assert block.shape == (2**n, len(xs))
+        assert np.abs(block - want[:, xs]).max() < 1e-12
+        for j, x in enumerate(xs):
+            assert np.array_equal(block[:, j], register_columns(circuit, [x], adjoint)[:, 0])
+
+
+def test_light_cone_agrees_with_the_full_register_kernel():
+    # Past the oracle's sizes: the light cone against every qubit carried.
+    for n, seed in ((10, 41), (14, 42)):
+        circuit = random_two_qubit_circuit(n, 4 * n, SeedSpec(seed))
+        xs = [0, 2**n - 1, 5, 5, 2 ** (n - 1)]
+        basis = np.zeros((2**n, len(xs)), dtype=np.complex128)
+        basis[xs, range(len(xs))] = 1.0
+        for adjoint in (False, True):
+            full = evolve_columns(circuit, basis, adjoint)
+            assert np.abs(register_columns(circuit, xs, adjoint) - full).max() < 1e-14
+    with pytest.raises(ValueError, match="basis indices"):
+        register_columns(circuit, [2**n], False)
+    with pytest.raises(ValueError, match="basis indices"):
+        register_columns(circuit, [-1], True)

@@ -16,7 +16,7 @@ import glob
 import os
 import statistics
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
@@ -24,8 +24,6 @@ import numpy as np
 from . import __version__
 from .correlation_analysis import (
     ClaimFalsified,
-    CutRecord,
-    TruncationRow,
     balanced_tree_edge,
     balanced_window,
     concentration_report,
@@ -94,7 +92,6 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class CommandResult:
     meta: dict
-    columns: list[str]
     rows: list[dict]
     extras: dict = field(default_factory=dict)
     default_format: str = "csv"
@@ -146,7 +143,8 @@ def _base_meta(args: argparse.Namespace) -> dict:
 
 def _cmd_rank_scaling(args: argparse.Namespace) -> CommandResult:
     master = SeedSpec(args.seed)
-    tasks = [(n, s) for n in args.n_list for s in range(args.num_seeds)]
+    # Lazy: a list of every (n, seed) pair could exhaust memory before any work.
+    tasks = ((n, s) for n in args.n_list for s in range(args.num_seeds))
     rows = []
     # The tasks run in turn and each scan spreads its cuts over the workers:
     # one task per worker left the largest n alone on one thread.
@@ -175,7 +173,7 @@ def _cmd_rank_scaling(args: argparse.Namespace) -> CommandResult:
         gates_factor=args.gates_factor,
         partition_cap=args.partition_cap if args.partition_cap is not None else "none",
     )
-    return CommandResult(meta, ["n", "seed", "min_rank", "log2_min_rank"], rows)
+    return CommandResult(meta, rows)
 
 
 def _build_unitary(args: argparse.Namespace, n: int, seed: SeedSpec):
@@ -221,8 +219,7 @@ def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
         "all_cuts_meet_floor": report.all_meet_floor,
     }
     return CommandResult(
-        meta, [f.name for f in fields(CutRecord)], [vars(r) for r in report.records], extras,
-        default_format="json",
+        meta, [vars(r) for r in report.records], extras, default_format="json",
         exit_code=0 if global_pass else 2,
     )
 
@@ -245,10 +242,7 @@ def _cmd_concentration(args: argparse.Namespace) -> CommandResult:
         "max_deviation_worst": max(report.max_deviations),
         "all_counts_equal_d_a": all(c == 2**args.na for c in report.nonzero_counts),
     }
-    return CommandResult(
-        meta, ["sample", "max_deviation", "nonzero_count"], rows, extras,
-        default_format="json",
-    )
+    return CommandResult(meta, rows, extras, default_format="json")
 
 
 def _cmd_trace_estimate(args: argparse.Namespace) -> CommandResult:
@@ -276,7 +270,7 @@ def _cmd_trace_estimate(args: argparse.Namespace) -> CommandResult:
         "std_error_re": estimate.std_error_real,
         "std_error_im": estimate.std_error_imag,
     }
-    return CommandResult(meta, list(row), [row], default_format="json")
+    return CommandResult(meta, [row], default_format="json")
 
 
 def _cmd_tree_edge(args: argparse.Namespace) -> CommandResult:
@@ -296,8 +290,7 @@ def _cmd_tree_edge(args: argparse.Namespace) -> CommandResult:
         })
     meta = _base_meta(args)
     meta.update(leaves=args.leaves, trees=args.trees)
-    columns = ["tree_id", "edge_u", "edge_v", "n_0", "window_low", "window_high"]
-    return CommandResult(meta, columns, rows)
+    return CommandResult(meta, rows)
 
 
 def _cmd_truncation(args: argparse.Namespace) -> CommandResult:
@@ -319,8 +312,7 @@ def _cmd_truncation(args: argparse.Namespace) -> CommandResult:
     )
     all_satisfied = all(row.bound_satisfied for row in table)
     return CommandResult(
-        meta, [f.name for f in fields(TruncationRow)], [vars(row) for row in table],
-        {"all_satisfied": all_satisfied},
+        meta, [vars(row) for row in table], {"all_satisfied": all_satisfied},
         exit_code=0 if all_satisfied else 2,
     )
 
@@ -435,7 +427,8 @@ def _serialize(result: CommandResult, chosen_format: Optional[str]) -> str:
         return render_json(payload)
     meta = dict(result.meta)
     meta.update(result.extras)
-    return render_csv(meta, result.columns, result.rows)
+    # Every command reports at least one row, and its rows share one key order.
+    return render_csv(meta, list(result.rows[0]), result.rows)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -1,8 +1,8 @@
 """Plain-text interchange formats and report writers.
 
 CMAT v1 holds one complex matrix: a header line ``CMAT v1 <rows> <cols>``
-followed by rows*cols lines of ``re im`` in row-major order; only blank
-lines may follow the entries.  Circuit
+followed by rows*cols lines of ``re im`` in row-major order; blank lines
+are skipped anywhere after the header.  Circuit
 files hold one gate per line: two target labels then 16 ``re im`` pairs,
 row-major over the 4x4 gate.  All floats are printed with 17 significant
 digits so a write/read round trip is exact.
@@ -10,10 +10,12 @@ digits so a write/read round trip is exact.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import io
 import json
 import os
+import warnings
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -72,99 +74,53 @@ def read_cmat(path: str) -> np.ndarray:
             raise FileFormatError(f"{path}: non-integer shape in header") from exc
         if rows < 1 or cols < 1:
             raise FileFormatError(f"{path}: shape must be positive")
+        count = rows * cols
         # An entry line takes at least 4 bytes ("a b\n", the last one may
         # lack its newline), so a header the file cannot back is refused
         # before anything is allocated for it.
         capacity = (os.fstat(fh.fileno()).st_size - len(header_line) + 1) // 4
-        if rows * cols > capacity:
+        if count > capacity:
             raise FileFormatError(
-                f"{path}: header declares {rows * cols} entries, "
+                f"{path}: header declares {count} entries, "
                 f"but the file can hold at most {capacity}"
             )
         # The ASCII decoder keeps no state, so tell() is the body's byte offset.
         body = fh.tell()
-        entries = _read_writer_layout(fh.buffer, body, rows * cols)
-        if entries is not None:
-            return entries.reshape(rows, cols)
-        # Any other layout: this loop owns every accept/refuse decision and message.
+        # numpy's C reader takes the body whole when it holds exactly
+        # ``count`` rows of two finite numbers; reading one row more shows
+        # trailing content.  The warnings it gives on a skipped blank line
+        # or an empty body are silenced: such files are valid or refused below.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2, max_rows=count + 1)
+            if values.shape == (count, 2) and np.isfinite(values).all():
+                return values.view(np.complex128).reshape(rows, cols)
+        except ValueError:  # a UnicodeDecodeError too: the loop raises it again
+            pass
+        # Any other file: this loop owns every accept/refuse decision and message.
         fh.seek(body)
-        entries = np.empty(rows * cols, dtype=np.complex128)
-        for k in range(rows * cols):
-            line = fh.readline()
-            if not line:
-                raise FileFormatError(f"{path}: expected {rows * cols} entries, got {k}")
+        entries = np.empty(count, dtype=np.complex128)
+        k = 0
+        for lineno, line in enumerate(fh, start=2):
             parts = line.split()
+            if not parts:
+                continue
+            if k == count:
+                raise FileFormatError(f"{path}: trailing content after {count} entries")
             if len(parts) != 2:
-                raise FileFormatError(f"{path}: entry line {k + 2} must be 're im'")
+                raise FileFormatError(f"{path}: entry line {lineno} must be 're im'")
             try:
-                entries[k] = complex(float(parts[0]), float(parts[1]))
+                entry = complex(float(parts[0]), float(parts[1]))
             except ValueError as exc:
-                raise FileFormatError(f"{path}: bad number on line {k + 2}") from exc
-        # One pass after the loop: a per-line check would slow the parse.
-        bad = np.flatnonzero(~np.isfinite(entries))
-        if bad.size:
-            raise FileFormatError(f"{path}: non-finite number on line {bad[0] + 2}")
-        if any(line.strip() for line in fh):
-            raise FileFormatError(f"{path}: trailing content after {rows * cols} entries")
+                raise FileFormatError(f"{path}: bad number on line {lineno}") from exc
+            if not cmath.isfinite(entry):
+                raise FileFormatError(f"{path}: non-finite number on line {lineno}")
+            entries[k] = entry
+            k += 1
+        if k < count:
+            raise FileFormatError(f"{path}: expected {count} entries, got {k}")
     return entries.reshape(rows, cols)
-
-
-# Bytes write_cmat can emit in an entry line, and the most read for one parse.
-_WRITER_BYTES = b"0123456789.eE+- \n"
-_BLOCK_BYTES = 1 << 16
-
-
-def _read_writer_layout(raw: IO[bytes], start: int, count: int) -> np.ndarray | None:
-    """The ``count`` entries of a CMAT body in ``write_cmat``'s layout, else None.
-
-    The layout is one ``re im`` line per entry, each token non-empty, one
-    space between them and only newlines after the last entry.  The body is
-    read in blocks of at most ``_BLOCK_BYTES`` cut after a newline, and numpy
-    parses each block in C, so no Python object is made per number.  A body
-    in any other layout, or with a token numpy cannot read whole into a
-    finite float, gives None and is left to the per-line loop.
-    """
-    raw.seek(start)
-    flat = np.empty(2 * count)
-    filled = 0
-    while True:
-        block = raw.read(_BLOCK_BYTES)
-        last = len(block) < _BLOCK_BYTES
-        if not last:
-            cut = block.rfind(b"\n") + 1
-            if not cut:
-                return None  # a line longer than a block
-            raw.seek(cut - len(block), os.SEEK_CUR)
-            block = block[:cut]
-        lines = block.rstrip(b"\n")
-        if lines:
-            if block.translate(None, _WRITER_BYTES):
-                return None
-            byte = np.frombuffer(lines, np.uint8)
-            spaces = np.flatnonzero(byte == 32)
-            ends = np.append(np.flatnonzero(byte == 10), len(lines))
-            starts = np.append(0, ends[:-1] + 1)
-            if spaces.size != ends.size or not ((starts < spaces) & (spaces < ends - 1)).all():
-                return None
-            # numpy 2 raises on a token it cannot read whole.  Older numpy warns
-            # and returns the values before it; the " 0" after the last token
-            # makes that a short count here, wherever the token is.
-            try:
-                values = np.fromstring(lines + b" 0", sep=" ")[:-1]
-            except ValueError:
-                return None
-            if values.size != 2 * ends.size or values.size > flat.size - filled:
-                return None
-            if not np.isfinite(values).all():
-                return None
-            flat[filled : filled + values.size] = values
-            filled += values.size
-        if last:
-            return flat.view(np.complex128) if filled == flat.size else None
-        # A block starts on a line, so a second trailing newline, or a first
-        # one with no line before it, ends a blank line.
-        if filled < flat.size and len(block) - len(lines) > bool(lines):
-            return None  # a blank line before the last entry
 
 
 def read_unitary_cmat(path: str) -> DenseOperator:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,32 @@ def test_rank_scaling_csv_shape(capsys):
     assert sum(1 for ln in lines if ",median," in ln) == 2
     _code, out_again, _ = run(capsys, argv + ["--workers", "4"])
     assert out_again == out
+
+
+def test_rank_scaling_starts_its_first_task_without_listing_every_seed(monkeypatch):
+    # A list of all 10^12 (n, seed) pairs would exhaust memory before the
+    # first scan; the scan stops the run after 3 tasks instead.
+    class Stop(Exception):
+        pass
+
+    scanned = []
+
+    def scan(state, *_args):
+        scanned.append(state.num_qubits)
+        if len(scanned) == 3:
+            raise Stop
+        return correlation_analysis.min_rank_over_equipartitions(state, *_args)
+
+    monkeypatch.setattr(cli, "min_rank_over_equipartitions", scan)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            main(["rank-scaling", "--n-list", "4", "--seeds", str(10**12)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scanned == [4, 4, 4]
+    assert peak < 2**20
 
 
 def test_rank_scaling_rejects_bad_list(capsys):

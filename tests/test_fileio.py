@@ -1,6 +1,5 @@
 import contextlib
 import io
-import itertools
 import json
 import tempfile
 import tracemalloc
@@ -28,7 +27,6 @@ from dqc1kit import (
     write_circuit,
     write_cmat,
 )
-from dqc1kit import fileio
 from dqc1kit.cli import main as cli_main
 
 import oracles
@@ -92,6 +90,43 @@ def test_cmat_allows_only_blank_lines_after_the_entries(tmp_path):
     assert cli_main(["trace-estimate", "--cmat", str(path)]) == 3
 
 
+def test_cmat_skips_blank_lines_between_entries(tmp_path, fallbacks):
+    path = tmp_path / "gaps.cmat"
+    mat = haar_unitary(2, SeedSpec(3)).matrix
+    write_cmat(path, mat)
+    lines = path.read_text().split("\n")
+    lines[3:3] = ["", "  \t", ""]
+    lines.insert(1, " ")
+    path.write_text("\n".join(lines))
+    assert read_cmat(path).tobytes() == mat.tobytes()
+    assert fallbacks == []
+    assert _loop_outcome(path) == (mat.shape, mat.tobytes())
+
+
+def test_cmat_trailing_rows_are_refused_without_reading_them(tmp_path):
+    path = tmp_path / "tail.cmat"
+    path.write_text("CMAT v1 2 2\n" + "0 0\n" * (4 + 10**6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError) as refused:
+            read_cmat(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"{path}: trailing content after 4 entries"
+    assert peak < 2**20  # the 10^6 rows as floats alone would take 16 MB
+
+
+def test_cmat_with_an_all_blank_body_is_refused_without_a_warning(tmp_path, capsys):
+    path = tmp_path / "blank.cmat"
+    path.write_text("CMAT v1 2 2\n" + "\n \n\t\n" * 4)  # room for 4 entries
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["trace-estimate", "--cmat", str(path)]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"input error: {path}: expected 4 entries, got 0\n"
+
+
 def test_cmat_header_the_file_cannot_hold_is_refused_before_allocating(tmp_path):
     path = tmp_path / "huge.cmat"
     path.write_text("CMAT v1 1024 1024\n0 0\n")
@@ -122,17 +157,25 @@ def test_cmat_reader_accepts_the_smallest_files_it_writes(tmp_path):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Body offsets of the CMAT files the vectorized pass left to the per-line loop."""
+    """Row counts asked of np.loadtxt for CMAT bodies it left to the per-line loop.
+
+    read_cmat takes numpy's rows only as ``max_rows - 1`` rows of two
+    finite numbers; any other result, or a ValueError, is a decline.
+    """
     declined = []
-    vectorized = fileio._read_writer_layout
+    loadtxt = np.loadtxt
 
-    def counted(raw, start, count):
-        entries = vectorized(raw, start, count)
-        if entries is None:
-            declined.append(start)
-        return entries
+    def counted(*args, max_rows, **kwargs):
+        try:
+            values = loadtxt(*args, max_rows=max_rows, **kwargs)
+        except ValueError:
+            declined.append(max_rows)
+            raise
+        if values.shape != (max_rows - 1, 2) or not np.isfinite(values).all():
+            declined.append(max_rows)
+        return values
 
-    monkeypatch.setattr(fileio, "_read_writer_layout", counted)
+    monkeypatch.setattr(np, "loadtxt", counted)
     return declined
 
 
@@ -146,8 +189,8 @@ def _read_outcome(path):
 
 
 def _loop_outcome(path):
-    """The outcome with the vectorized pass declining, so the per-line loop decides."""
-    with mock.patch.object(fileio, "_read_writer_layout", return_value=None):
+    """The outcome with np.loadtxt declining, so the per-line loop decides."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
         return _read_outcome(path)
 
 
@@ -161,7 +204,7 @@ def test_written_cmat_takes_the_vectorized_pass(tmp_path, fallbacks, shape, tail
     path = tmp_path / "m.cmat"
     write_cmat(path, mat)
     data = path.read_bytes()
-    # The long run spans several blocks holding newlines only.
+    # Blank lines do not count toward max_rows, so even a long run stays on numpy's path.
     extra = {"newline": b"", "blank lines": b"\n\n", "long blank run": b"\n" * 200_000}
     path.write_bytes(data.rstrip(b"\n") if tail == "no final newline" else data + extra[tail])
     back = read_cmat(path)
@@ -179,8 +222,8 @@ def test_vectorized_read_of_a_256x256_file_stays_in_blocks(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The 1 MiB result plus a few block-sized buffers; reading the whole
-    # 3.3 MB body at once, or a token list, would pass this bound.
+    # The 1 MiB result plus numpy's read buffers; reading the whole 3.3 MB
+    # body at once, or a token list, would pass this bound.
     assert peak < 2.5 * 2**20
 
 
@@ -221,40 +264,6 @@ def test_unreadable_token_goes_to_the_loop_and_its_message(tmp_path, fallbacks, 
     assert len(fallbacks) == 1
 
 
-def _prefix_fromstring(string, sep):
-    """np.fromstring as older numpy ran it on a token it cannot read whole:
-    with a DeprecationWarning, keep the values before the token and any
-    prefix of it that reads as a float."""
-    assert sep == " "
-    values = []
-    for token in string.decode("ascii").split():
-        whole = 0
-        for end in range(len(token), 0, -1):
-            with contextlib.suppress(ValueError):
-                values.append(float(token[:end]))
-                whole = end
-                break
-        if whole < len(token):
-            break
-    return np.array(values)
-
-
-@pytest.mark.parametrize("token", REFUSED_TOKENS)
-def test_a_parser_that_stops_early_still_leaves_the_file_to_the_loop(tmp_path, monkeypatch, token):
-    # One line per block.  Without the " 0" after a block, a bad last token
-    # would give a full count; an extra last line makes up the values of a
-    # block cut short, so only the per-block count refuses such a file.
-    monkeypatch.setattr(np, "fromstring", _prefix_fromstring)
-    monkeypatch.setattr(fileio, "_BLOCK_BYTES", 16)
-    path = tmp_path / "t.cmat"
-    for line, column, extra in itertools.product(range(4), range(2), range(2)):
-        entries = [["0.5", "0.25"] for _ in range(4 + extra)]
-        entries[line][column] = token
-        path.write_text("CMAT v1 4 1\n" + "".join(f"{re} {im}\n" for re, im in entries))
-        assert _read_outcome(path) == _loop_outcome(path)
-        assert _read_outcome(path) == f"{path}: bad number on line {line + 2}"
-
-
 MUTANT_TOKENS = ["1e999", "-1e999", "inf", "nan", "1_0", "1e", ".", "1+2", "--1", "+.5", "5.", "-0"]
 
 
@@ -273,7 +282,8 @@ def mutated_cmat_files(draw):
     header = data.index(b"\n") + 1  # the header's own checks are tested above
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(
-            ["flip", "insert", "non-ascii", "duplicate", "drop", "token", "final", "tail"]
+            ["flip", "insert", "non-ascii", "duplicate", "drop", "blank", "token", "final",
+             "tail"]
         ))
         at = draw(st.integers(header, max(len(data) - 1, header)))
         lines = data.split(b"\n")
@@ -281,11 +291,15 @@ def mutated_cmat_files(draw):
         if kind == "flip":
             data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1 :]
         elif kind == "insert":
-            data = data[:at] + draw(st.sampled_from([b"\t", b"\r", b" ", b"\n"])) + data[at:]
+            byte = draw(st.sampled_from([b"\t", b"\r", b" ", b"\n", b"#", b"\x0b", b"\x00"]))
+            data = data[:at] + byte + data[at:]
         elif kind == "non-ascii":
             data = data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
         elif kind in ("duplicate", "drop"):
             lines[row : row + 1] = [lines[row]] * (2 if kind == "duplicate" else 0)
+            data = b"\n".join(lines)
+        elif kind == "blank":  # a line between entries, or before the first
+            lines.insert(row, draw(st.sampled_from([b"", b"  ", b"\t", b"\x0b", b" \x0c ", b"#"])))
             data = b"\n".join(lines)
         elif kind == "token":
             tokens = lines[row].split(b" ")
@@ -302,22 +316,23 @@ def mutated_cmat_files(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(mutated_cmat_files(), st.booleans())
-@example(b"CMAT v1 1 1\n1 0\n\n\n", True)
-@example(b"CMAT v1 1 1\n1e999 0\n", False)
-# numpy reads 2 numbers a line in each, but the lines are not 're im'
-@example(b"CMAT v1 2 1\n1 2 3\n4\n", False)
-@example(b"CMAT v1 1 1\n1 \r2\n", False)
-# with 32-byte blocks: a blank line ends the first block; the second block is one blank line
-@example(b"CMAT v1 4 1\n" + b"0.5 0.25\n" * 3 + b"\n0.5 0.25\n", True)
-@example(b"CMAT v1 5 1\n" + b"0.5 0.2\n" * 4 + b"\n0.12345678901234 0.123456789012\n", True)
-@example(b"CMAT v1 1 1\n0.12345678901234567 0.12345678901234567\n", True)  # a line past a block
-def test_vectorized_pass_agrees_with_the_per_line_loop_property(tmp_path_factory, data, small):
-    # Small blocks put block edges inside these short files.
+@given(mutated_cmat_files())
+@example(b"CMAT v1 1 1\n1 0\n\n\n")
+@example(b"CMAT v1 1 1\n1e999 0\n")
+# 2 numbers a line on average, but the lines are not 're im'
+@example(b"CMAT v1 2 1\n1 2 3\n4\n")
+@example(b"CMAT v1 1 1\n1 \r2\n")
+# blank lines between entries are skipped
+@example(b"CMAT v1 4 1\n" + b"0.5 0.25\n" * 3 + b"\n0.5 0.25\n")
+@example(b"CMAT v1 5 1\n" + b"0.5 0.2\n" * 4 + b"\n0.12345678901234 0.123456789012\n")
+@example(b"CMAT v1 1 1\n0.12345678901234567 0.12345678901234567\n")
+# '#' starts no comment in a CMAT body
+@example(b"CMAT v1 2 1\n0.5 0.25 # note\n0.5 0.25\n")
+@example(b"CMAT v1 1 1\n# note\n0.5 0.25\n")
+def test_vectorized_pass_agrees_with_the_per_line_loop_property(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "mutated.cmat"
     path.write_bytes(data)
-    with mock.patch.object(fileio, "_BLOCK_BYTES", 32 if small else fileio._BLOCK_BYTES):
-        assert _read_outcome(path) == _loop_outcome(path)
+    assert _read_outcome(path) == _loop_outcome(path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         err = io.StringIO()

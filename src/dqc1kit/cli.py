@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .correlation_analysis import (
+    TRUNCATION_MIN_TAU,
     ClaimFalsified,
     balanced_tree_edge,
     balanced_window,
@@ -122,6 +123,9 @@ _AT_LEAST_1 = _ranged(int, lambda v: v >= 1, "be >= 1")
 _UNIT_TAU = _ranged(float, lambda v: 0 <= v <= 1, "lie in [0, 1]")
 # Generator.binomial takes a signed 64-bit count.
 _SHOTS = _ranged(int, lambda v: 1 <= v < 2**63, "lie in [1, 2^63 - 1]")
+_TRUNCATION_TAU = _ranged(float, lambda v: v == 0 or TRUNCATION_MIN_TAU <= v <= 1,
+                          f"be 0 or lie in [{TRUNCATION_MIN_TAU}, 1]: a polarization below "
+                          f"{TRUNCATION_MIN_TAU} cannot be resolved")
 
 
 def _qubits(low: int):
@@ -404,7 +408,7 @@ def _build_parser() -> _Parser:
         help="fidelity of rank truncations against the certified floor",
     )
     p.add_argument("--n", type=_ranged(int, lambda v: 5 <= v <= 8, "lie in [5, 8]"), default=7)
-    p.add_argument("--tau", type=_UNIT_TAU, default=1.0)
+    p.add_argument("--tau", type=_TRUNCATION_TAU, default=1.0)
     p.add_argument("--cut", type=_int_list, default=None, help="comma-separated side-A labels")
     p.add_argument(  # kept as text: meta.ranks echoes it
         "--ranks", default=None, help="comma-separated ranks (default: all)",

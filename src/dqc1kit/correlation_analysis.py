@@ -24,18 +24,18 @@ from .dqc1_model import (
     Dqc1Config,
     column_blocks,
     final_state,
-    probe_spectrum,
+    probe_matrix,
     register_columns,
 )
 from .tensor_core import (
     DEFAULT_RANK_TOL,
     Bipartition,
     PureState,
-    SchmidtSpectrum,
     operator_schmidt_decompose,
     rank_of,
     schmidt_decompose,
     singular_values,
+    stacked_ranks,
     truncation_fidelity,
 )
 from .randomness import SeedSpec
@@ -183,20 +183,23 @@ def _sample_cuts(
     return [(0,) + tuple(q + 1 for q in combo) for combo in combos]
 
 
-def _cut_record(
-    spectrum: SchmidtSpectrum, rank: int, side_a: tuple[int, ...], window: int, floored: bool
-) -> CutRecord:
-    """A cut's rank and spectrum head, with floor 2^window if ``floored``."""
+def _cut_records(
+    sides: Sequence[tuple[int, ...]], window: int, floored: bool,
+    spectra: np.ndarray, ranks: np.ndarray, width: int,
+) -> list[CutRecord]:
+    """Records of same-window cuts from their stacked spectra, row k for cut k.
+
+    Each spectrum_head is the first 4 values of the row zero-padded to
+    ``width`` coefficients; the floor is 2^window if ``floored``.
+    """
+    head = min(4, width)
+    heads = np.pad(spectra[:, :head], ((0, 0), (0, head - min(head, spectra.shape[1]))))
     floor = 2**window if floored else None
-    return CutRecord(
-        side_a=side_a,
-        window_size=window,
-        rank=rank,
-        log2_rank=math.log2(rank) if rank else float("-inf"),
-        rank_floor=floor,
-        meets_floor=None if floor is None else rank >= floor,
-        spectrum_head=tuple(float(c) for c in spectrum.coefficients[:4]),
-    )
+    return [
+        CutRecord(side_a, window, rank, math.log2(rank) if rank else float("-inf"), floor,
+                  None if floor is None else rank >= floor, tuple(values))
+        for side_a, rank, values in zip(sides, ranks.tolist(), heads.tolist())
+    ]
 
 
 def min_rank_over_equipartitions(
@@ -223,38 +226,21 @@ def min_rank_over_equipartitions(
     cuts = _sample_cuts(n - 1, [half - 1], partition_cap, seed)
 
     def fill(k: int, out: np.ndarray) -> None:
-        out[...] = Bipartition(n, cuts[k]).matricize(state.amplitudes)
+        Bipartition(n, cuts[k]).matricize(state.amplitudes, out=out)
 
     spectra = _stacked_singular_values(fill, len(cuts), (2**half, 2**half), workers)
-    records = (
-        _cut_record(spectrum, rank_of(spectrum, rel_tol), side_a, half, floored=False)
-        for side_a, spectrum in zip(cuts, map(SchmidtSpectrum, spectra))
-    )
-    return RankScanReport(tuple(records))
+    ranks = stacked_ranks(spectra, rel_tol)
+    return RankScanReport(tuple(_cut_records(cuts, half, False, spectra, ranks, 2**half)))
 
 
-def _probe_rank(
-    tau: float,
-    cut: Bipartition,
-    j: int,
-    column: np.ndarray,
-    spectrum: SchmidtSpectrum,
-    rel_tol: float,
-) -> int:
-    """A probe's Schmidt rank, decided on [e_j^T ; R(W|x>)], which has no tau.
+def _probe_spectra(tau: float, probes: Sequence[tuple], shape: tuple[int, int]) -> np.ndarray:
+    """Stacked singular values of :func:`probe_matrix` for (task_id, cut, j, column) probes."""
 
-    For tau > 0 ``spectrum``'s matrix is that one with its register rows
-    scaled by tau, so both have one rank in exact arithmetic.  On the scaled
-    one, sigma_1 comes from the e_j row and the rest scale with tau, so from
-    tau ~ 1e-10 down every register-row coefficient would fall below the
-    rel_tol cutoff.  At tau = 1 the two differ by a global factor and
-    ``spectrum`` serves; at tau = 0 the register rows vanish and the rank is 1.
-    """
-    if tau == 0.0:
-        return 1
-    if tau != 1.0:
-        spectrum = probe_spectrum(1.0, cut, j, column)
-    return rank_of(spectrum, rel_tol)
+    def fill(k: int, out: np.ndarray) -> None:
+        _task_id, cut, j, column = probes[k]
+        probe_matrix(tau, cut, j, column, out)
+
+    return _stacked_singular_values(fill, len(probes), shape)
 
 
 def rank_bound_scan(
@@ -274,8 +260,14 @@ def rank_bound_scan(
     are refused as a policy (see :func:`balanced_window`).  Every cut probes
     rho|t,x> at t = 0, x = 0 unless ``randomize_index`` draws each cut's t
     and register sides (i, j) from ``seed.child(task_id)``, so that mode
-    needs a seed.  The probes run serially: each is one SVD, and a thread
-    pool of them lost to one thread.
+    needs a seed.
+
+    The probes run serially, stacked by shape, one SVD call per stack.  A
+    rank is decided on [e_j^T ; R(W|x>)], free of tau: on the tau-scaled
+    matrix sigma_1 comes from the e_j row and the rest scale with tau, so
+    from tau ~ 1e-10 down all of them would fall below the rel_tol cutoff.
+    At tau = 1 one stack serves both, for 0 < tau < 1 a second stack at
+    tau = 1 gives the ranks, and at tau = 0 the rank is 1.
     """
     n = config.num_register_qubits
     if n < 5:
@@ -289,29 +281,39 @@ def rank_bound_scan(
     cuts = _sample_cuts(n, sizes, num_cuts, seed)
 
     # Probes are grouped by the column W|x> they read, keyed (adjoint, x);
-    # each entry is (task_id, side_a, register cut, j).  The draws come in
-    # the order t, i, j, which the output bytes depend on.
-    probes: dict[tuple[bool, int], list[tuple[int, tuple[int, ...], Bipartition, int]]] = {}
+    # each entry is (task_id, register cut, j).  The draws come in the order
+    # t, i, j, which the output bytes depend on.
+    probes: dict[tuple[bool, int], list[tuple[int, Bipartition, int]]] = {}
     for task_id, side_a in enumerate(cuts):
         cut = Bipartition(n, tuple(q - 1 for q in side_a[1:]))
         t = i = j = 0
         if randomize_index:
             rng = seed.child(task_id).generator()
             t, i, j = (int(rng.integers(size)) for size in (2, cut.dim_a, cut.dim_b))
-        probes.setdefault((bool(t), cut.basis_index(i, j)), []).append((task_id, side_a, cut, j))
+        probes.setdefault((bool(t), cut.basis_index(i, j)), []).append((task_id, cut, j))
 
     # Each distinct column is evolved once, in the column blocks of its
-    # direction (U or U-dagger); its probes are scanned while the block is held.
+    # direction (U or U-dagger); while a block is held, its probes are
+    # stacked by side-A size, which fixes the matrix shape.
+    tau = config.polarization
     records: list[Optional[CutRecord]] = [None] * len(cuts)
     for adjoint in (False, True):
         distinct = [x for direction, x in probes if direction == adjoint]
         for xs, evolved in column_blocks(config.unitary, distinct, adjoint):
+            by_size: dict[int, list[tuple[int, Bipartition, int, np.ndarray]]] = {}
             for x, column in zip(xs.tolist(), evolved.T):
-                for task_id, side_a, cut, j in probes[adjoint, x]:
-                    spectrum = probe_spectrum(config.polarization, cut, j, column)
-                    rank = _probe_rank(config.polarization, cut, j, column, spectrum, rel_tol)
-                    window = min(cut.n_a, cut.n_b)
-                    records[task_id] = _cut_record(spectrum, rank, side_a, window, floored=True)
+                for task_id, cut, j in probes[adjoint, x]:
+                    by_size.setdefault(cut.n_a, []).append((task_id, cut, j, column))
+            for a, group in by_size.items():
+                shape = (2**a + 1, 2 ** (n - a))
+                spectra = _probe_spectra(tau, group, shape)
+                free = spectra if tau in (0.0, 1.0) else _probe_spectra(1.0, group, shape)
+                ranks = stacked_ranks(free, rel_tol) if tau else np.ones(len(group), dtype=int)
+                sides = [cuts[task_id] for task_id, *_ in group]
+                width = min(2 ** (a + 1), 2 ** (n - a))
+                block = _cut_records(sides, min(a, n - a), True, spectra, ranks, width)
+                for (task_id, *_), record in zip(group, block):
+                    records[task_id] = record
     return RankScanReport(tuple(records))
 
 
@@ -360,8 +362,8 @@ def concentration_report(
 
     sing = _stacked_singular_values(fill, samples, (d_a, d_b), workers)
     deviations = np.max(np.abs(sing**2 * d_a - 1.0), axis=1)
-    counts = (rank_of(SchmidtSpectrum(row), rel_tol) for row in sing)
-    return ConcentrationReport(tuple(deviations.tolist()), tuple(counts))
+    counts = stacked_ranks(sing, rel_tol)
+    return ConcentrationReport(tuple(deviations.tolist()), tuple(counts.tolist()))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .randomness import Circuit, LazyUnitary, SeedSpec, check_dense_size, evolve_basis_columns
-from .tensor_core import Bipartition, DenseOperator, PureState, SchmidtSpectrum, singular_values
+from .tensor_core import Bipartition, DenseOperator, PureState
 
 UnitarySource = Union[DenseOperator, LazyUnitary, Circuit]
 
@@ -137,30 +137,29 @@ def apply_to_product(config: Dqc1Config, t: int, x: int) -> PureState:
     return PureState(config.num_register_qubits + 1, amp / (2 * dim))
 
 
-def probe_spectrum(
-    tau: float, register_cut: Bipartition, j: int, column: np.ndarray
-) -> SchmidtSpectrum:
-    """Schmidt spectrum of :func:`apply_to_product`'s vector, from W|x>.
+def probe_matrix(
+    tau: float, register_cut: Bipartition, j: int, column: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Write the nonzero rows of :func:`apply_to_product`'s probe into ``out``.
 
     The joint cut holds the top qubit and ``register_cut.side_a`` (shifted
     up by one label) on side A.  ``column`` is W|x> for the probed x, whose
-    side-B index under ``register_cut`` is ``j``; the spectrum does not
-    depend on t.
-
-    The probe's 2^a rows of top bit t hold a single entry, 1 at (i, j), and
-    its 2^a rows of top bit 1-t hold tau R(W|x>), the column matricized
-    across the register cut.  The singular values are therefore those of
-    the (2^a + 1) x 2^b matrix [e_j^T ; tau R(W|x>)] / 2^{n+1}, built here
-    from the column alone; the rest of the min(2^{a+1}, 2^b) coefficients
-    are zero.
+    side-B index under ``register_cut`` is ``j``; t does not matter.  The
+    probe's 2^a rows of top bit t hold a single entry, 1 at (i, j), and its
+    2^a rows of top bit 1-t hold tau R(W|x>), the column matricized across
+    the register cut.  Its Schmidt coefficients are the singular values of
+    the (2^a + 1) x 2^b matrix [e_j^T ; tau R(W|x>)] / 2^{n+1} written here,
+    padded with zeros to min(2^{a+1}, 2^b).  The register rows take one
+    strided copy and one multiply by tau 2^-(n+1), which has the bits of
+    (tau R) / 2^{n+1} unless an entry falls into the subnormal range (for
+    unit-scale amplitudes, tau below about 1e-280).
     """
-    rows, cols = register_cut.dim_a, register_cut.dim_b
-    m = np.zeros((rows + 1, cols), dtype=np.complex128)
-    m[0, j] = 1.0
-    m[1:] = tau * register_cut.matricize(column)
-    m /= 2 ** (register_cut.total_qubits + 1)
-    coeffs = singular_values(m)
-    return SchmidtSpectrum(np.pad(coeffs, (0, min(2 * rows, cols) - coeffs.size)))
+    scale = 2.0 ** -(register_cut.total_qubits + 1)
+    out[0] = 0.0
+    out[0, j] = scale
+    register_cut.matricize(column, out=out[1:])
+    out[1:] *= tau * scale
+    return out
 
 
 def normalized_trace(unitary: UnitarySource) -> complex:

@@ -63,7 +63,10 @@ class SeedSpec:
 
 def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Complex Ginibre matrix: i.i.d. standard complex normal entries."""
-    ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    # Real parts drawn first; the bits of a + 1j * b, without its complex temporaries.
+    ginibre = np.empty((dim, dim), dtype=np.complex128)
+    ginibre.real = rng.standard_normal((dim, dim))
+    ginibre.imag = rng.standard_normal((dim, dim))
     ginibre /= np.sqrt(2.0)
     return ginibre
 

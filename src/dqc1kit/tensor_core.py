@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -141,19 +142,26 @@ class Bipartition:
     def dim_b(self) -> int:
         return 2**self.n_b
 
-    def matricize(self, vector: np.ndarray) -> np.ndarray:
+    def matricize(self, vector: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The 2^n entries as a dim_a x dim_b matrix; the one map x -> (i, j).
 
         Row i reads the side-A bits of x and column j its side-B bits, each
-        side's labels ascending with the first the most significant.  Any
-        other entry count is refused, naming both counts.
+        side's labels ascending with the first the most significant.  With
+        ``out``, a C-contiguous dim_a x dim_b array, the entries are written
+        there in one strided copy and ``out`` is returned.  Any other entry
+        count is refused, naming both counts.
         """
         vector = np.asarray(vector)
         n = self.total_qubits
         if vector.size != 2**n:
             raise ValueError(f"a cut over {n} qubits needs {2**n} entries, got {vector.size}")
-        t = vector.reshape((2,) * n)
-        return t.transpose(self.side_a + self.side_b).reshape(self.dim_a, self.dim_b)
+        t = vector.reshape((2,) * n).transpose(self.side_a + self.side_b)
+        if out is None:
+            return t.reshape(self.dim_a, self.dim_b)
+        if out.shape != (self.dim_a, self.dim_b) or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous {self.dim_a} x {self.dim_b} array")
+        out.reshape(t.shape)[...] = t
+        return out
 
     def basis_index(self, i: int, j: int) -> int:
         """The basis index x that :meth:`matricize` puts at (i, j)."""
@@ -234,13 +242,16 @@ def operator_schmidt_decompose(op: DenseOperator, cut: Bipartition) -> SchmidtSp
 
 def rank_of(spectrum: SchmidtSpectrum, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count coefficients above rel_tol times the largest; 0 if all zero."""
+    return int(stacked_ranks(spectrum.coefficients[np.newaxis], rel_tol)[0])
+
+
+def stacked_ranks(coefficients: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """:func:`rank_of` of each row of a (k, s) stack of decreasing coefficients."""
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
-    coeffs = spectrum.coefficients
-    largest = coeffs[0]
-    if largest <= 0:
-        return 0
-    return int(np.count_nonzero(coeffs > rel_tol * largest))
+    largest = coefficients[:, :1]
+    counts = np.count_nonzero(coefficients > rel_tol * largest, axis=1)
+    return np.where(largest[:, 0] > 0, counts, 0)
 
 
 def fidelity(op_a: DenseOperator, op_b: DenseOperator) -> float:

@@ -11,8 +11,9 @@ only in float digits show the same second column; a CSV cell counts as a
 float when it is a number other than an integer literal.  The
 corpus is the byte-determinism command set at seeds 1 and 7 and workers
 1 and 4, every job of the three benchmark workloads (session 0 of the
-default seed), and a few edge cases of flag parsing and of the thread
-pool's SVD stacks.  Input files are
+default seed), and a few edge cases of flag parsing, of the thread
+pool's SVD stacks and of bound-scan's probe stacks (zero-padded spectrum
+heads, the tau-free rank stack, randomized product probes).  Input files are
 written to a fixed temporary directory and named by relative paths, so
 ``meta.source`` is the same for every checkout; two checkouts are then
 compared with one ``diff`` of their outputs.  pytest does not collect
@@ -66,6 +67,9 @@ EDGE_CASES = [
     ["truncation", "--n", "7", "--tau", "0"],
     ["bound-scan", "--n", "10", "--cuts", "10"],
     ["bound-scan", "--n", "10", "--cuts", "10", "--randomize-index"],
+    ["bound-scan", "--n", "5", "--cuts", "6"],
+    ["bound-scan", "--n", "8", "--cuts", "12", "--tau", "1e-11"],
+    ["bound-scan", "--n", "8", "--unitary", "product", "--cuts", "20", "--randomize-index"],
 ]
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dqc1kit
 from dqc1kit import SeedSpec, haar_unitary, write_cmat, write_circuit
@@ -537,3 +539,115 @@ def test_main_leaves_no_cyclic_garbage(capsys):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_exhaustive_bound_scan_makes_one_svd_call_per_probe_shape(capsys, monkeypatch):
+    # n = 9 has a = 2, 3, 6, 7 in its window: 36, 84, 84 and 36 probes of
+    # (2^a + 1) x 2^(9-a), each shape one stack.  Below tau = 1 a second
+    # stack per shape gives the tau-free ranks; at tau = 0 there is none.
+    calls = []
+    kernel = correlation_analysis.singular_values
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return kernel(matrix)
+
+    monkeypatch.setattr(correlation_analysis, "singular_values", counting)
+    shapes = [(36, 5, 128), (36, 129, 4), (84, 9, 64), (84, 65, 8)]
+    for tau, stacks in (("1", shapes), ("0.6", 2 * shapes), ("0", shapes)):
+        calls.clear()
+        code, _out, err = run(capsys, ["bound-scan", "--n", "9", "--exhaustive", "--tau", tau])
+        assert (code, err) == (0 if tau != "0" else 2, ""), tau
+        assert sorted(calls) == sorted(stacks), tau
+
+
+# Values per flag of the README's flag table: in-range boundaries (sizes kept
+# small), out-of-range boundaries, nan, infinities, empty and huge values.
+# Counts with no upper bound get a huge value only as a literal the parser
+# refuses ("1e999"): a huge accepted count would run for ever.
+_BAD = ["nan", "inf", ""]
+ARGV_VALUES = {
+    "common": {
+        "--seed": ["0", str(2**64 - 1), str(2**64), "-1", "9" * 30, *_BAD],
+        "--workers": ["1", "2", "0", "-1", "1e999", *_BAD],
+        "--tol": ["1e-10", "0.5", "5e-324", "0", "1", "-inf", "1e999", *_BAD],
+        "--format": ["csv", "json", "xml", ""],
+        "--out": ["-", "report.txt", "", "."],
+    },
+    "rank-scaling": {
+        "--n-list": ["2", "4,6", "4,,6", ",", "3", "22", "-2", "9" * 30, *_BAD],
+        "--seeds": ["1", "2", "0", "1e999", *_BAD],
+        "--gates-factor": ["1", "3", "0", "1e999", *_BAD],
+        "--partition-cap": ["1", "3", "9" * 30, "0", *_BAD],
+    },
+    "bound-scan": {
+        "--n": ["5", "6", "4", "21", "9" * 30, *_BAD],
+        "--cuts": ["1", "3", "9" * 30, "0", "-1", *_BAD],
+        "--tau": ["0", "1", "0.6", "1e-11", "5e-324", "-0.0", "1.0000001", "-inf", "1e999", *_BAD],
+        "--exhaustive": None,
+        "--unitary": ["haar", "product", "circuit", "bogus", ""],
+        "--gates": ["1", "3", "0", "1e999", *_BAD],
+        "--randomize-index": None,
+    },
+    "concentration": {
+        "--na": ["0", "2", "-1", "9" * 30, *_BAD],
+        "--nb": ["1", "3", "0", "9" * 30, *_BAD],
+        "--delta": ["0", "0.5", "1e308", "-0.1", "1e999", *_BAD],
+        "--samples": ["1", "2", "0", "1e999", *_BAD],
+    },
+    "trace-estimate": {
+        "--cmat": ["u3.cmat", "missing.cmat", ""],
+        "--circuit": ["c4.circ", "missing.circ", ""],
+        "--circuit-qubits": ["1", "4", "5", "0", "21", "9" * 30, *_BAD],
+        "--shots": ["1", str(2**63 - 1), str(2**63), "0", "9" * 30, *_BAD],
+        "--tau": ["1", "0.5", "5e-324", "0", "1.5", "1e999", *_BAD],
+    },
+    "tree-edge": {
+        "--leaves": ["6", "7", "5", "1e999", *_BAD],
+        "--trees": ["1", "2", "0", "1e999", *_BAD],
+    },
+    "truncation": {
+        "--n": ["5", "6", "4", "9", "9" * 30, *_BAD],
+        "--tau": ["0", "1", "0.6", "1e-6", "9e-7", "5e-324", "-0.5", "1e999", *_BAD],
+        "--cut": ["0,1", "1,2", "1,,2", "0", "9", "-1", "0,1,2,3,4,5,6", *_BAD],
+        "--ranks": ["1", "1,4", "99", "0", ",", "9" * 30, *_BAD],
+    },
+}
+
+# The rules that join flags name none of them; every other exit 1 names its flag.
+JOINT_RULES = (
+    r"a dense unitary needs 1 <= n <= 12",
+    r"concentration regime requires n_a <= n_b",
+    r"n_a \+ n_b = \d+ exceeds the register limit 20",
+    r"side_a (labels out of range|must be a nonempty strict subset)",
+    r"cut window \d+ outside the balanced range",
+    r"rank \d+ outside 1\.\.\d+",
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(set(ARGV_VALUES) - {"common"})))
+    argv = [command]
+    for flag, values in {**ARGV_VALUES["common"], **ARGV_VALUES[command]}.items():
+        # rank-scaling's default --n-list alone takes seconds
+        if flag == "--n-list" or draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argvs())
+def test_any_argv_from_the_flag_table_ends_in_a_documented_exit_property(
+    argv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    if not Path("u3.cmat").exists():
+        write_cmat("u3.cmat", haar_unitary(3, SeedSpec(7)).matrix)
+        write_circuit("c4.circ", random_two_qubit_circuit(4, 6, SeedSpec(95)))
+    code, _out, err = run(capsys, argv)
+    assert code in (0, 1, 2, 3), argv
+    if code == 1:
+        named = re.search(r"--[a-z]", err) or any(re.search(rule, err) for rule in JOINT_RULES)
+        assert named, (argv, err)

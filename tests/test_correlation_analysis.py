@@ -15,6 +15,8 @@ from dqc1kit import (
     SchmidtSpectrum,
     SeedSpec,
     TreeGraph,
+    apply_circuit,
+    apply_to_product,
     balanced_tree_edge,
     balanced_window,
     basis_state,
@@ -30,6 +32,7 @@ from dqc1kit import (
     rank_bound_scan,
     rank_of,
     robust_rank_bound,
+    schmidt_decompose,
     truncation_experiment,
     truncation_fidelity,
 )
@@ -159,6 +162,13 @@ def test_min_rank_scan_is_the_per_cut_schmidt_ranks_at_any_worker_count(monkeypa
         spectrum = schmidt_decompose(state, Bipartition(12, record.side_a))
         assert record.rank == rank_of(spectrum)
         assert record.spectrum_head == tuple(spectrum.coefficients[:4].tolist())
+    # every cut at n = 2 and 4, whose heads hold 2 and 4 coefficients
+    for n in (2, 4):
+        state = apply_circuit(random_two_qubit_circuit(n, 2 * n, SeedSpec(90 + n)), basis_state(n, 0))
+        for record in min_rank_over_equipartitions(state).records:
+            spectrum = schmidt_decompose(state, Bipartition(n, record.side_a))
+            assert record.rank == rank_of(spectrum) and record.log2_rank == math.log2(record.rank)
+            assert record.spectrum_head == tuple(spectrum.coefficients[:4].tolist())
 
 
 def test_min_rank_rejects_odd_registers():
@@ -248,6 +258,45 @@ def test_circuit_rank_bound_scan_matches_per_cut_oracle(randomize):
         # the Gram-matrix oracle resolves coefficients to ~1e-8 relative
         assert record.rank == np.count_nonzero(coeffs > 1e-6 * coeffs[0])
     assert indices == ({0, 1} if randomize else {0})
+
+
+_UNITARY_BUILDERS = {
+    "haar": haar_unitary,
+    "product": haar_product_unitary,
+    "circuit": lambda n, seed: random_two_qubit_circuit(n, 4 * n, seed),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNITARY_BUILDERS))
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_stacked_bound_scan_is_the_dense_per_probe_path(n, kind):
+    # Every record of the stacked scan against its own probe, built densely
+    # by apply_to_product and cut by schmidt_decompose: the head comes from
+    # the tau-scaled probe, whose min(2^{a+1}, 2^b) coefficients include the
+    # zero padding, and the rank from the probe at tau = 1 (rank 1 at
+    # tau = 0).  n = 5 scans every cut, so its a = 1 probes, three nonzero
+    # rows, have a head padded from 3 values to 4.
+    unitary = _UNITARY_BUILDERS[kind](n, SeedSpec(200 + n))
+    seed = SeedSpec(300 + n)
+    padded = 0
+    for tau in (0.0, 1e-11, 0.6, 1.0):
+        for randomize in (False, True):
+            config = Dqc1Config(tau, unitary)
+            num_cuts = None if n == 5 else 12
+            report = rank_bound_scan(config, num_cuts, seed=seed, randomize_index=randomize)
+            for task_id, record in enumerate(report.records):
+                reg_a = len(record.side_a) - 1
+                t, i, j = _scan_index(seed, task_id, reg_a, n) if randomize else (0, 0, 0)
+                x = oracles.register_index(n, tuple(q - 1 for q in record.side_a[1:]), i, j)
+                joint = Bipartition(n + 1, record.side_a)
+                want = schmidt_decompose(apply_to_product(config, t, x), joint).coefficients
+                assert len(record.spectrum_head) == min(4, want.size)
+                error = np.abs(np.array(record.spectrum_head) - want[:4]).max()
+                assert error <= 1e-12 * want[0], (tau, randomize, record.side_a)
+                free = apply_to_product(Dqc1Config(1.0, unitary), t, x)
+                assert record.rank == (1 if tau == 0 else rank_of(schmidt_decompose(free, joint)))
+                padded += min(2**reg_a + 1, 2 ** (n - reg_a)) < len(record.spectrum_head)
+    assert (padded > 0) == (n == 5)
 
 
 def test_default_index_circuit_scan_evolves_one_column(monkeypatch):

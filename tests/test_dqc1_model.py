@@ -10,6 +10,7 @@ from dqc1kit import (
     GateSpec,
     DenseOperator,
     Dqc1Config,
+    SchmidtSpectrum,
     SeedSpec,
     apply_to_product,
     balanced_window,
@@ -25,7 +26,7 @@ from dqc1kit import (
     simulate_trace_estimation,
     write_circuit,
 )
-from dqc1kit.dqc1_model import probe_spectrum, register_columns
+from dqc1kit.dqc1_model import probe_matrix, register_columns
 from dqc1kit.tensor_core import is_unitary
 from dqc1kit.randomness import DENSE_LIMIT
 
@@ -134,9 +135,9 @@ def test_apply_to_product_index_out_of_range():
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_probe_spectrum_matches_dense_probe(n):
-    # The nonzero-row spectrum of every in-window register cut against the
-    # SVD of the whole 2^{n+1}-entry probe vector across the joint cut, for
-    # Haar and circuit U.
+    # The nonzero-row spectrum of every in-window register cut, padded with
+    # zeros, against the SVD of the whole 2^{n+1}-entry probe vector across
+    # the joint cut, for Haar and circuit U.
     low, high = balanced_window(n)
     cuts = [
         Bipartition(n, combo)
@@ -155,7 +156,11 @@ def test_probe_spectrum_matches_dense_probe(n):
                     i, j = int(rng.integers(cut.dim_a)), int(rng.integers(cut.dim_b))
                     x = oracles.register_index(n, cut.side_a, i, j)
                     column = register_columns(unitary, [x], bool(t))[:, 0]
-                    got = probe_spectrum(tau, cut, j, column)
+                    rows = np.full((cut.dim_a + 1, cut.dim_b), np.nan, dtype=complex)
+                    assert probe_matrix(tau, cut, j, column, rows) is rows
+                    width = min(2 * cut.dim_a, cut.dim_b)
+                    sing = np.linalg.svd(rows, compute_uv=False)
+                    got = SchmidtSpectrum(np.pad(sing, (0, width - sing.size)))
                     want = schmidt_decompose(apply_to_product(config, t, x), joint)
                     assert got.coefficients.shape == want.coefficients.shape
                     scale = want.coefficients[0]

@@ -116,6 +116,18 @@ def test_haar_first_column_is_served_without_a_qr(dense_builds, n, seed):
     assert np.array_equal(u.matrix[:, 1:], q[:, 1:] * phases[1:])
 
 
+@pytest.mark.parametrize("dim", [2, 4, 64, 512])
+def test_ginibre_draw_keeps_the_bits_of_the_two_draw_sum(dim):
+    # The in-place fill against the expression it replaced, on the same stream.
+    seed = SeedSpec(130 + dim)
+    got = randomness._ginibre(dim, seed.generator())
+    rng = seed.generator()
+    want = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    want /= np.sqrt(2.0)
+    assert got.dtype == np.complex128 and got.shape == (dim, dim)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_built_haar_matrix_keeps_no_ginibre_draw():
     # At n = 10 the Ginibre draw and the matrix are 16 MiB each.
     tracemalloc.start()

@@ -187,6 +187,37 @@ def test_rank_of_cases():
         rank_of(SchmidtSpectrum(np.array([1.0])), rel_tol=1.0)
 
 
+def test_stacked_ranks_is_rank_of_row_by_row():
+    # Decreasing rows spread over 14 decades, an all-zero row and ties at the cutoff.
+    rng = np.random.default_rng(11)
+    rows = -np.sort(-rng.random((40, 6)) * (10.0 ** rng.integers(-14, 1, size=(40, 6))), axis=1)
+    rows[3] = 0.0
+    rows[4] = [1.0, 1e-10, 1e-10, 0.0, 0.0, 0.0]
+    for rel_tol in (1e-10, 1e-3, 0.5):
+        want = [rank_of(SchmidtSpectrum(row), rel_tol) for row in rows]
+        assert tensor_core.stacked_ranks(rows, rel_tol).tolist() == want
+    assert tensor_core.stacked_ranks(rows[3:5], 1e-10).tolist() == [0, 1]
+    for rel_tol in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError):
+            tensor_core.stacked_ranks(rows, rel_tol)
+
+
+def test_matricize_writes_into_a_contiguous_slot_only():
+    rng = np.random.default_rng(12)
+    vec = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    stack = np.zeros((2, 5, 8), dtype=complex)
+    for k, side_a in enumerate([(0, 3), (2, 4)]):
+        cut, slot = Bipartition(5, side_a), stack[k, 1:]
+        assert cut.matricize(vec, out=slot) is slot
+        assert np.array_equal(stack[k, 1:], oracles.split_amplitudes(vec, 5, side_a))
+        assert not stack[k, 0].any()
+    cut = Bipartition(5, (0, 3))
+    for bad in (np.zeros((8, 4), dtype=complex), np.zeros((4, 16), dtype=complex)[:, ::2],
+                np.zeros((8, 4), dtype=complex).T):
+        with pytest.raises(ValueError, match="C-contiguous 4 x 8"):
+            cut.matricize(vec, out=bad)
+
+
 def test_operator_schmidt_identity_rank_one():
     op = DenseOperator(2, np.eye(4) / 4)
     assert rank_of(operator_schmidt_decompose(op, Bipartition(2, (0,)))) == 1

@@ -28,12 +28,12 @@ from .correlation_analysis import (
     balanced_tree_edge,
     balanced_window,
     concentration_report,
-    min_rank_over_equipartitions,
+    min_equipartition_rank,
     random_degree3_tree,
     rank_bound_scan,
     truncation_experiment,
 )
-from .dqc1_model import STREAM_LIMIT, Dqc1Config, simulate_trace_estimation
+from .dqc1_model import STREAM_LIMIT, TRACE_MIN_TAU, Dqc1Config, simulate_trace_estimation
 from .fileio import FileFormatError, read_circuit, read_unitary_cmat, render_csv, render_json
 from .randomness import (
     SeedSpec,
@@ -126,6 +126,9 @@ _SHOTS = _ranged(int, lambda v: 1 <= v < 2**63, "lie in [1, 2^63 - 1]")
 _TRUNCATION_TAU = _ranged(float, lambda v: v == 0 or TRUNCATION_MIN_TAU <= v <= 1,
                           f"be 0 or lie in [{TRUNCATION_MIN_TAU}, 1]: a polarization below "
                           f"{TRUNCATION_MIN_TAU} cannot be resolved")
+_TRACE_TAU = _ranged(float, lambda v: TRACE_MIN_TAU <= v <= 1,
+                     f"lie in [{TRACE_MIN_TAU}, 1]: a polarization below {TRACE_MIN_TAU} "
+                     "cannot be resolved")
 
 
 def _qubits(low: int):
@@ -156,14 +159,14 @@ def _cmd_rank_scaling(args: argparse.Namespace) -> CommandResult:
         task_seed = master.child(task_id)
         circuit = random_two_qubit_circuit(n, args.gates_factor * n, task_seed.child(0))
         state = apply_circuit(circuit, basis_state(n, 0))
-        report = min_rank_over_equipartitions(
+        min_rank = min_equipartition_rank(
             state, args.tol, args.partition_cap, task_seed.child(1), args.workers
         )
         rows.append({
             "n": n,
             "seed": seed_index,
-            "min_rank": report.min_rank,
-            "log2_min_rank": float(np.log2(report.min_rank)),
+            "min_rank": min_rank,
+            "log2_min_rank": float(np.log2(min_rank)),
         })
     medians = [statistics.median(r["min_rank"] for r in rows if r["n"] == n) for n in args.n_list]
     rows += [
@@ -392,7 +395,7 @@ def _build_parser() -> _Parser:
     source.add_argument("--circuit", default=None, help="gate-per-line circuit file")
     p.add_argument("--circuit-qubits", type=_qubits(1), default=None)
     p.add_argument("--shots", type=_SHOTS, default=10000)
-    p.add_argument("--tau", type=_ranged(float, lambda v: 0 < v <= 1, "lie in (0, 1]"), default=1.0)
+    p.add_argument("--tau", type=_TRACE_TAU, default=1.0)
     p.set_defaults(run=_cmd_trace_estimate)
 
     p = sub.add_parser(

@@ -202,6 +202,18 @@ def _cut_records(
     ]
 
 
+def _equipartition_cuts(
+    state: PureState, partition_cap: Optional[int], seed: Optional[SeedSpec]
+) -> list[tuple[int, ...]]:
+    """The half:half cuts of an even register that the equipartition scans walk."""
+    n = state.num_qubits
+    if n % 2 != 0:
+        raise ValueError("equipartition scan requires an even qubit count")
+    if partition_cap is not None and partition_cap < 1:
+        raise ValueError("partition_cap must be >= 1")
+    return _sample_cuts(n - 1, [n // 2 - 1], partition_cap, seed)
+
+
 def min_rank_over_equipartitions(
     state: PureState,
     rel_tol: float = DEFAULT_RANK_TOL,
@@ -217,13 +229,9 @@ def min_rank_over_equipartitions(
     cuts' SVDs run stacked on ``workers`` threads; the records do not
     depend on the worker count.
     """
+    cuts = _equipartition_cuts(state, partition_cap, seed)
     n = state.num_qubits
-    if n % 2 != 0:
-        raise ValueError("equipartition scan requires an even qubit count")
     half = n // 2
-    if partition_cap is not None and partition_cap < 1:
-        raise ValueError("partition_cap must be >= 1")
-    cuts = _sample_cuts(n - 1, [half - 1], partition_cap, seed)
 
     def fill(k: int, out: np.ndarray) -> None:
         Bipartition(n, cuts[k]).matricize(state.amplitudes, out=out)
@@ -231,6 +239,99 @@ def min_rank_over_equipartitions(
     spectra = _stacked_singular_values(fill, len(cuts), (2**half, 2**half), workers)
     ranks = stacked_ranks(spectra, rel_tol)
     return RankScanReport(tuple(_cut_records(cuts, half, False, spectra, ranks, 2**half)))
+
+
+# The Gaussian sketches of min_equipartition_rank come from this fixed
+# stream; they decide only which cuts take a full SVD, never a result.
+SKETCH_SEED = SeedSpec(0x5EED)
+# The sketch test's rounding term is SKETCH_ROUNDING * d^2 * u: the worst-case
+# error constants of the two d-term products and of the two SVDs, with room.
+SKETCH_ROUNDING = 32.0
+UNIT_ROUNDOFF = 2.0**-53
+# Outside this range of ||psi|| a sketch could overflow, or lose digits to
+# underflow, so every cut takes the full SVD.
+SKETCH_NORM_RANGE = (2.0**-256, 2.0**256)
+
+
+def min_equipartition_rank(
+    state: PureState,
+    rel_tol: float = DEFAULT_RANK_TOL,
+    partition_cap: Optional[int] = None,
+    seed: Optional[SeedSpec] = None,
+    workers: int = 1,
+) -> int:
+    """``min_rank_over_equipartitions(...).min_rank``, with most full SVDs skipped.
+
+    The same cuts are filled into the same stacks.  Stack k goes to lane
+    k mod ``workers``, and the lanes run on one thread pool: a pool per
+    round of ``workers`` stacks made the benchmark's rank-scaling job
+    slower (107 against 90 ms on two workers).  Each lane keeps a running
+    minimum m, which starts at d = 2^(n/2).  While m = d there is nothing
+    to sketch, so a stack's cuts take the full SVD and
+    :func:`stacked_ranks`.  Once m < d, each cut matrix M (d x d) is
+    sketched as Y = G1[:m] M G2[:, :m], with complex Gaussian G1 and G2
+    drawn from SKETCH_SEED, and passes if
+
+        sigma_m(Y) > (rel_tol + SKETCH_ROUNDING d^2 u) ||G1[:m]||_2 ||G2[:, :m]||_2 ||psi||_2
+
+    with u the unit roundoff.  A pass proves that :func:`rank_of` gives M a
+    rank of at least m.  M holds the entries of psi, so sigma_1(M) <=
+    ||M||_F = ||psi||_2, and sigma_m(G1 M G2) <= ||G1||_2 sigma_m(M)
+    ||G2||_2.  Rounding moves the computed sigma_m(Y) by at most a small
+    multiple of d^2 u ||G1||_2 ||G2||_2 ||psi||_2: each product sums d
+    terms, an m-row or m-column |G| has a 2-norm at most sqrt(m) <= sqrt(d)
+    times that of G, and the SVD of Y is backward stable.  So a pass gives
+    sigma_m(M) > (rel_tol + c d^2 u) ||psi||_2, and the full SVD of M, whose
+    computed values move by at most a small multiple of d^2 u sigma_1(M),
+    counts sigma_m above rel_tol times its sigma_1.
+
+    The cuts that fail take the full SVD, and they may lower m.  Every m is
+    the rank of a cut decided in full, and every passed cut has a rank of
+    at least the m it was tested against, so the result is the full scan's
+    minimum for any sketch and any ``workers``: they change only the work
+    done.  A lane stops sketching once no cut of a stack passes and m
+    stays, since the bound is then too loose at this rel_tol (at 1e-2 no
+    cut of rank-scaling's circuits passed).  A state whose norm lies
+    outside SKETCH_NORM_RANGE is scanned in full.
+    """
+    cuts = _equipartition_cuts(state, partition_cap, seed)
+    n = state.num_qubits
+    d = 2 ** (n // 2)
+    per_stack = max(1, COLUMN_BLOCK_ENTRIES // d**2)
+    starts = range(0, len(cuts), per_stack)
+    rng = SKETCH_SEED.generator()
+    g1, g2 = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    norm = float(np.linalg.norm(state.amplitudes))
+    norm_in_range = SKETCH_NORM_RANGE[0] <= norm <= SKETCH_NORM_RANGE[1]
+
+    def lane(first: int) -> int:
+        m, threshold, sketching = d, None, norm_in_range
+        for start in starts[first::workers]:
+            stack = buffers[first][:len(cuts) - start]
+            for k, out in enumerate(stack, start):
+                Bipartition(n, cuts[k]).matricize(state.amplitudes, out=out)
+            if threshold is not None:
+                passed = singular_values(g1[:m] @ stack @ g2[:, :m])[:, -1] > threshold
+                stack = stack[~passed]
+            low = int(stacked_ranks(singular_values(stack), rel_tol).min()) if len(stack) else m
+            if low < m:
+                m = low
+                if m == 0:  # psi = 0: every cut has rank 0
+                    break
+                if sketching:
+                    gain = np.linalg.norm(g1[:m], 2) * np.linalg.norm(g2[:, :m], 2)
+                    threshold = (rel_tol + SKETCH_ROUNDING * d * d * UNIT_ROUNDOFF) * gain * norm
+            elif threshold is not None and not passed.any():
+                threshold, sketching = None, False
+        return m
+
+    # Each lane refills one stack buffer, made here on the calling thread.
+    # Five rounds of the dense_analysis jobs in one process peaked at 48.6
+    # MiB with the full scan, 49.8 with buffers made on the pool's threads
+    # and 47.8 with these.
+    lanes = range(min(workers, len(starts)))
+    buffers = [np.empty((min(per_stack, len(cuts)), d, d), dtype=np.complex128) for _ in lanes]
+    return min(parallel_map(lane, lanes, workers))
 
 
 def _probe_spectra(tau: float, probes: Sequence[tuple], shape: tuple[int, int]) -> np.ndarray:

@@ -36,6 +36,12 @@ STREAM_LIMIT = 20
 # 4.3-4.8 s) with stacks of two.
 COLUMN_BLOCK_ENTRIES = 2**16
 
+# The trace estimator divides by tau, and its standard error is about
+# 1/(tau sqrt(shots)): at tau = 1e-300 it reported estimates near 1e297 for a
+# trace of modulus at most 1, and from about 1e-308 down it overflowed to
+# inf.  Smaller polarizations are refused, at the truncation floor's value.
+TRACE_MIN_TAU = 1e-6
+
 
 @dataclass(frozen=True)
 class Dqc1Config:
@@ -187,13 +193,13 @@ def simulate_trace_estimation(
     P(+|X) = (1 + tau Re t)/2 and P(+|Y) = (1 - tau Im t)/2 where
     t = Tr(U)/2^n is computed exactly, then inverts both affine maps.  The
     estimator is unbiased; the returned errors are the binomial standard
-    errors of each component.
+    errors of each component.  A polarization below TRACE_MIN_TAU is refused.
     """
     if not 1 <= shots < 2**63:  # Generator.binomial takes a signed 64-bit count
         raise ValueError("shots must lie in [1, 2^63 - 1]")
     tau = config.polarization
-    if tau == 0.0:
-        raise ValueError("estimator undefined at zero polarization")
+    if tau < TRACE_MIN_TAU:
+        raise ValueError(f"polarization below {TRACE_MIN_TAU} cannot be resolved")
     t = normalized_trace(config.unitary)
     # A unitary accepted within UNITARY_TOL can have |t| slightly above 1.
     p_x = min(max((1.0 + tau * t.real) / 2.0, 0.0), 1.0)

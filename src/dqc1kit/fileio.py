@@ -213,8 +213,11 @@ def render_json(payload: Mapping[str, JsonValue]) -> str:
 
     numpy scalars and arrays become Python values through ``tolist``;
     ``np.float64`` is a float subclass and is written by ``float.__repr__``.
+    A nan or infinity is not JSON (RFC 8259) and raises ``ValueError``.
     """
-    return json.dumps(payload, sort_keys=True, indent=2, default=_numpy_to_python) + "\n"
+    return json.dumps(
+        payload, sort_keys=True, indent=2, allow_nan=False, default=_numpy_to_python
+    ) + "\n"
 
 
 def _numpy_to_python(value):

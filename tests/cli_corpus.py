@@ -12,8 +12,10 @@ float when it is a number other than an integer literal.  The
 corpus is the byte-determinism command set at seeds 1 and 7 and workers
 1 and 4, every job of the three benchmark workloads (session 0 of the
 default seed), and a few edge cases of flag parsing, of the thread
-pool's SVD stacks and of bound-scan's probe stacks (zero-padded spectrum
-heads, the tau-free rank stack, randomized product probes).  Input files are
+pool's SVD stacks, of bound-scan's probe stacks (zero-padded spectrum
+heads, the tau-free rank stack, randomized product probes) and of
+rank-scaling's sketched scan (at 1 and 2 workers, and at a --tol where
+cuts fail their sketch and take the full SVD).  Input files are
 written to a fixed temporary directory and named by relative paths, so
 ``meta.source`` is the same for every checkout; two checkouts are then
 compared with one ``diff`` of their outputs.  pytest does not collect
@@ -70,6 +72,8 @@ EDGE_CASES = [
     ["bound-scan", "--n", "5", "--cuts", "6"],
     ["bound-scan", "--n", "8", "--cuts", "12", "--tau", "1e-11"],
     ["bound-scan", "--n", "8", "--unitary", "product", "--cuts", "20", "--randomize-index"],
+    *(["rank-scaling", "--n-list", "10,12", "--seeds", "3", "--workers", w] for w in ("2", "1")),
+    ["rank-scaling", "--n-list", "10,12", "--seeds", "3", "--workers", "2", "--tol", "1e-2"],
 ]
 
 

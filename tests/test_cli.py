@@ -24,6 +24,20 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def test_every_name_the_benchmark_tracer_wraps_is_defined(monkeypatch):
+    # perfbench/tracing.py looks these up with getattr at run time: a
+    # refactor that deletes or renames one would crash the traced benchmark.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import tracing
+
+    wrapped = [(module, name) for module, name, *_ in tracing.WRAPPED]
+    wrapped.append((correlation_analysis, "parallel_map"))
+    src = Path(dqc1kit.__file__).parent
+    for module, name in wrapped:
+        assert Path(module.__file__).parent == src, module.__name__
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
@@ -159,9 +173,9 @@ def test_rank_scaling_starts_its_first_task_without_listing_every_seed(monkeypat
         scanned.append(state.num_qubits)
         if len(scanned) == 3:
             raise Stop
-        return correlation_analysis.min_rank_over_equipartitions(state, *_args)
+        return correlation_analysis.min_equipartition_rank(state, *_args)
 
-    monkeypatch.setattr(cli, "min_rank_over_equipartitions", scan)
+    monkeypatch.setattr(cli, "min_equipartition_rank", scan)
     tracemalloc.start()
     try:
         with pytest.raises(Stop):
@@ -251,6 +265,28 @@ def test_trace_estimate_zero_tau_is_usage_error(tmp_path, capsys):
         capsys, ["trace-estimate", "--cmat", str(path), "--tau", "0"]
     )
     assert code == 1
+
+
+def _strict_json(text):
+    """The report parsed by a reader that refuses nan and Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("tau", ["5e-324", "1e-300", "9.99e-7"])
+def test_trace_estimate_refuses_a_polarization_below_the_floor(tmp_path, capsys, tau):
+    # The estimate divides by tau: 5e-324 wrote Infinity into the report and
+    # 1e-300 an estimate of 1e297 for a trace of modulus at most 1.
+    path = tmp_path / "u.cmat"
+    write_cmat(path, haar_unitary(3, SeedSpec(7)).matrix)
+    code, out, err = run(capsys, ["trace-estimate", "--cmat", str(path), "--tau", tau])
+    assert (code, out) == (1, "")
+    assert "argument --tau: must lie in [1e-06, 1]: a polarization below 1e-06 cannot be resolved" in err
+    code, out, _err = run(capsys, ["trace-estimate", "--cmat", str(path), "--tau", "1e-6"])
+    row = _strict_json(out)["rows"][0]
+    assert code == 0 and abs(row["estimate_re"]) <= 1e6 and abs(row["std_error_re"]) <= 1e6
 
 
 def test_trace_estimate_missing_file_is_io_error(capsys):
@@ -600,7 +636,7 @@ ARGV_VALUES = {
         "--circuit": ["c4.circ", "missing.circ", ""],
         "--circuit-qubits": ["1", "4", "5", "0", "21", "9" * 30, *_BAD],
         "--shots": ["1", str(2**63 - 1), str(2**63), "0", "9" * 30, *_BAD],
-        "--tau": ["1", "0.5", "5e-324", "0", "1.5", "1e999", *_BAD],
+        "--tau": ["1", "0.5", "1e-6", "9e-7", "1e-300", "5e-324", "0", "1.5", "1e999", *_BAD],
     },
     "tree-edge": {
         "--leaves": ["6", "7", "5", "1e999", *_BAD],
@@ -646,8 +682,13 @@ def test_any_argv_from_the_flag_table_ends_in_a_documented_exit_property(
     if not Path("u3.cmat").exists():
         write_cmat("u3.cmat", haar_unitary(3, SeedSpec(7)).matrix)
         write_circuit("c4.circ", random_two_qubit_circuit(4, 6, SeedSpec(95)))
-    code, _out, err = run(capsys, argv)
+    code, out, err = run(capsys, argv)
     assert code in (0, 1, 2, 3), argv
     if code == 1:
         named = re.search(r"--[a-z]", err) or any(re.search(rule, err) for rule in JOINT_RULES)
         assert named, (argv, err)
+    # Every report written reads with a strict JSON parser or is CSV.
+    if "--out" in argv and code in (0, 2) and Path(argv[argv.index("--out") + 1]).is_file():
+        out = Path(argv[argv.index("--out") + 1]).read_text()
+    if out.startswith("{"):
+        _strict_json(out)

@@ -4,9 +4,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dqc1kit import (
+    DEFAULT_RANK_TOL,
     Bipartition,
     ClaimFalsified,
     DenseOperator,
@@ -37,10 +38,12 @@ from dqc1kit import (
     truncation_fidelity,
 )
 from dqc1kit.cli import main as cli_main
+from dqc1kit import correlation_analysis
 from dqc1kit.correlation_analysis import (
     TRUNCATION_MIN_TAU,
     _sample_cuts,
     _unrank_combination,
+    min_equipartition_rank,
     parallel_map,
 )
 
@@ -193,6 +196,134 @@ def test_min_rank_sampled_subset_matches_exhaustive():
     assert len(capped.records) == math.comb(7, 3)
     with pytest.raises(ValueError):
         min_rank_over_equipartitions(state, partition_cap=5)
+
+
+def _pair_state(n, pairs, lams, rng=None):
+    """The product over pairs (p, q) of |00> + lam |11>, unnormalized.
+
+    Across a cut, its Schmidt coefficients are the products of 1 or lam
+    over the pairs the cut splits.  With ``rng``, a random unitary acts on
+    each qubit, which keeps those coefficients and fills the cut matrices.
+    """
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    amp = np.ones(2**n, dtype=np.complex128)
+    for (p, q), lam in zip(pairs, lams):
+        amp *= np.where(bits[:, p] == bits[:, q], np.where(bits[:, p] == 1, lam, 1.0), 0.0)
+    if rng is not None:
+        t = amp.reshape((2,) * n)
+        for q in range(n):
+            gate = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            t = np.moveaxis(np.tensordot(gate, t, axes=(1, q)), 0, q)
+        amp = t.reshape(-1)
+    return PureState(n, amp)
+
+
+def _planted_state(n, side_a, coefficients, rng):
+    """A state whose Schmidt coefficients across side_a are ``coefficients``."""
+    cut = Bipartition(n, side_a)
+    r = len(coefficients)
+    u, v = (np.linalg.qr(rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r)))[0]
+            for dim in (cut.dim_a, cut.dim_b))
+    matrix = (u * np.asarray(coefficients)) @ v.T
+    t = matrix.reshape((2,) * n).transpose(np.argsort(cut.side_a + cut.side_b))
+    return PureState(n, t.reshape(-1))
+
+
+def _cuts_per_stack(monkeypatch, n, cuts):
+    """Make the equipartition stacks hold ``cuts`` cuts each at n qubits."""
+    monkeypatch.setattr(correlation_analysis, "COLUMN_BLOCK_ENTRIES", cuts * 4 ** (n // 2))
+
+
+NEAR_TOL = (1 - 1e-3, 1 + 1e-3, 1 + 1e-7, 1 - 1e-7)
+
+
+@st.composite
+def equipartition_cases(draw):
+    """(state, rel_tol, partition_cap, seed, cuts per stack or None for the real stacks).
+
+    States are Gaussian, planted with a low-rank cut after the first stack
+    (possibly with one coefficient at rel_tol times 1 +- 1e-3 or 1e-7), or
+    products of pairs, some with a pair coefficient near rel_tol, under
+    random one-qubit unitaries.  Some are scaled far from norm 1.
+    """
+    n = draw(st.sampled_from([2, 4, 4, 6, 6, 8, 8, 10, 10, 12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rel_tol = draw(st.sampled_from([DEFAULT_RANK_TOL, DEFAULT_RANK_TOL, 1e-6, 1e-2]))
+    # n = 12 is always sampled: a full scan there takes 0.2 s per worker count
+    cap = draw(st.integers(1, 60) if n == 12 else st.one_of(st.none(), st.none(), st.integers(1, 60)))
+    seed = SeedSpec(draw(st.integers(0, 99)))
+    # Below n = 10 one real stack holds every cut, so nothing would be sketched.
+    per_stack = draw(st.sampled_from([1, 3] if n < 10 else [None, None, 1]))
+    d = 2 ** (n // 2)
+    cuts = _sample_cuts(n - 1, [n // 2 - 1], cap, seed)
+    first = per_stack or correlation_analysis.COLUMN_BLOCK_ENTRIES // d**2
+    kind = draw(st.sampled_from(["gaussian", "planted", "planted", "planted", "pairs", "pairs"]))
+    if kind == "gaussian":
+        state = PureState(n, rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n))
+    elif kind == "planted":
+        side_a = cuts[draw(st.integers(min(first, len(cuts) - 1), len(cuts) - 1))]
+        coefficients = rng.uniform(0.5, 1.0, draw(st.integers(1, d)))
+        if len(coefficients) > 1 and draw(st.booleans()):
+            coefficients[-1] = rel_tol * draw(st.sampled_from(NEAR_TOL)) * coefficients.max()
+        state = _planted_state(n, side_a, coefficients, rng)
+    else:
+        order = rng.permutation(n).tolist()
+        pairs = list(zip(order[::2], order[1::2]))
+        lams = [draw(st.sampled_from([1.0, 0.5, 0.0, rel_tol * draw(st.sampled_from(NEAR_TOL))]))
+                for _ in pairs]
+        state = _pair_state(n, pairs, lams, rng)
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-3, 1e5, 2.0**-300, 2.0**300]))
+    return PureState(n, state.amplitudes * scale), rel_tol, cap, seed, per_stack
+
+
+@settings(derandomize=True, deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=equipartition_cases())
+def test_sketched_minimum_is_the_full_scan_minimum_property(case, monkeypatch):
+    state, rel_tol, cap, seed, per_stack = case
+    want = min_rank_over_equipartitions(state, rel_tol, cap, seed).min_rank
+    with monkeypatch.context() as patch:
+        if per_stack is not None:
+            _cuts_per_stack(patch, state.num_qubits, per_stack)
+        for workers in (1, 2, 4):
+            assert min_equipartition_rank(state, rel_tol, cap, seed, workers) == want, workers
+
+
+@pytest.mark.parametrize("factor,want", [(1 - 1e-3, 1), (1 + 1e-3, 2)])
+def test_sketch_threshold_carries_the_sketch_norms(monkeypatch, factor, want):
+    # Cut {0, 2, 3} splits only the pair (0, 1), whose coefficients 1 and
+    # lam sit at the rank cutoff; the first cut, {0, 1, 2}, has rank 2.  A
+    # test without ||G1|| ||G2|| passes {0, 2, 3} at m = 2 and misses rank 1.
+    state = _pair_state(6, [(0, 1), (2, 3), (4, 5)], [DEFAULT_RANK_TOL * factor, 1.0, 1.0])
+    _cuts_per_stack(monkeypatch, 6, 1)
+    assert min_rank_over_equipartitions(state).min_rank == want
+    for workers in (1, 2):
+        assert min_equipartition_rank(state, workers=workers) == want
+
+
+def test_sketched_scan_takes_full_svds_only_where_the_sketch_fails(monkeypatch):
+    # Task 1 of `rank-scaling --n-list 10,12 --seeds 1`, at n = 12: its
+    # minimum, 32, turns up in the third stack of 16 cuts, and every later
+    # cut passes its sketch at m = 32.
+    master = SeedSpec(1).child(1)
+    state = apply_circuit(random_two_qubit_circuit(12, 24, master.child(0)), basis_state(12, 0))
+    shapes = []
+    svd = correlation_analysis.singular_values
+
+    def recording_svd(matrix):
+        shapes.extend([matrix.shape[1:]] * len(matrix))
+        return svd(matrix)
+
+    monkeypatch.setattr(correlation_analysis, "singular_values", recording_svd)
+    assert min_equipartition_rank(state, seed=master.child(1)) == 32
+    assert shapes.count((64, 64)) == 48 and shapes.count((32, 32)) == 462 - 48
+    assert len(shapes) == 462
+    # At rel_tol 1e-2 no cut passes: three stacks of sketches lower m only
+    # through their full SVDs (47 -> 44 -> 30), the third leaves it, and
+    # from there on every cut takes the full SVD alone.
+    shapes.clear()
+    assert min_equipartition_rank(state, 1e-2, seed=master.child(1)) == 19
+    assert shapes.count((64, 64)) == 462 and len(shapes) == 462 + 3 * 16
 
 
 def test_rank_bound_scan_exhaustive_count_and_floors():

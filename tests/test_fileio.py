@@ -588,6 +588,13 @@ def test_render_json_layout():
     assert text == '{\n  "a": [\n    3\n  ],\n  "b": 0.5,\n  "flag": true\n}\n'
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+def test_render_json_refuses_a_non_finite_value(value):
+    # nan and Infinity are not JSON (RFC 8259): a strict reader refuses them.
+    with pytest.raises(ValueError):
+        render_json({"rows": [{"estimate_re": value}]})
+
+
 def test_write_circuit_requires_two_qubit_gates(tmp_path):
     gate = GateSpec((0, 1), np.eye(4, dtype=complex))
     circuit = Circuit(2, (gate,))

@@ -33,16 +33,16 @@ from .correlation_analysis import (
     rank_bound_scan,
     truncation_experiment,
 )
-from .dqc1_model import STREAM_LIMIT, TRACE_MIN_TAU, Dqc1Config, simulate_trace_estimation
-from .fileio import FileFormatError, read_circuit, read_unitary_cmat, render_csv, render_json
-from .randomness import (
-    SeedSpec,
-    apply_circuit,
-    haar_product_unitary,
-    haar_unitary,
-    random_two_qubit_circuit,
+from .dqc1_model import (
+    STREAM_LIMIT,
+    TRACE_MIN_TAU,
+    Dqc1Config,
+    register_columns,
+    simulate_trace_estimation,
 )
-from .tensor_core import DEFAULT_RANK_TOL, Bipartition, basis_state
+from .fileio import FileFormatError, read_circuit, read_unitary_cmat, render_csv, render_json
+from .randomness import SeedSpec, haar_product_unitary, haar_unitary, random_two_qubit_circuit
+from .tensor_core import DEFAULT_RANK_TOL, Bipartition, PureState
 
 
 def _openblas_thread_calls() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
@@ -158,7 +158,7 @@ def _cmd_rank_scaling(args: argparse.Namespace) -> CommandResult:
     for task_id, (n, seed_index) in enumerate(tasks):
         task_seed = master.child(task_id)
         circuit = random_two_qubit_circuit(n, args.gates_factor * n, task_seed.child(0))
-        state = apply_circuit(circuit, basis_state(n, 0))
+        state = PureState(n, register_columns(circuit, [0], False)[:, 0])
         min_rank = min_equipartition_rank(
             state, args.tol, args.partition_cap, task_seed.child(1), args.workers
         )

@@ -219,24 +219,19 @@ def min_rank_over_equipartitions(
     rel_tol: float = DEFAULT_RANK_TOL,
     partition_cap: Optional[int] = None,
     seed: Optional[SeedSpec] = None,
-    workers: int = 1,
 ) -> RankScanReport:
     """Smallest Schmidt rank over half:half cuts of an even register.
 
     Qubit 0 is fixed to side A, which halves the enumeration without
     losing any cut (sides are interchangeable).  With ``partition_cap``
     set, that many cuts are sampled uniformly without replacement.  The
-    cuts' SVDs run stacked on ``workers`` threads; the records do not
-    depend on the worker count.
+    serial per-cut reference: one :func:`singular_values` call per cut.
     """
     cuts = _equipartition_cuts(state, partition_cap, seed)
     n = state.num_qubits
     half = n // 2
-
-    def fill(k: int, out: np.ndarray) -> None:
-        Bipartition(n, cuts[k]).matricize(state.amplitudes, out=out)
-
-    spectra = _stacked_singular_values(fill, len(cuts), (2**half, 2**half), workers)
+    matrices = (Bipartition(n, side_a).matricize(state.amplitudes) for side_a in cuts)
+    spectra = np.stack([singular_values(matrix) for matrix in matrices])
     ranks = stacked_ranks(spectra, rel_tol)
     return RankScanReport(tuple(_cut_records(cuts, half, False, spectra, ranks, 2**half)))
 
@@ -262,10 +257,10 @@ def min_equipartition_rank(
 ) -> int:
     """``min_rank_over_equipartitions(...).min_rank``, with most full SVDs skipped.
 
-    The same cuts are filled into the same stacks.  Stack k goes to lane
-    k mod ``workers``, and the lanes run on one thread pool: a pool per
-    round of ``workers`` stacks made the benchmark's rank-scaling job
-    slower (107 against 90 ms on two workers).  Each lane keeps a running
+    The same cuts, in the same order, are filled into stacks.  Stack k
+    goes to lane k mod ``workers``, and the lanes run on one thread pool: a
+    pool per round of ``workers`` stacks made the benchmark's rank-scaling
+    job slower (107 against 90 ms on two workers).  Each lane keeps a running
     minimum m, which starts at d = 2^(n/2).  While m = d there is nothing
     to sketch, so a stack's cuts take the full SVD and
     :func:`stacked_ranks`.  Once m < d, each cut matrix M (d x d) is
@@ -368,7 +363,7 @@ def rank_bound_scan(
     matrix sigma_1 comes from the e_j row and the rest scale with tau, so
     from tau ~ 1e-10 down all of them would fall below the rel_tol cutoff.
     At tau = 1 one stack serves both, for 0 < tau < 1 a second stack at
-    tau = 1 gives the ranks, and at tau = 0 the rank is 1.
+    tau = 1 gives the ranks, and at tau = 0 the stack [e_j^T ; 0] has rank 1.
     """
     n = config.num_register_qubits
     if n < 5:
@@ -409,7 +404,7 @@ def rank_bound_scan(
                 shape = (2**a + 1, 2 ** (n - a))
                 spectra = _probe_spectra(tau, group, shape)
                 free = spectra if tau in (0.0, 1.0) else _probe_spectra(1.0, group, shape)
-                ranks = stacked_ranks(free, rel_tol) if tau else np.ones(len(group), dtype=int)
+                ranks = stacked_ranks(free, rel_tol)
                 sides = [cuts[task_id] for task_id, *_ in group]
                 width = min(2 ** (a + 1), 2 ** (n - a))
                 block = _cut_records(sides, min(a, n - a), True, spectra, ranks, width)

@@ -1,6 +1,7 @@
 """Fingerprint the CLI's output over a fixed corpus of accepted commands.
 
     python tests/cli_corpus.py SRC_DIR > corpus.txt
+    python tests/cli_corpus.py src --write
 
 Imports ``dqc1kit`` from SRC_DIR (the ``src`` directory of a checkout),
 runs each command through ``dqc1kit.cli.main`` in-process and prints one
@@ -16,10 +17,14 @@ pool's SVD stacks, of bound-scan's probe stacks (zero-padded spectrum
 heads, the tau-free rank stack, randomized product probes) and of
 rank-scaling's sketched scan (at 1 and 2 workers, and at a --tol where
 cuts fail their sketch and take the full SVD).  Input files are
-written to a fixed temporary directory and named by relative paths, so
+written to a scratch directory and named by relative paths, so
 ``meta.source`` is the same for every checkout; two checkouts are then
-compared with one ``diff`` of their outputs.  pytest does not collect
-this file.
+compared with one ``diff`` of their outputs.
+
+With ``--write`` the lines go to the golden file ``cli_corpus.expected``
+next to this script instead, under a header that records the environment
+(ENV_FIELDS) they were made in; ``test_cli_corpus.py`` checks the running
+CLI against that file.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -29,18 +34,20 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import shlex
 import shutil
 import sys
 import tempfile
 from pathlib import Path
-
-# BLAS threading can move SVD outputs in the last digits; pin it before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+from typing import Iterator
 
 WORKDIR = Path(tempfile.gettempdir()) / "dqc1kit-cli-corpus"
+GOLDEN = Path(__file__).with_name("cli_corpus.expected")
+WRITE_COMMAND = "python tests/cli_corpus.py src --write"
+# The full-bytes hash holds only where all of these match the golden file's.
+ENV_FIELDS = ("python", "numpy", "blas", "machine")
 
 DETERMINISM_SET = [
     ["rank-scaling", "--n-list", "4,6", "--seeds", "2"],
@@ -124,31 +131,131 @@ def run(argv: list[str]) -> str:
     return f"{' '.join(digests)} {code} {shlex.join(argv)}"
 
 
-def main(src: str) -> None:
-    sys.path[:0] = [os.path.abspath(src), str(Path(__file__).resolve().parents[1])]
+def _blas(numpy) -> str:
+    """The running BLAS: OpenBLAS's runtime config (it names the CPU kernel), else the build's."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            config = getattr(ctypes.CDLL(path), "scipy_openblas_get_config64_", None)
+        except OSError:
+            continue
+        if config is not None:
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            return " ".join(config().decode().split())
+    build = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{build.get('name')} {build.get('version')}"
+
+
+def environment() -> dict[str, str]:
+    """The ENV_FIELDS of the running interpreter."""
+    import numpy
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "blas": _blas(numpy),
+        "machine": platform.machine(),
+    }
+
+
+def corpus(workdir: Path) -> Iterator[str]:
+    """Run the corpus in ``workdir``, which it empties first; yield one line per command.
+
+    BLAS runs on one thread throughout: the input files' draws, like the
+    SVDs, can move in the last digits on two.
+    """
     from dqc1kit import SeedSpec, haar_unitary, random_two_qubit_circuit, write_circuit, write_cmat
+    from dqc1kit.cli import _one_blas_thread
     from perfbench.workloads import DEFAULT_SEED, WORKLOADS, make_session
 
-    shutil.rmtree(WORKDIR, ignore_errors=True)
-    WORKDIR.mkdir()
-    os.chdir(WORKDIR)
-    write_cmat("u3.cmat", haar_unitary(3, SeedSpec(7)).matrix)
-    write_circuit("c4.circ", random_two_qubit_circuit(4, 6, SeedSpec(95)))
-    for seed in ("1", "7"):
-        for workers in ("1", "4"):
-            for argv in DETERMINISM_SET:
-                print(run(argv + ["--seed", seed, "--workers", workers]))
-    for argv in EDGE_CASES:
-        print(run(argv))
-    for workload in WORKLOADS:
-        session = make_session(workload, DEFAULT_SEED, 0, str(WORKDIR / workload))
-        os.chdir(session.directory)
-        for job in session.jobs:
-            print(run(list(job.argv)))
-        os.chdir(WORKDIR)
+    shutil.rmtree(workdir, ignore_errors=True)
+    workdir.mkdir(parents=True)
+    home = os.getcwd()
+    try:
+        with _one_blas_thread():
+            os.chdir(workdir)
+            write_cmat("u3.cmat", haar_unitary(3, SeedSpec(7)).matrix)
+            write_circuit("c4.circ", random_two_qubit_circuit(4, 6, SeedSpec(95)))
+            for seed in ("1", "7"):
+                for workers in ("1", "4"):
+                    for argv in DETERMINISM_SET:
+                        yield run(argv + ["--seed", seed, "--workers", workers])
+            for argv in EDGE_CASES:
+                yield run(argv)
+            for workload in WORKLOADS:
+                session = make_session(workload, DEFAULT_SEED, 0, str(workdir / workload))
+                os.chdir(session.directory)
+                for job in session.jobs:
+                    yield run(list(job.argv))
+                os.chdir(workdir)
+    finally:
+        os.chdir(home)
+
+
+def read_golden() -> tuple[dict[str, str], list[str]]:
+    """The environment header and the corpus lines of the golden file."""
+    env, lines = {}, []
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+        key, sep, value = line[2:].partition(": ")
+        if line.startswith("# ") and sep and key in ENV_FIELDS:
+            env[key] = value
+        elif not line.startswith("#"):
+            lines.append(line)
+    return env, lines
+
+
+def compare(golden_env: dict, golden: list[str], env: dict, lines: list[str]) -> list[str]:
+    """What differs between a golden corpus and a fresh run, one message per difference.
+
+    Commands, exit codes and float-free hashes must match everywhere; the
+    full-bytes hashes are compared when the environments match, and
+    otherwise each differing environment field is itself a difference.
+    """
+    problems = []
+    if len(lines) != len(golden):
+        problems.append(f"{len(lines)} corpus lines, the golden file has {len(golden)}")
+    moved_env = [f"{key}: {env.get(key)!r} here, {golden_env.get(key)!r} in the golden file"
+                 for key in ENV_FIELDS if env.get(key) != golden_env.get(key)]
+    for k, (want, got) in enumerate(zip(golden, lines), 1):
+        want_bytes, want_free, want_code, want_argv = want.split(" ", 3)
+        got_bytes, got_free, got_code, got_argv = got.split(" ", 3)
+        where = f"line {k} ({want_argv})"
+        if got_argv != want_argv:
+            problems.append(f"{where}: the command is now {got_argv!r}")
+        elif got_code != want_code:
+            problems.append(f"{where}: exit code {got_code}, golden {want_code}")
+        elif got_free != want_free:
+            problems.append(f"{where}: the float-free report differs")
+        elif got_bytes != want_bytes and not moved_env:
+            problems.append(f"{where}: the output bytes differ")
+    if moved_env:
+        problems.append("the environment differs from the golden file's, so its full-bytes "
+                        "hashes were not checked: " + "; ".join(moved_env))
+    return problems
+
+
+def write_golden(lines: list[str]) -> None:
+    header = [f"# Output of tests/cli_corpus.py. Regenerate: {WRITE_COMMAND}"]
+    header += [f"# {key}: {value}" for key, value in environment().items()]
+    GOLDEN.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
+
+
+def main(src: str, write: bool) -> None:
+    sys.path[:0] = [os.path.abspath(src), str(Path(__file__).resolve().parents[1])]
+    lines = list(corpus(WORKDIR))
+    if write:
+        write_golden(lines)
+    else:
+        print("\n".join(lines))
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3) or sys.argv[2:] not in ([], ["--write"]):
         sys.exit(__doc__)
-    main(sys.argv[1])
+    # BLAS threading can move SVD outputs in the last digits; pin it before numpy loads.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+    main(sys.argv[1], sys.argv[2:] == ["--write"])

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import dqc1kit
 from dqc1kit import SeedSpec, haar_unitary, write_cmat, write_circuit
 from dqc1kit import random_two_qubit_circuit
-from dqc1kit import cli, correlation_analysis, randomness
+from dqc1kit import cli, correlation_analysis, dqc1_model, randomness
 from dqc1kit.cli import main
 
 
@@ -185,6 +185,26 @@ def test_rank_scaling_starts_its_first_task_without_listing_every_seed(monkeypat
         tracemalloc.stop()
     assert scanned == [4, 4, 4]
     assert peak < 2**20
+
+
+def test_rank_scaling_reads_u0_through_the_light_cone_column_path(monkeypatch, capsys):
+    # U|0> comes from register_columns, as in every other subcommand: one
+    # one-column evolve_basis_columns call per task, and no dense-state kernel.
+    calls = {"evolve_columns": [], "apply_circuit": [], "evolve_basis_columns": []}
+    for name, seen in calls.items():
+        kernel = getattr(randomness, name)
+
+        def counting(circuit, columns, *args, kernel=kernel, seen=seen):
+            seen.append(np.shape(getattr(columns, "amplitudes", columns)))
+            return kernel(circuit, columns, *args)
+
+        for module in (randomness, dqc1_model, correlation_analysis, cli):
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, counting)
+    code, _out, _err = run(capsys, ["rank-scaling", "--n-list", "4,6", "--seeds", "2"])
+    assert code == 0
+    assert calls == {"evolve_columns": [], "apply_circuit": [],
+                     "evolve_basis_columns": [(1,)] * 4}
 
 
 def test_rank_scaling_rejects_bad_list(capsys):

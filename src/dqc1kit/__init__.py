@@ -11,7 +11,6 @@ from .tensor_core import (
     PureState,
     SchmidtSpectrum,
     apply_two_qubit_gate,
-    basis_state,
     fidelity,
     operator_schmidt_decompose,
     rank_of,
@@ -27,7 +26,6 @@ from .randomness import (
     SeedSpec,
     apply_circuit,
     circuit_unitary,
-    evolve_columns,
     haar_product_unitary,
     haar_unitary,
     random_two_qubit_circuit,

@@ -23,6 +23,8 @@ import numpy as np
 
 from . import __version__
 from .correlation_analysis import (
+    SCAN_MIN_QUBITS,
+    TRUNCATION_MAX_QUBITS,
     TRUNCATION_MIN_TAU,
     ClaimFalsified,
     balanced_tree_edge,
@@ -131,9 +133,9 @@ _TRACE_TAU = _ranged(float, lambda v: TRACE_MIN_TAU <= v <= 1,
                      "cannot be resolved")
 
 
-def _qubits(low: int):
-    """An argparse type for a register size in [low, STREAM_LIMIT]."""
-    return _ranged(int, lambda v: low <= v <= STREAM_LIMIT, f"lie in [{low}, {STREAM_LIMIT}]")
+def _qubits(low: int, high: int = STREAM_LIMIT):
+    """An argparse type for a register size in [low, high]."""
+    return _ranged(int, lambda v: low <= v <= high, f"lie in [{low}, {high}]")
 
 
 def _base_meta(args: argparse.Namespace) -> dict:
@@ -364,7 +366,7 @@ def _build_parser() -> _Parser:
         "bound-scan", parents=[common],
         help="certified rank floors over balanced cuts of the joint state",
     )
-    p.add_argument("--n", type=_qubits(5), default=8)
+    p.add_argument("--n", type=_qubits(SCAN_MIN_QUBITS), default=8)
     p.add_argument("--cuts", type=_AT_LEAST_1, default=50)
     p.add_argument("--tau", type=_UNIT_TAU, default=1.0)
     p.add_argument("--exhaustive", action="store_true")
@@ -410,7 +412,7 @@ def _build_parser() -> _Parser:
         "truncation", parents=[common],
         help="fidelity of rank truncations against the certified floor",
     )
-    p.add_argument("--n", type=_ranged(int, lambda v: 5 <= v <= 8, "lie in [5, 8]"), default=7)
+    p.add_argument("--n", type=_qubits(SCAN_MIN_QUBITS, TRUNCATION_MAX_QUBITS), default=7)
     p.add_argument("--tau", type=_TRUNCATION_TAU, default=1.0)
     p.add_argument("--cut", type=_int_list, default=None, help="comma-separated side-A labels")
     p.add_argument(  # kept as text: meta.ranks echoes it

@@ -50,6 +50,12 @@ _R = TypeVar("_R")
 # polarizations are refused; at 1e-6 the share is 4500 ulps.
 TRUNCATION_MIN_TAU = 1e-6
 
+# Register-size policies, which the CLI's parser types also read: bound-scan
+# (and the truncation command) start at SCAN_MIN_QUBITS, and truncation builds
+# the dense joint state, so it stops at TRUNCATION_MAX_QUBITS.
+SCAN_MIN_QUBITS = 5
+TRUNCATION_MAX_QUBITS = 8
+
 
 class ClaimFalsified(Exception):
     """A property the toolkit certifies numerically failed to hold."""
@@ -95,7 +101,7 @@ def _stacked_singular_values(
 def balanced_window(num_register_qubits: int) -> tuple[int, int]:
     """Inclusive [ceil(n/5), floor(2n/5)] window; empty below n = 3.
 
-    It is [1, 1] at n = 3 and 4.  The n >= 5 minimum of
+    It is [1, 1] at n = 3 and 4.  The SCAN_MIN_QUBITS minimum of
     :func:`rank_bound_scan` is a policy, not a property of the window.
     """
     n = num_register_qubits
@@ -352,11 +358,11 @@ def rank_bound_scan(
     inside the balanced window.  The probe vector's Schmidt rank lower
     bounds the operator Schmidt rank of the joint state across the same
     cut, and the per-cut floor is 2^window_size.  ``num_cuts`` cuts are
-    sampled, or every in-window cut when it is None.  Registers below n = 5
-    are refused as a policy (see :func:`balanced_window`).  Every cut probes
-    rho|t,x> at t = 0, x = 0 unless ``randomize_index`` draws each cut's t
-    and register sides (i, j) from ``seed.child(task_id)``, so that mode
-    needs a seed.
+    sampled, or every in-window cut when it is None.  Registers below
+    SCAN_MIN_QUBITS are refused as a policy (see :func:`balanced_window`).
+    Every cut probes rho|t,x> at t = 0, x = 0 unless ``randomize_index``
+    draws each cut's t and register sides (i, j) from
+    ``seed.child(task_id)``, so that mode needs a seed.
 
     The probes run serially, stacked by shape, one SVD call per stack.  A
     rank is decided on [e_j^T ; R(W|x>)], free of tau: on the tau-scaled
@@ -366,8 +372,10 @@ def rank_bound_scan(
     tau = 1 gives the ranks, and at tau = 0 the stack [e_j^T ; 0] has rank 1.
     """
     n = config.num_register_qubits
-    if n < 5:
-        raise ValueError(f"n = {n} is below the scan's policy minimum (need n >= 5)")
+    if n < SCAN_MIN_QUBITS:
+        raise ValueError(
+            f"n = {n} is below the scan's policy minimum (need n >= {SCAN_MIN_QUBITS})"
+        )
     if num_cuts is not None and num_cuts < 1:
         raise ValueError("num_cuts must be >= 1")
     if randomize_index and seed is None:
@@ -543,8 +551,8 @@ def truncation_experiment(
     (0, TRUNCATION_MIN_TAU) is refused: double precision cannot resolve it.
     """
     n = config.num_register_qubits
-    if n > 8:
-        raise ValueError("truncation sweep needs the dense state (n <= 8)")
+    if n > TRUNCATION_MAX_QUBITS:
+        raise ValueError(f"truncation sweep needs the dense state (n <= {TRUNCATION_MAX_QUBITS})")
     if 0 < config.polarization < TRUNCATION_MIN_TAU:
         raise ValueError(f"polarization below {TRUNCATION_MIN_TAU} cannot be resolved")
     if 0 not in cut.side_a:

@@ -37,8 +37,11 @@ def format_float(value: float) -> str:
 
 def write_cmat(path: str, matrix: np.ndarray) -> None:
     mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.ndim != 2:
-        raise ValueError("CMAT files hold 2-d matrices only")
+    # Refused before the path is opened: read_cmat refuses these files.
+    if mat.ndim != 2 or not mat.size:
+        raise ValueError("CMAT files hold nonempty 2-d matrices only")
+    if not np.isfinite(mat).all():
+        raise ValueError("CMAT entries must be finite")
     rows, cols = mat.shape
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{CMAT_MAGIC} {rows} {cols}\n")

@@ -310,37 +310,6 @@ def _apply_blocks(
     return t.transpose(perm).reshape(2**n, k)
 
 
-def _directed_blocks(
-    circuit: Circuit, adjoint: bool
-) -> Iterable[tuple[tuple[int, ...], np.ndarray]]:
-    """The circuit's fused blocks, or for C-dagger the reversed blocks' adjoints."""
-    blocks = circuit.fused_blocks
-    if adjoint:
-        return ((qubits, mat.conj().T) for qubits, mat in reversed(blocks))
-    return blocks
-
-
-def evolve_columns(circuit: Circuit, columns: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """Run C (or C-dagger) on every column of a ``(2^n, k)`` block at once.
-
-    The gates go through as the circuit's fused blocks of at most
-    FUSED_BLOCK_QUBITS qubits (:func:`plan_blocks`), planned and built
-    once per circuit; C-dagger runs the reversed blocks' adjoints.  Column
-    j of the result is bit for bit that column evolved alone.  Gates were
-    checked for unitarity when their ``GateSpec`` was built, so none is
-    checked here.
-    """
-    n = circuit.num_qubits
-    columns = np.asarray(columns, dtype=np.complex128)
-    if columns.ndim != 2 or columns.shape[0] != 2**n:
-        raise ValueError(
-            f"columns must have shape (2^{n}, k), got shape {columns.shape}"
-        )
-    k = columns.shape[1]
-    t = columns.T.reshape((k,) + (2,) * n)
-    return _apply_blocks(_directed_blocks(circuit, adjoint), t, range(n), n)
-
-
 def evolve_basis_columns(
     circuit: Circuit, xs: Sequence[int], adjoint: bool = False
 ) -> np.ndarray:
@@ -351,13 +320,16 @@ def evolve_basis_columns(
     just before the first block that touches it, and the qubits no block
     touches enter at the end.  The touched set depends only on the circuit
     and the direction, so column j is bit for bit that column evolved alone.
+    C-dagger runs the reversed blocks' adjoints.
     """
     n = circuit.num_qubits
     xs = np.asarray(xs, dtype=np.intp)
     if xs.size and not (0 <= xs.min() and xs.max() < 2**n):
         raise ValueError(f"basis indices must lie in 0..{2**n - 1}")
-    t = np.ones(xs.size, dtype=np.complex128)
-    return _apply_blocks(_directed_blocks(circuit, adjoint), t, (), n, xs)
+    blocks = circuit.fused_blocks
+    if adjoint:
+        blocks = ((qubits, mat.conj().T) for qubits, mat in reversed(blocks))
+    return _apply_blocks(blocks, np.ones(xs.size, dtype=np.complex128), (), n, xs)
 
 
 def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
@@ -366,12 +338,17 @@ def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
         raise ValueError(
             f"state has {state.num_qubits} qubits, circuit expects {circuit.num_qubits}"
         )
-    evolved = evolve_columns(circuit, state.amplitudes[:, np.newaxis])
-    return PureState(circuit.num_qubits, evolved[:, 0])
+    n = circuit.num_qubits
+    # Every qubit carried: a general state has no light cone to follow.
+    t = state.amplitudes.reshape((1,) + (2,) * n)
+    return PureState(n, _apply_blocks(circuit.fused_blocks, t, range(n), n)[:, 0])
 
 
 def circuit_unitary(circuit: Circuit) -> DenseOperator:
-    """Materialize the full unitary; refuses registers above DENSE_LIMIT."""
+    """Materialize the full unitary; refuses registers above DENSE_LIMIT.
+
+    Its columns are :func:`evolve_basis_columns`'s, bit for bit.
+    """
     n = circuit.num_qubits
     check_dense_size(n)
-    return DenseOperator(n, evolve_columns(circuit, np.eye(2**n, dtype=np.complex128)))
+    return DenseOperator(n, evolve_basis_columns(circuit, np.arange(2**n)))

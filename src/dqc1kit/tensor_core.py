@@ -73,15 +73,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", amp)
 
 
-def basis_state(num_qubits: int, index: int) -> PureState:
-    """Computational basis state |index> with qubit 0 as the MSB."""
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    amp = np.zeros(2**num_qubits, dtype=np.complex128)
-    amp[index] = 1.0
-    return PureState(num_qubits, amp)
-
-
 @dataclass(frozen=True)
 class DenseOperator:
     """Square complex matrix acting on a register of qubits."""

@@ -28,6 +28,22 @@ def embed_gate(gate: np.ndarray, targets: tuple[int, int], num_qubits: int) -> n
     return out
 
 
+def circuit_matrix(circuit) -> np.ndarray:
+    """Dense 2^n x 2^n product of a circuit's embedded gates, the first gate applied first."""
+    n = circuit.num_qubits
+    u = np.eye(2**n, dtype=np.complex128)
+    for gate in circuit.gates:
+        u = embed_gate(gate.matrix, gate.targets, n) @ u
+    return u
+
+
+def basis_vector(num_qubits: int, index: int) -> np.ndarray:
+    """Amplitudes of the computational basis state |index>; qubit 0 is the MSB."""
+    vec = np.zeros(2**num_qubits, dtype=np.complex128)
+    vec[index] = 1.0
+    return vec
+
+
 def split_amplitudes(
     vec: np.ndarray, num_qubits: int, side_a: tuple[int, ...]
 ) -> np.ndarray:

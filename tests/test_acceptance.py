@@ -20,8 +20,6 @@ from dqc1kit import (
     PureState,
     SchmidtSpectrum,
     SeedSpec,
-    apply_circuit,
-    basis_state,
     circuit_unitary,
     concentration_report,
     final_state,
@@ -41,6 +39,7 @@ from dqc1kit import (
     write_cmat,
 )
 from dqc1kit.cli import main as cli_main
+from dqc1kit.dqc1_model import register_columns
 
 from conftest import record_verdict
 from lemmas import (
@@ -69,7 +68,7 @@ def test_median_equipartition_rank_scaling():
     for task_id, (n, _s) in enumerate(tasks):
         task_seed = MASTER.child(task_id)
         circuit = random_two_qubit_circuit(n, 2 * n, task_seed.child(0))
-        state = apply_circuit(circuit, basis_state(n, 0))
+        state = PureState(n, register_columns(circuit, [0], False)[:, 0])
         min_ranks[n].append(min_rank_over_equipartitions(state).min_rank)
     elapsed = time.perf_counter() - started
     failures = []

@@ -62,6 +62,20 @@ def test_bound_scan_small_n_rejected(capsys):
     assert "--n" in err
 
 
+def test_register_size_policies_are_one_constant_each(capsys):
+    # The parser types read the library's constants, and the README's flag
+    # table states the same ranges.
+    low, high = correlation_analysis.SCAN_MIN_QUBITS, correlation_analysis.TRUNCATION_MAX_QUBITS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for command, argv, rule in (
+        ("bound-scan", ["--n", str(low - 1)], f"[{low}, {dqc1_model.STREAM_LIMIT}]"),
+        ("truncation", ["--n", str(low - 1)], f"[{low}, {high}]"),
+        ("truncation", ["--n", str(high + 1)], f"[{low}, {high}]"),
+    ):
+        assert run(capsys, [command, *argv]) == (1, "", f"error: argument --n: must lie in {rule}\n")
+        assert f"| `{command}` | `--n` in {rule};" in readme
+
+
 @pytest.mark.parametrize("unitary", ["haar", "product"])
 def test_bound_scan_gates_needs_circuit_mode(capsys, unitary):
     argv = ["bound-scan", "--n", "6", "--cuts", "2", "--unitary", unitary, "--gates", "3"]
@@ -190,7 +204,7 @@ def test_rank_scaling_starts_its_first_task_without_listing_every_seed(monkeypat
 def test_rank_scaling_reads_u0_through_the_light_cone_column_path(monkeypatch, capsys):
     # U|0> comes from register_columns, as in every other subcommand: one
     # one-column evolve_basis_columns call per task, and no dense-state kernel.
-    calls = {"evolve_columns": [], "apply_circuit": [], "evolve_basis_columns": []}
+    calls = {"apply_circuit": [], "evolve_basis_columns": []}
     for name, seen in calls.items():
         kernel = getattr(randomness, name)
 
@@ -203,8 +217,7 @@ def test_rank_scaling_reads_u0_through_the_light_cone_column_path(monkeypatch, c
                 monkeypatch.setattr(module, name, counting)
     code, _out, _err = run(capsys, ["rank-scaling", "--n-list", "4,6", "--seeds", "2"])
     assert code == 0
-    assert calls == {"evolve_columns": [], "apply_circuit": [],
-                     "evolve_basis_columns": [(1,)] * 4}
+    assert calls == {"apply_circuit": [], "evolve_basis_columns": [(1,)] * 4}
 
 
 def test_rank_scaling_rejects_bad_list(capsys):

@@ -16,11 +16,9 @@ from dqc1kit import (
     SchmidtSpectrum,
     SeedSpec,
     TreeGraph,
-    apply_circuit,
     apply_to_product,
     balanced_tree_edge,
     balanced_window,
-    basis_state,
     concentration_report,
     final_state,
     haar_product_unitary,
@@ -46,6 +44,7 @@ from dqc1kit.correlation_analysis import (
     min_equipartition_rank,
     parallel_map,
 )
+from dqc1kit.dqc1_model import register_columns
 
 import oracles
 from lemmas import (
@@ -54,6 +53,11 @@ from lemmas import (
     random_zero_sum_shifts,
     shifted_distribution,
 )
+
+
+def _u0(circuit):
+    """U|0> of a circuit as rank-scaling reads it: one light-cone column."""
+    return PureState(circuit.num_qubits, register_columns(circuit, [0], False)[:, 0])
 
 
 def test_balanced_window_values():
@@ -125,7 +129,7 @@ def test_parallel_map_preserves_order():
 
 
 def test_min_rank_product_state_is_one():
-    report = min_rank_over_equipartitions(basis_state(6, 0))
+    report = min_rank_over_equipartitions(PureState(6, oracles.basis_vector(6, 0)))
     assert report.min_rank == 1
     assert len(report.records) == math.comb(5, 2)
 
@@ -140,9 +144,9 @@ def test_min_rank_bell_pairs():
 
 
 def test_min_rank_scan_is_the_per_cut_schmidt_ranks_at_any_worker_count(monkeypatch):
-    from dqc1kit import apply_circuit, correlation_analysis, schmidt_decompose
+    from dqc1kit import correlation_analysis, schmidt_decompose
 
-    state = apply_circuit(random_two_qubit_circuit(12, 24, SeedSpec(62)), basis_state(12, 0))
+    state = _u0(random_two_qubit_circuit(12, 24, SeedSpec(62)))
     stacks = []
     svd = correlation_analysis.singular_values
 
@@ -162,7 +166,7 @@ def test_min_rank_scan_is_the_per_cut_schmidt_ranks_at_any_worker_count(monkeypa
         assert record.spectrum_head == tuple(spectrum.coefficients[:4].tolist())
     # every cut at n = 2 and 4, whose heads hold 2 and 4 coefficients
     for n in (2, 4):
-        state = apply_circuit(random_two_qubit_circuit(n, 2 * n, SeedSpec(90 + n)), basis_state(n, 0))
+        state = _u0(random_two_qubit_circuit(n, 2 * n, SeedSpec(90 + n)))
         for record in min_rank_over_equipartitions(state).records:
             spectrum = schmidt_decompose(state, Bipartition(n, record.side_a))
             assert record.rank == rank_of(spectrum) and record.log2_rank == math.log2(record.rank)
@@ -171,14 +175,12 @@ def test_min_rank_scan_is_the_per_cut_schmidt_ranks_at_any_worker_count(monkeypa
 
 def test_min_rank_rejects_odd_registers():
     with pytest.raises(ValueError):
-        min_rank_over_equipartitions(basis_state(5, 0))
+        min_rank_over_equipartitions(PureState(5, oracles.basis_vector(5, 0)))
 
 
 def test_min_rank_sampled_subset_matches_exhaustive():
-    from dqc1kit import apply_circuit, random_two_qubit_circuit
-
     circuit = random_two_qubit_circuit(8, 16, SeedSpec(60))
-    state = apply_circuit(circuit, basis_state(8, 0))
+    state = _u0(circuit)
     full = min_rank_over_equipartitions(state)
     sampled = min_rank_over_equipartitions(state, partition_cap=10, seed=SeedSpec(61))
     assert len(sampled.records) == 10
@@ -301,7 +303,7 @@ def test_sketched_scan_takes_full_svds_only_where_the_sketch_fails(monkeypatch):
     # minimum, 32, turns up in the third stack of 16 cuts, and every later
     # cut passes its sketch at m = 32.
     master = SeedSpec(1).child(1)
-    state = apply_circuit(random_two_qubit_circuit(12, 24, master.child(0)), basis_state(12, 0))
+    state = _u0(random_two_qubit_circuit(12, 24, master.child(0)))
     shapes = []
     svd = correlation_analysis.singular_values
 
@@ -368,9 +370,7 @@ def _oracle_probe(
 def test_circuit_rank_bound_scan_matches_per_cut_oracle(randomize):
     n, tau, seed = 7, 0.7, SeedSpec(69)
     circuit = random_two_qubit_circuit(n, 4 * n, SeedSpec(70))
-    u = np.eye(2**n, dtype=np.complex128)
-    for gate in circuit.gates:
-        u = oracles.embed_gate(gate.matrix, gate.targets, n) @ u
+    u = oracles.circuit_matrix(circuit)
     config = Dqc1Config(tau, circuit)
     report = rank_bound_scan(config, num_cuts=25, seed=seed, randomize_index=randomize)
     indices = set()

@@ -14,7 +14,6 @@ from dqc1kit import (
     SeedSpec,
     apply_to_product,
     balanced_window,
-    basis_state,
     circuit_unitary,
     final_state,
     haar_unitary,

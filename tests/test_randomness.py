@@ -16,9 +16,7 @@ from dqc1kit import (
     PureState,
     SeedSpec,
     apply_circuit,
-    basis_state,
     circuit_unitary,
-    evolve_columns,
     haar_product_unitary,
     haar_unitary,
     random_two_qubit_circuit,
@@ -206,11 +204,11 @@ def test_random_circuit_pair_histogram_uniform():
 
 
 def test_apply_circuit_empty_and_swap():
-    state = basis_state(2, 0b01)
+    state = PureState(2, oracles.basis_vector(2, 0b01))
     assert np.allclose(apply_circuit(Circuit(2), state).amplitudes, state.amplitudes)
     swap = np.eye(4)[[0, 2, 1, 3]]
     swapped = apply_circuit(Circuit(2, (GateSpec((0, 1), swap),)), state)
-    assert np.allclose(swapped.amplitudes, basis_state(2, 0b10).amplitudes)
+    assert np.allclose(swapped.amplitudes, oracles.basis_vector(2, 0b10))
     with pytest.raises(ValueError):
         apply_circuit(Circuit(3), state)
 
@@ -221,30 +219,32 @@ def test_apply_circuit_matches_dense_oracle():
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     v /= np.linalg.norm(v)
     got = apply_circuit(circuit, PureState(6, v)).amplitudes
-    dense = np.eye(64, dtype=np.complex128)
-    for gate in circuit.gates:
-        dense = oracles.embed_gate(gate.matrix, gate.targets, 6) @ dense
+    dense = oracles.circuit_matrix(circuit)
     assert np.allclose(got, dense @ v, atol=1e-10)
-    evolved = evolve_columns(circuit, np.eye(64, dtype=np.complex128))
-    assert np.array_equal(evolved, circuit_unitary(circuit).matrix)
-    assert np.abs(evolved - dense).max() < 1e-12
-    block = evolve_columns(circuit, np.eye(64, dtype=np.complex128)[:, [5, 0, 63]])
-    for j, x in enumerate((5, 0, 63)):
-        column = apply_circuit(circuit, basis_state(6, x)).amplitudes
-        assert np.array_equal(block[:, j], column)
-    with pytest.raises(ValueError):
-        evolve_columns(circuit, np.eye(32, dtype=np.complex128))
+    assert np.abs(circuit_unitary(circuit).matrix - dense).max() < 1e-12
+    for x in (5, 0, 63):
+        column = apply_circuit(circuit, PureState(6, oracles.basis_vector(6, x))).amplitudes
+        assert np.abs(column - dense[:, x]).max() < 1e-12
 
 
 def test_apply_circuit_linear():
     circuit = random_two_qubit_circuit(4, 8, SeedSpec(17))
-    x = basis_state(4, 3).amplitudes
-    y = basis_state(4, 9).amplitudes
+    x = oracles.basis_vector(4, 3)
+    y = oracles.basis_vector(4, 9)
     combo = PureState(4, 0.6 * x + 0.8j * y)
     lhs = apply_circuit(circuit, combo).amplitudes
     rhs = 0.6 * apply_circuit(circuit, PureState(4, x)).amplitudes
     rhs = rhs + 0.8j * apply_circuit(circuit, PureState(4, y)).amplitudes
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, num_gates, seed", [(7, 14, 704), (8, 8, 806)])
+def test_circuit_unitary_is_the_light_cone_columns_bit_for_bit(n, num_gates, seed):
+    # Circuits on which carrying every qubit lands ulps away from the light cone.
+    circuit = random_two_qubit_circuit(n, num_gates, SeedSpec(seed))
+    matrix = circuit_unitary(circuit).matrix
+    assert np.array_equal(matrix, register_columns(circuit, np.arange(2**n), False))
+    assert np.abs(matrix - oracles.circuit_matrix(circuit)).max() < 1e-12
 
 
 def test_circuit_unitary_basics():
@@ -277,10 +277,9 @@ def test_disjoint_gates_commute():
 
 def test_circuit_inverse():
     circuit = random_two_qubit_circuit(5, 10, SeedSpec(21))
-    state = basis_state(5, 11)
-    forward = apply_circuit(circuit, state).amplitudes[:, np.newaxis]
-    round_trip = evolve_columns(circuit, forward, adjoint=True)[:, 0]
-    assert np.allclose(round_trip, state.amplitudes, atol=1e-10)
+    backward = PureState(5, register_columns(circuit, [11], True)[:, 0])
+    round_trip = apply_circuit(circuit, backward).amplitudes
+    assert np.allclose(round_trip, oracles.basis_vector(5, 11), atol=1e-10)
 
 
 def test_stacked_gate_draws_match_per_gate_draws():
@@ -346,12 +345,13 @@ def fusable_circuits(draw):
 @example(_circuit_on(5, [(3, 1), (1, 3), (4, 0), (3, 1), (2, 4), (1, 0)], 3))
 def test_fused_blocks_match_dense_gate_product_property(circuit):
     n, gates = circuit.num_qubits, circuit.gates
-    dense = np.eye(2**n, dtype=np.complex128)
-    for gate in gates:
-        dense = oracles.embed_gate(gate.matrix, gate.targets, n) @ dense
-    identity = np.eye(2**n, dtype=np.complex128)
-    assert np.abs(evolve_columns(circuit, identity) - dense).max() < 1e-12
-    assert np.abs(evolve_columns(circuit, identity, adjoint=True) - dense.conj().T).max() < 1e-12
+    dense = oracles.circuit_matrix(circuit)
+    assert np.abs(circuit_unitary(circuit).matrix - dense).max() < 1e-12
+    every = np.arange(2**n)
+    assert np.abs(register_columns(circuit, every, True) - dense.conj().T).max() < 1e-12
+    # every qubit carried, on a state that is no basis column
+    v = np.exp(1j * np.arange(2**n)) / np.sqrt(2**n)
+    assert np.abs(apply_circuit(circuit, PureState(n, v)).amplitudes - dense @ v).max() < 1e-12
 
     plan = plan_blocks(gates)
     assert len(circuit.fused_blocks) == len(plan)
@@ -392,9 +392,7 @@ def light_cone_cases(draw):
 def test_light_cone_columns_match_dense_gate_product_property(case):
     circuit, xs = case
     n = circuit.num_qubits
-    dense = np.eye(2**n, dtype=np.complex128)
-    for gate in circuit.gates:
-        dense = oracles.embed_gate(gate.matrix, gate.targets, n) @ dense
+    dense = oracles.circuit_matrix(circuit)
     for adjoint, want in ((False, dense), (True, dense.conj().T)):
         block = register_columns(circuit, xs, adjoint)
         assert block.shape == (2**n, len(xs))
@@ -404,15 +402,18 @@ def test_light_cone_columns_match_dense_gate_product_property(case):
 
 
 def test_light_cone_agrees_with_the_full_register_kernel():
-    # Past the oracle's sizes: the light cone against every qubit carried.
+    # Past the oracle's sizes: the light cone against every qubit carried
+    # (apply_circuit), forward, and as a round trip C C-dagger|x> = |x>.
     for n, seed in ((10, 41), (14, 42)):
         circuit = random_two_qubit_circuit(n, 4 * n, SeedSpec(seed))
         xs = [0, 2**n - 1, 5, 5, 2 ** (n - 1)]
-        basis = np.zeros((2**n, len(xs)), dtype=np.complex128)
-        basis[xs, range(len(xs))] = 1.0
-        for adjoint in (False, True):
-            full = evolve_columns(circuit, basis, adjoint)
-            assert np.abs(register_columns(circuit, xs, adjoint) - full).max() < 1e-14
+        forward = register_columns(circuit, xs, False)
+        backward = register_columns(circuit, xs, True)
+        for j, x in enumerate(xs):
+            basis = PureState(n, oracles.basis_vector(n, x))
+            assert np.abs(forward[:, j] - apply_circuit(circuit, basis).amplitudes).max() < 1e-14
+            round_trip = apply_circuit(circuit, PureState(n, backward[:, j])).amplitudes
+            assert np.abs(round_trip - basis.amplitudes).max() < 1e-13
     with pytest.raises(ValueError, match="basis indices"):
         register_columns(circuit, [2**n], False)
     with pytest.raises(ValueError, match="basis indices"):

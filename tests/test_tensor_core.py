@@ -9,7 +9,6 @@ from dqc1kit import (
     PureState,
     SchmidtSpectrum,
     apply_two_qubit_gate,
-    basis_state,
     fidelity,
     operator_schmidt_decompose,
     rank_of,
@@ -133,7 +132,7 @@ def test_bipartition_properties_and_validation():
 
 
 def test_schmidt_product_state_rank_one():
-    spectrum = schmidt_decompose(basis_state(2, 0), Bipartition(2, (0,)))
+    spectrum = schmidt_decompose(PureState(2, oracles.basis_vector(2, 0)), Bipartition(2, (0,)))
     assert np.allclose(spectrum.coefficients, [1.0, 0.0])
     assert rank_of(spectrum) == 1
 
@@ -170,7 +169,7 @@ def test_schmidt_dimension_mismatch():
     # matricize owns the size check, so every cut form refuses a register
     # of the wrong size and names both counts.
     with pytest.raises(ValueError, match="over 2 qubits needs 4 entries, got 8"):
-        schmidt_decompose(basis_state(3, 0), Bipartition(2, (0,)))
+        schmidt_decompose(PureState(3, oracles.basis_vector(3, 0)), Bipartition(2, (0,)))
     with pytest.raises(ValueError, match="over 4 qubits needs 16 entries, got 64"):
         operator_schmidt_decompose(DenseOperator(3, np.eye(8)), Bipartition(2, (0,)))
     with pytest.raises(ValueError, match="over 3 qubits needs 8 entries, got 4"):
@@ -398,12 +397,12 @@ def test_qubit_permutation_preserves_spectra():
 
 
 def test_apply_two_qubit_gate_basics():
-    state = basis_state(2, 0b01)
+    state = PureState(2, oracles.basis_vector(2, 0b01))
     unchanged = apply_two_qubit_gate(state, np.eye(4), (0, 1))
     assert np.allclose(unchanged.amplitudes, state.amplitudes)
     swap = np.eye(4)[[0, 2, 1, 3]]
     swapped = apply_two_qubit_gate(state, swap, (0, 1))
-    assert np.allclose(swapped.amplitudes, basis_state(2, 0b10).amplitudes)
+    assert np.allclose(swapped.amplitudes, oracles.basis_vector(2, 0b10))
     with pytest.raises(ValueError):
         apply_two_qubit_gate(state, np.eye(4), (0, 0))
     with pytest.raises(ValueError):

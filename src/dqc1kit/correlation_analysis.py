@@ -13,7 +13,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -108,24 +108,6 @@ def balanced_window(num_register_qubits: int) -> tuple[int, int]:
     return -(-n // 5), (2 * n) // 5
 
 
-def _unrank_combination(rank: int, n_items: int, k: int) -> tuple[int, ...]:
-    """The rank-th k-subset of range(n_items) in lexicographic order."""
-    combo = []
-    start = 0
-    r = rank
-    for pos in range(k):
-        for candidate in range(start, n_items):
-            below = math.comb(n_items - candidate - 1, k - pos - 1)
-            if r < below:
-                combo.append(candidate)
-                start = candidate + 1
-                break
-            r -= below
-        else:
-            raise ValueError("combination rank out of range")
-    return tuple(combo)
-
-
 @dataclass(frozen=True)
 class CutRecord:
     """One evaluated bipartition of a rank scan; fields in report column order."""
@@ -169,23 +151,18 @@ def _sample_cuts(
 
     Returns the cuts in (size, lexicographic) order: the whole population,
     or, with ``count`` set below its size, that many cuts drawn uniformly
-    without replacement.
+    without replacement, picked in one pass over the same enumeration.
     """
-    blocks = [(k, math.comb(m, k)) for k in sizes]
-    total = sum(block for _, block in blocks)
+    stream = chain.from_iterable(combinations(range(m), k) for k in sizes)
+    total = sum(math.comb(m, k) for k in sizes)
     if count is None or count >= total:
-        combos = [combo for k in sizes for combo in combinations(range(m), k)]
+        combos = list(stream)
     else:
         if seed is None:
-            raise ValueError("sampled mode needs a seed")
-        combos = []
-        for pick in np.sort(seed.generator().choice(total, size=count, replace=False)):
-            r = int(pick)
-            for k, block in blocks:
-                if r < block:
-                    combos.append(_unrank_combination(r, m, k))
-                    break
-                r -= block
+            raise ValueError(f"sampling {count} of {total} cuts needs a seed")
+        picks = np.sort(seed.generator().choice(total, size=count, replace=False))
+        gaps = np.diff(picks, prepend=-1) - 1
+        combos = [next(islice(stream, gap, None)) for gap in gaps.tolist()]
     return [(0,) + tuple(q + 1 for q in combo) for combo in combos]
 
 
@@ -230,8 +207,9 @@ def min_rank_over_equipartitions(
 
     Qubit 0 is fixed to side A, which halves the enumeration without
     losing any cut (sides are interchangeable).  With ``partition_cap``
-    set, that many cuts are sampled uniformly without replacement.  The
-    serial per-cut reference: one :func:`singular_values` call per cut.
+    set, that many cuts are sampled uniformly without replacement; a cap
+    below the population needs ``seed``.  The serial per-cut reference:
+    one :func:`singular_values` call per cut.
     """
     cuts = _equipartition_cuts(state, partition_cap, seed)
     n = state.num_qubits
@@ -263,7 +241,8 @@ def min_equipartition_rank(
 ) -> int:
     """``min_rank_over_equipartitions(...).min_rank``, with most full SVDs skipped.
 
-    The same cuts, in the same order, are filled into stacks.  Stack k
+    The same cuts, in the same order, are filled into stacks; a
+    ``partition_cap`` below the population needs ``seed``.  Stack k
     goes to lane k mod ``workers``, and the lanes run on one thread pool: a
     pool per round of ``workers`` stacks made the benchmark's rank-scaling
     job slower (107 against 90 ms on two workers).  Each lane keeps a running
@@ -358,7 +337,8 @@ def rank_bound_scan(
     inside the balanced window.  The probe vector's Schmidt rank lower
     bounds the operator Schmidt rank of the joint state across the same
     cut, and the per-cut floor is 2^window_size.  ``num_cuts`` cuts are
-    sampled, or every in-window cut when it is None.  Registers below
+    sampled, or every in-window cut when it is None or at least the
+    population; a smaller count needs ``seed``.  Registers below
     SCAN_MIN_QUBITS are refused as a policy (see :func:`balanced_window`).
     Every cut probes rho|t,x> at t = 0, x = 0 unless ``randomize_index``
     draws each cut's t and register sides (i, j) from

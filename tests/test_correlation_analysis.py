@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -40,7 +41,6 @@ from dqc1kit import correlation_analysis
 from dqc1kit.correlation_analysis import (
     TRUNCATION_MIN_TAU,
     _sample_cuts,
-    _unrank_combination,
     min_equipartition_rank,
     parallel_map,
 )
@@ -68,12 +68,31 @@ def test_balanced_window_values():
     assert balanced_window(4) == (1, 1)
 
 
-def test_unrank_combination_is_lexicographic():
-    want = list(combinations(range(8), 3))
-    got = [_unrank_combination(r, 8, 3) for r in range(math.comb(8, 3))]
-    assert got == want
-    with pytest.raises(ValueError):
-        _unrank_combination(math.comb(8, 3), 8, 3)
+@pytest.mark.parametrize("m, sizes", [(6, [2, 4]), (7, [3]), (5, [1, 2, 3, 4])])
+def test_cut_sampler_picks_the_drawn_ranks_of_the_enumeration(m, sizes):
+    population = [(0,) + tuple(q + 1 for q in c) for k in sizes for c in combinations(range(m), k)]
+    total = len(population)
+    seed = SeedSpec(77)
+    for count in range(1, total):
+        picks = np.sort(seed.generator().choice(total, size=count, replace=False))
+        assert _sample_cuts(m, sizes, count, seed) == [population[p] for p in picks]
+    for count in (None, total, total + 1):
+        assert _sample_cuts(m, sizes, count, seed) == population
+
+
+def test_cut_sampler_never_materializes_the_population():
+    n = 20
+    low, high = balanced_window(n)
+    sizes = [a for a in range(1, n) if low <= min(a, n - a) <= high]
+    assert sum(math.comb(n, a) for a in sizes) == 525_198
+    tracemalloc.start()
+    try:
+        cuts = _sample_cuts(n, sizes, 50, SeedSpec(78))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(cuts)) == 50
+    assert peak < 2**20
 
 
 def test_cut_sampler_draws_distinct_cuts_above_two_million():
@@ -543,6 +562,16 @@ def test_rank_bound_scan_randomized_index_needs_a_seed():
     config = Dqc1Config(1.0, haar_unitary(6, SeedSpec(69)))
     with pytest.raises(ValueError, match="seed"):
         rank_bound_scan(config, num_cuts=None, randomize_index=True)
+
+
+def test_sampled_scans_name_the_count_and_population_they_need_a_seed_for():
+    config = Dqc1Config(1.0, haar_unitary(8, SeedSpec(69)))
+    with pytest.raises(ValueError, match="^sampling 50 of 168 cuts needs a seed$"):
+        rank_bound_scan(config)
+    state = PureState(6, np.ones(2**6, dtype=np.complex128))
+    for scan in (min_rank_over_equipartitions, min_equipartition_rank):
+        with pytest.raises(ValueError, match="^sampling 3 of 10 cuts needs a seed$"):
+            scan(state, partition_cap=3)
 
 
 def test_rank_bound_scan_rejects_small_registers():

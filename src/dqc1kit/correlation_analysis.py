@@ -223,13 +223,79 @@ def min_rank_over_equipartitions(
 # The Gaussian sketches of min_equipartition_rank come from this fixed
 # stream; they decide only which cuts take a full SVD, never a result.
 SKETCH_SEED = SeedSpec(0x5EED)
-# The sketch test's rounding term is SKETCH_ROUNDING * d^2 * u: the worst-case
-# error constants of the two d-term products and of the two SVDs, with room.
+# The sketch threshold's rounding term is SKETCH_ROUNDING * d^2 * u: the
+# worst-case error constants of the two d-term products that make a sketch
+# and of the full SVD that counts a cut's rank, with room.
 SKETCH_ROUNDING = 32.0
+# The Cholesky test's shift adds GRAM_ROUNDING * m * u * ||Y||_F^2, which
+# covers the rounding of the Gram product, of the factorization and of the
+# shift itself (about 2.5 m + 12 units of u ||Y||_F^2) with room; see
+# min_equipartition_rank.
+GRAM_ROUNDING = 64.0
 UNIT_ROUNDOFF = 2.0**-53
-# Outside this range of ||psi|| a sketch could overflow, or lose digits to
-# underflow, so every cut takes the full SVD.
+# The Cholesky test takes its matrices in batches of at most this many
+# entries (a quarter of a stack at n = 12; one matrix where that is more).
+# In 5 s dense_analysis runs (seed 1), peak RSS read 51.9-52.0 MiB with the
+# full-SVD scan, 54.0-54.2 with whole-stack test buffers and 51.4 with these.
+GRAM_BATCH_ENTRIES = 2**14
+# ||psi|| inside this range keeps every squared magnitude of the Cholesky
+# test finite and its underflow negligible, so the test runs only there.  At
+# d <= 2^10 (n <= 20) the fixed draws have ||G1||_2, ||G2||_2 < 90 < 2^7 and
+# gain > 1.7 (gain = 1 at m = d).  Overflow: Y's entries, G1[:m] M's and s
+# stay below 2^14 ||psi|| <= 2^270, and a Gram entry, ||Y||_F^2 and s^2
+# below m 2^540 <= 2^550, far from 2^1024.  Underflow: an operation on tiny
+# entries errs by at most 2^-1075 absolutely, so a Gram entry by a few
+# m 2^-1074 and the Gram matrix by under 2^-1040 in 2-norm.  A pass needs
+# every shifted diagonal entry of Y Y^H above 0, so ||Y||_F^2 > m s^2, and
+# s >= 32 d^2 u 2^-256 >= 2^-302: the shift's room of 49 m u ||Y||_F^2
+# > 2^-660 absorbs it, with the sketch products' own underflow.
 SKETCH_NORM_RANGE = (2.0**-256, 2.0**256)
+
+
+def _cholesky_mask(grams: np.ndarray) -> np.ndarray:
+    """Which matrices of the (k, m, m) Hermitian stack np.linalg.cholesky factors.
+
+    One stacked call serves a stack whose every matrix factors; a stack
+    that raises is retried one matrix at a time.
+    """
+    try:
+        np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError:
+        if len(grams) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_cholesky_mask(gram[np.newaxis]) for gram in grams])
+    return np.ones(len(grams), dtype=bool)
+
+
+def _gram_test(
+    stack: np.ndarray, m: int, draws: tuple[np.ndarray, np.ndarray], floor_sq: float,
+    scratch: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Mask over the (k, d, d) stack: True where Cholesky proves sigma_m(Y) > sqrt(floor_sq).
+
+    Y is each matrix itself when m = d, else its sketch G1[:m] M G2[:, :m]
+    with ``draws`` = (G1, G2).  Y Y^H - (floor_sq + GRAM_ROUNDING m u
+    ||Y||_F^2) I, with ||Y||_F^2 read off the Gram diagonal, goes to
+    :func:`_cholesky_mask`.  The matrices are taken in batches that fit the
+    three equal flat buffers of ``scratch``: the sketches, their conjugates,
+    and the Gram matrices (which first hold G1[:m] M).
+    """
+    k, d, _ = stack.shape
+    batch = scratch[0].size // (m * d)
+    masks = []
+    for part in (stack[i:i + batch] for i in range(0, k, batch)):
+        sketches, conj, gram = (buffer[:len(part) * m * m].reshape(-1, m, m) for buffer in scratch)
+        if m == d:
+            sketches = part
+        else:
+            left = np.matmul(draws[0][:m], part, out=scratch[2][:len(part) * m * d].reshape(-1, m, d))
+            np.matmul(left, draws[1][:, :m], out=sketches)
+        np.matmul(sketches, np.conjugate(sketches, out=conj).swapaxes(1, 2), out=gram)
+        diagonal = gram.reshape(-1, m * m)[:, :: m + 1]
+        frobenius_sq = diagonal.real.sum(axis=1, keepdims=True)
+        diagonal -= floor_sq + GRAM_ROUNDING * m * UNIT_ROUNDOFF * frobenius_sq
+        masks.append(_cholesky_mask(gram))
+    return np.concatenate(masks)
 
 
 def min_equipartition_rank(
@@ -246,33 +312,53 @@ def min_equipartition_rank(
     goes to lane k mod ``workers``, and the lanes run on one thread pool: a
     pool per round of ``workers`` stacks made the benchmark's rank-scaling
     job slower (107 against 90 ms on two workers).  Each lane keeps a running
-    minimum m, which starts at d = 2^(n/2).  While m = d there is nothing
-    to sketch, so a stack's cuts take the full SVD and
-    :func:`stacked_ranks`.  Once m < d, each cut matrix M (d x d) is
-    sketched as Y = G1[:m] M G2[:, :m], with complex Gaussian G1 and G2
-    drawn from SKETCH_SEED, and passes if
+    minimum m, which starts at d = 2^(n/2), and tests every cut matrix M
+    (d x d) at the current m, from the first stack on.  The test matrix Y
+    is M itself while m = d (gain 1); below d it is the sketch
+    G1[:m] M G2[:, :m], with complex Gaussian G1 and G2 drawn from
+    SKETCH_SEED (gain ||G1[:m]||_2 ||G2[:, :m]||_2, computed once per m).
+    With u the unit roundoff, the cut passes if np.linalg.cholesky factors
 
-        sigma_m(Y) > (rel_tol + SKETCH_ROUNDING d^2 u) ||G1[:m]||_2 ||G2[:, :m]||_2 ||psi||_2
+        Y Y^H - (s^2 + GRAM_ROUNDING m u ||Y||_F^2) I,
+        s = (rel_tol + SKETCH_ROUNDING d^2 u) gain ||psi||_2,
 
-    with u the unit roundoff.  A pass proves that :func:`rank_of` gives M a
-    rank of at least m.  M holds the entries of psi, so sigma_1(M) <=
-    ||M||_F = ||psi||_2, and sigma_m(G1 M G2) <= ||G1||_2 sigma_m(M)
-    ||G2||_2.  Rounding moves the computed sigma_m(Y) by at most a small
-    multiple of d^2 u ||G1||_2 ||G2||_2 ||psi||_2: each product sums d
-    terms, an m-row or m-column |G| has a 2-norm at most sqrt(m) <= sqrt(d)
-    times that of G, and the SVD of Y is backward stable.  So a pass gives
+    with ||Y||_F taken per cut.  A pass proves sigma_m(Y) > s for the
+    computed Y, because the shift covers every rounding error of the test
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.):
+    - the Gram product errs entrywise by at most about sqrt(2) (m + 2) u
+      |Y| |Y|^H (Lemma 3.5 with complex arithmetic), so by at most that
+      times ||Y||_F^2 in 2-norm;
+    - a Cholesky factorization that runs to completion is exact for a
+      matrix within (m + 1) u |R^H| |R| (Thm 10.3), and
+      || |R^H| |R| ||_2 <= ||R||_F^2, the trace, at most ||Y||_F^2 up to
+      rounding;
+    - the subtraction from the diagonal and the computed shift (s^2 is
+      below every diagonal entry on a pass) add under 8 u ||Y||_F^2.
+    That is at most about 2.5 m + 12 units of u ||Y||_F^2, below 15 m for
+    every m >= 1, so GRAM_ROUNDING = 64 covers it with 49 m to spare, and
+    Y Y^H - s^2 I is positive definite.  The test runs one stacked
+    np.linalg.cholesky call per batch of GRAM_BATCH_ENTRIES entries and
+    retries a batch that raises one cut at a time.
+
+    From there the argument is the one for any Y.  M holds the entries of
+    psi, so sigma_1(M) <= ||M||_F = ||psi||_2, and sigma_m(G1 M G2) <=
+    ||G1||_2 sigma_m(M) ||G2||_2.  Rounding moves the computed sketch's
+    sigma_m by at most a small multiple of d^2 u ||G1||_2 ||G2||_2
+    ||psi||_2: each product sums d terms, and an m-row or m-column |G| has
+    a 2-norm at most sqrt(m) <= sqrt(d) times that of G.  So a pass gives
     sigma_m(M) > (rel_tol + c d^2 u) ||psi||_2, and the full SVD of M, whose
     computed values move by at most a small multiple of d^2 u sigma_1(M),
-    counts sigma_m above rel_tol times its sigma_1.
+    counts sigma_m above rel_tol times its sigma_1: :func:`rank_of` gives M
+    a rank of at least m.
 
     The cuts that fail take the full SVD, and they may lower m.  Every m is
     the rank of a cut decided in full, and every passed cut has a rank of
     at least the m it was tested against, so the result is the full scan's
     minimum for any sketch and any ``workers``: they change only the work
-    done.  A lane stops sketching once no cut of a stack passes and m
-    stays, since the bound is then too loose at this rel_tol (at 1e-2 no
-    cut of rank-scaling's circuits passed).  A state whose norm lies
-    outside SKETCH_NORM_RANGE is scanned in full.
+    done.  A lane stops testing once no cut of a stack passes and m stays,
+    since the bound is then too loose at this rel_tol (at 1e-2 no cut of
+    rank-scaling's circuits passed).  A state whose norm lies outside
+    SKETCH_NORM_RANGE is scanned in full.
     """
     cuts = _equipartition_cuts(state, partition_cap, seed)
     n = state.num_qubits
@@ -282,35 +368,49 @@ def min_equipartition_rank(
     rng = SKETCH_SEED.generator()
     g1, g2 = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
     norm = float(np.linalg.norm(state.amplitudes))
-    norm_in_range = SKETCH_NORM_RANGE[0] <= norm <= SKETCH_NORM_RANGE[1]
+    rounding = SKETCH_ROUNDING * d * d * UNIT_ROUNDOFF
 
     def lane(first: int) -> int:
-        m, threshold, sketching = d, None, norm_in_range
+        m, testing = d, SKETCH_NORM_RANGE[0] <= norm <= SKETCH_NORM_RANGE[1]
+        floor_sq = ((rel_tol + rounding) * norm) ** 2
+        stack_buffer, *scratch = buffers[first]
         for start in starts[first::workers]:
-            stack = buffers[first][:len(cuts) - start]
+            stack = stack_buffer[:len(cuts) - start]
             for k, out in enumerate(stack, start):
                 Bipartition(n, cuts[k]).matricize(state.amplitudes, out=out)
-            if threshold is not None:
-                passed = singular_values(g1[:m] @ stack @ g2[:, :m])[:, -1] > threshold
-                stack = stack[~passed]
+            passed = np.zeros(len(stack), dtype=bool)
+            if testing:
+                passed = _gram_test(stack, m, (g1, g2), floor_sq, scratch)
+                kept = np.flatnonzero(~passed)
+                # Compacted in place: copying the failed cuts out of the first
+                # stacks raised the dense_analysis peak RSS by 2 MiB.
+                for j, k in enumerate(kept.tolist()):
+                    if j < k:
+                        stack[j] = stack[k]
+                stack = stack[:len(kept)]
             low = int(stacked_ranks(singular_values(stack), rel_tol).min()) if len(stack) else m
             if low < m:
                 m = low
                 if m == 0:  # psi = 0: every cut has rank 0
                     break
-                if sketching:
+                if testing:
                     gain = np.linalg.norm(g1[:m], 2) * np.linalg.norm(g2[:, :m], 2)
-                    threshold = (rel_tol + SKETCH_ROUNDING * d * d * UNIT_ROUNDOFF) * gain * norm
-            elif threshold is not None and not passed.any():
-                threshold, sketching = None, False
+                    floor_sq = ((rel_tol + rounding) * gain * norm) ** 2
+            elif not passed.any():
+                testing = False
         return m
 
-    # Each lane refills one stack buffer, made here on the calling thread.
-    # Five rounds of the dense_analysis jobs in one process peaked at 48.6
-    # MiB with the full scan, 49.8 with buffers made on the pool's threads
-    # and 47.8 with these.
+    # Each lane refills one stack buffer and tests its cuts in three flat
+    # batch buffers (sketches, conjugates, Gram matrices), all made here on
+    # the calling thread: stack buffers made on the pool's threads raised
+    # the peak of five rounds of the dense_analysis jobs from 47.8 to 49.8 MiB.
     lanes = range(min(workers, len(starts)))
-    buffers = [np.empty((min(per_stack, len(cuts)), d, d), dtype=np.complex128) for _ in lanes]
+    shape = (min(per_stack, len(cuts)), d, d)
+    batch = min(math.prod(shape), max(d * d, GRAM_BATCH_ENTRIES))
+    buffers = [
+        (np.empty(shape, dtype=np.complex128), *np.empty((3, batch), dtype=np.complex128))
+        for _ in lanes
+    ]
     return min(parallel_map(lane, lanes, workers))
 
 

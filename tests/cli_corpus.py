@@ -15,8 +15,9 @@ corpus is the byte-determinism command set at seeds 1 and 7 and workers
 default seed), and a few edge cases of flag parsing, of the thread
 pool's SVD stacks, of bound-scan's probe stacks (zero-padded spectrum
 heads, the tau-free rank stack, randomized product probes) and of
-rank-scaling's sketched scan (at 1 and 2 workers, and at a --tol where
-cuts fail their sketch and take the full SVD).  Input files are
+rank-scaling's sketched scan (at 1 and 2 workers, at a --tol where
+cuts fail their sketch and take the full SVD, and on an n = 10 state
+whose minimum is d = 32, so every cut is proven at m = d).  Input files are
 written to a scratch directory and named by relative paths, so
 ``meta.source`` is the same for every checkout; two checkouts are then
 compared with one ``diff`` of their outputs.
@@ -81,6 +82,7 @@ EDGE_CASES = [
     ["bound-scan", "--n", "8", "--unitary", "product", "--cuts", "20", "--randomize-index"],
     *(["rank-scaling", "--n-list", "10,12", "--seeds", "3", "--workers", w] for w in ("2", "1")),
     ["rank-scaling", "--n-list", "10,12", "--seeds", "3", "--workers", "2", "--tol", "1e-2"],
+    ["rank-scaling", "--n-list", "10", "--seeds", "4", "--workers", "2"],
 ]
 
 

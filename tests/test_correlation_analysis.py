@@ -305,41 +305,115 @@ def test_sketched_minimum_is_the_full_scan_minimum_property(case, monkeypatch):
             assert min_equipartition_rank(state, rel_tol, cap, seed, workers) == want, workers
 
 
-@pytest.mark.parametrize("factor,want", [(1 - 1e-3, 1), (1 + 1e-3, 2)])
-def test_sketch_threshold_carries_the_sketch_norms(monkeypatch, factor, want):
+@pytest.mark.parametrize("rel_tol,factor,want", [
+    pytest.param(DEFAULT_RANK_TOL, 1 - 1e-3, 1, id="0.999-1"),
+    pytest.param(DEFAULT_RANK_TOL, 1 + 1e-3, 2, id="1.001-2"),
+    pytest.param(1e-3, 1 - 1e-3, 1, id="tol1e-3-0.999-1"),
+    pytest.param(1e-3, 1 + 1e-3, 2, id="tol1e-3-1.001-2"),
+])
+def test_sketch_threshold_carries_the_sketch_norms(monkeypatch, rel_tol, factor, want):
     # Cut {0, 2, 3} splits only the pair (0, 1), whose coefficients 1 and
     # lam sit at the rank cutoff; the first cut, {0, 1, 2}, has rank 2.  A
     # test without ||G1|| ||G2|| passes {0, 2, 3} at m = 2 and misses rank 1.
-    state = _pair_state(6, [(0, 1), (2, 3), (4, 5)], [DEFAULT_RANK_TOL * factor, 1.0, 1.0])
+    # At 1e-10 the Gram rounding term of the shift dominates s^2, so only
+    # the case at 1e-3 sees the sketch norms.
+    state = _pair_state(6, [(0, 1), (2, 3), (4, 5)], [rel_tol * factor, 1.0, 1.0])
     _cuts_per_stack(monkeypatch, 6, 1)
-    assert min_rank_over_equipartitions(state).min_rank == want
+    assert min_rank_over_equipartitions(state, rel_tol).min_rank == want
     for workers in (1, 2):
-        assert min_equipartition_rank(state, workers=workers) == want
+        assert min_equipartition_rank(state, rel_tol, workers=workers) == want
 
 
 def test_sketched_scan_takes_full_svds_only_where_the_sketch_fails(monkeypatch):
-    # Task 1 of `rank-scaling --n-list 10,12 --seeds 1`, at n = 12: its
-    # minimum, 32, turns up in the third stack of 16 cuts, and every later
-    # cut passes its sketch at m = 32.
+    # Task 1 of `rank-scaling --n-list 10,12 --seeds 1`, at n = 12: the first
+    # two stacks of 16 cuts pass the Cholesky test at m = d = 64, the third
+    # finds the minimum, 32, in 6 of its cuts, and every later cut passes at
+    # m = 32.
     master = SeedSpec(1).child(1)
     state = _u0(random_two_qubit_circuit(12, 24, master.child(0)))
-    shapes = []
-    svd = correlation_analysis.singular_values
+    shapes, tested = [], []
+    svd, gram_test = correlation_analysis.singular_values, correlation_analysis._gram_test
 
     def recording_svd(matrix):
         shapes.extend([matrix.shape[1:]] * len(matrix))
         return svd(matrix)
 
+    def recording_test(stack, m, *args):
+        tested.extend([m] * len(stack))
+        return gram_test(stack, m, *args)
+
     monkeypatch.setattr(correlation_analysis, "singular_values", recording_svd)
+    monkeypatch.setattr(correlation_analysis, "_gram_test", recording_test)
     assert min_equipartition_rank(state, seed=master.child(1)) == 32
-    assert shapes.count((64, 64)) == 48 and shapes.count((32, 32)) == 462 - 48
-    assert len(shapes) == 462
-    # At rel_tol 1e-2 no cut passes: three stacks of sketches lower m only
-    # through their full SVDs (47 -> 44 -> 30), the third leaves it, and
-    # from there on every cut takes the full SVD alone.
+    assert shapes == [(64, 64)] * 6
+    assert tested == [64] * 48 + [32] * 414
+    # At rel_tol 1e-2 no cut passes: four stacks of tests lower m only
+    # through their full SVDs (64 -> 47 -> 44 -> 30), the fourth leaves it,
+    # and from there on every cut takes the full SVD alone.
     shapes.clear()
+    tested.clear()
     assert min_equipartition_rank(state, 1e-2, seed=master.child(1)) == 19
-    assert shapes.count((64, 64)) == 462 and len(shapes) == 462 + 3 * 16
+    assert shapes == [(64, 64)] * 462
+    assert tested == [64] * 16 + [47] * 16 + [44] * 16 + [30] * 16
+
+
+def _gram_passes(stack, rel_tol=DEFAULT_RANK_TOL):
+    """The Cholesky test at m = d on a (k, d, d) stack of unit-norm matrices, in one batch."""
+    d = stack.shape[-1]
+    floor = (rel_tol + correlation_analysis.SKETCH_ROUNDING * d * d * correlation_analysis.UNIT_ROUNDOFF)
+    scratch = np.empty((3, stack.size), dtype=np.complex128)
+    return correlation_analysis._gram_test(stack, d, (None, None), floor**2, scratch)
+
+
+def _gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _rank_deficient_batch(m, count, seed):
+    """``count`` unit-norm m x m products of m x (m-1) and (m-1) x m Gaussians."""
+    rng = np.random.default_rng(seed)
+    products = _gaussian(rng, count, m, m - 1) @ _gaussian(rng, count, m - 1, m)
+    return products / np.linalg.norm(products, axis=(1, 2), keepdims=True)
+
+
+@pytest.mark.parametrize("m", [8, 64])
+def test_cholesky_test_passes_no_rank_deficient_product(monkeypatch, m):
+    # Each product has rank m - 1, so its computed sigma_m is a rounding
+    # error, far below s.  At rel_tol 1e-10 s^2 is below the rounding of
+    # the Gram product, so the rounding term of the shift is what keeps
+    # these from passing: without it, about half of them pass.
+    batch = _rank_deficient_batch(m, 300, 8100 + m)
+    assert not _gram_passes(batch).any()
+    monkeypatch.setattr(correlation_analysis, "GRAM_ROUNDING", 0.0)
+    assert _gram_passes(batch).sum() > 60
+
+
+def test_cholesky_stack_with_a_failing_cut_gives_the_per_cut_mask():
+    rng = np.random.default_rng(8164)
+    stack = _gaussian(rng, 9, 16, 16)
+    stack /= np.linalg.norm(stack, axis=(1, 2), keepdims=True)
+    stack[3] = _rank_deficient_batch(16, 1, 8165)[0]
+    alone = [bool(_gram_passes(matrix[np.newaxis])[0]) for matrix in stack]
+    assert alone == [k != 3 for k in range(9)]
+    assert _gram_passes(stack).tolist() == alone
+
+
+def test_sketched_scan_working_set_is_its_lane_buffers():
+    # The bound allows each of the 2 lanes 3 arrays of 16 x 64 x 64 complex
+    # (1 MiB each) at n = 12; a lane holds its 1 MiB stack buffer and three
+    # quarter-stack test buffers (sketches, conjugates, Gram matrices).  The
+    # 1 MiB margin holds the Gaussian draws (128 KiB) and the Cholesky and
+    # SVD outputs.  The 462 cut matrices at once would take 28.9 MiB.
+    master = SeedSpec(1).child(1)
+    state = _u0(random_two_qubit_circuit(12, 24, master.child(0)))
+    tracemalloc.start()
+    try:
+        assert min_equipartition_rank(state, seed=master.child(1), workers=2) == 32
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lane_buffers = 2 * 3 * 16 * 64 * 64 * 16
+    assert peak < lane_buffers + 2**20
 
 
 def test_rank_bound_scan_exhaustive_count_and_floors():

@@ -334,7 +334,8 @@ def _build_parser() -> _Parser:
     )
     common.add_argument(
         "--workers", type=_AT_LEAST_1, default=1,
-        help="threads for the stacked SVDs of rank-scaling and concentration (default 1)",
+        help="threads for the stacked SVDs of rank-scaling and concentration and for"
+        " rank-scaling's Cholesky tests (default 1)",
     )
     common.add_argument(
         "--tol", type=_ranged(float, lambda v: 0 < v < 1, "lie in (0, 1)"),

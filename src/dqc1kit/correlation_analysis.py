@@ -10,9 +10,10 @@ min(a, n - a).
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, islice
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -233,11 +234,17 @@ SKETCH_ROUNDING = 32.0
 # min_equipartition_rank.
 GRAM_ROUNDING = 64.0
 UNIT_ROUNDOFF = 2.0**-53
-# The Cholesky test takes its matrices in batches of at most this many
-# entries (a quarter of a stack at n = 12; one matrix where that is more).
-# In 5 s dense_analysis runs (seed 1), peak RSS read 51.9-52.0 MiB with the
-# full-SVD scan, 54.0-54.2 with whole-stack test buffers and 51.4 with these.
+# While a cut matrix holds fewer entries than this (n <= 12), the Cholesky
+# test takes a stack's matrices in batches of at most this many entries, a
+# quarter of a stack; from n = 14, where a stack holds at most 4 cuts, it
+# takes the whole stack.  In 5 s dense_analysis runs (seed 1), peak RSS read
+# 51.9-52.0 MiB with the full-SVD scan, 54.0-54.2 with whole-stack test
+# buffers and 51.4 with quarter stacks.  At n = 14, batches of one matrix
+# took 252-255 ms against 242-246 ms whole (--n-list 14 --seeds 1 --workers 2).
 GRAM_BATCH_ENTRIES = 2**14
+# A lane stops testing after this many failed cuts in a row while its m
+# stays; at n <= 12 a full stack holds at least this many.
+STOP_AFTER_FAILED_CUTS = 16
 # ||psi|| inside this range keeps every squared magnitude of the Cholesky
 # test finite and its underflow negligible, so the test runs only there.  At
 # d <= 2^10 (n <= 20) the fixed draws have ||G1||_2, ||G2||_2 < 90 < 2^7 and
@@ -298,6 +305,37 @@ def _gram_test(
     return np.concatenate(masks)
 
 
+def _cut_weights(n: int, cuts: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """(len(cuts), 2, n/2) int32 weights 2^(n-1-q) of the labels q of half:half cuts.
+
+    Row 0 of cut k weighs its side B, row 1 its side A, each side's labels
+    ascending, as :meth:`Bipartition.matricize` reads them.
+    """
+    side_a = np.zeros((len(cuts), n), dtype=bool)
+    side_a[np.arange(len(cuts))[:, np.newaxis], cuts] = True
+    labels = np.argsort(side_a, axis=1, kind="stable").astype(np.int32)
+    return (1 << (n - 1 - labels)).reshape(len(cuts), 2, n // 2)
+
+
+def _gather_cuts(psi: np.ndarray, weights: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """Write the (d, d) matrix of the cut with weights[k] into out[k], for every k.
+
+    Entry (i, j) is psi[R_k(i) | C_k(j)], where R_k(i) sums side A's
+    weights over the bits of i, first label most significant, and C_k(j)
+    side B's over those of j: ``Bipartition(n, side_a).matricize(psi)``.
+    The (k, d, d) indices, the bitwise OR of the two (k, d) tables, go
+    into ``index``, flat intp scratch of at least out.size entries, and
+    the stack is one np.take.
+    """
+    d, half = out.shape[-1], weights.shape[-1]
+    bits = (np.arange(d, dtype=np.int32)[:, np.newaxis] >> np.arange(half - 1, -1, -1)) & 1
+    cols, rows = (weights @ bits.T).swapaxes(0, 1)
+    table = index[:out.size].reshape(out.shape)
+    np.bitwise_or(rows[:, :, np.newaxis], cols[:, np.newaxis, :], out=table)
+    # mode="raise" would copy ``out`` through a temporary of its size.
+    np.take(psi, table, out=out, mode="clip")
+
+
 def min_equipartition_rank(
     state: PureState,
     rel_tol: float = DEFAULT_RANK_TOL,
@@ -307,13 +345,16 @@ def min_equipartition_rank(
 ) -> int:
     """``min_rank_over_equipartitions(...).min_rank``, with most full SVDs skipped.
 
-    The same cuts, in the same order, are filled into stacks; a
+    The same cuts, in the same order, are gathered into stacks; a
     ``partition_cap`` below the population needs ``seed``.  Stack k
     goes to lane k mod ``workers``, and the lanes run on one thread pool: a
     pool per round of ``workers`` stacks made the benchmark's rank-scaling
-    job slower (107 against 90 ms on two workers).  Each lane keeps a running
-    minimum m, which starts at d = 2^(n/2), and tests every cut matrix M
-    (d x d) at the current m, from the first stack on.  The test matrix Y
+    job slower (107 against 90 ms on two workers).  The lanes share one
+    running minimum m.  It starts at the rank of cut 0, decided by a full
+    SVD before the pool starts, and only ever decreases: each lane reads it
+    before each stack and lowers it, under a lock, when its own SVDs find
+    a smaller rank.  Every cut matrix M (d x d, d = 2^(n/2)) is tested at
+    the m its lane read.  The test matrix Y
     is M itself while m = d (gain 1); below d it is the sketch
     G1[:m] M G2[:, :m], with complex Gaussian G1 and G2 drawn from
     SKETCH_SEED (gain ||G1[:m]||_2 ||G2[:, :m]||_2, computed once per m).
@@ -337,7 +378,7 @@ def min_equipartition_rank(
     That is at most about 2.5 m + 12 units of u ||Y||_F^2, below 15 m for
     every m >= 1, so GRAM_ROUNDING = 64 covers it with 49 m to spare, and
     Y Y^H - s^2 I is positive definite.  The test runs one stacked
-    np.linalg.cholesky call per batch of GRAM_BATCH_ENTRIES entries and
+    np.linalg.cholesky call per batch (see GRAM_BATCH_ENTRIES) and
     retries a batch that raises one cut at a time.
 
     From there the argument is the one for any Y.  M holds the entries of
@@ -351,36 +392,51 @@ def min_equipartition_rank(
     counts sigma_m above rel_tol times its sigma_1: :func:`rank_of` gives M
     a rank of at least m.
 
-    The cuts that fail take the full SVD, and they may lower m.  Every m is
-    the rank of a cut decided in full, and every passed cut has a rank of
-    at least the m it was tested against, so the result is the full scan's
-    minimum for any sketch and any ``workers``: they change only the work
-    done.  A lane stops testing once no cut of a stack passes and m stays,
-    since the bound is then too loose at this rel_tol (at 1e-2 no cut of
-    rank-scaling's circuits passed).  A state whose norm lies outside
-    SKETCH_NORM_RANGE is scanned in full.
+    The cuts that fail take the full SVD, and they may lower m.  Every
+    value m ever holds is the rank of a cut decided in full (cut 0's, or
+    one a lane's SVDs found), so the final m is at least the full scan's
+    minimum.  Every cut is either decided in full, and then m is lowered
+    to its rank or was already below it, or passes at a value m held, and
+    then has a rank of at least that value, which is at least the final
+    m.  So the result is the full scan's minimum for any sketch, any
+    ``workers`` and any interleaving of the lanes: they change only the
+    work done.  A lane stops testing once STOP_AFTER_FAILED_CUTS cuts in a
+    row have failed while its m stayed (counted over whole stacks, none
+    passing), since the bound is then too loose at this rel_tol (at 1e-2
+    no cut of rank-scaling's circuits passed).  A state whose norm lies
+    outside SKETCH_NORM_RANGE is scanned in full.
     """
     cuts = _equipartition_cuts(state, partition_cap, seed)
     n = state.num_qubits
     d = 2 ** (n // 2)
     per_stack = max(1, COLUMN_BLOCK_ENTRIES // d**2)
     starts = range(0, len(cuts), per_stack)
+    psi = np.ascontiguousarray(state.amplitudes)
+    # The row and column tables are made per stack from these: tables of
+    # every cut at once would take 2 cuts d 4 bytes, 757 MB at n = 20.
+    weights = _cut_weights(n, cuts)
     rng = SKETCH_SEED.generator()
     g1, g2 = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
     norm = float(np.linalg.norm(state.amplitudes))
     rounding = SKETCH_ROUNDING * d * d * UNIT_ROUNDOFF
 
+    @cache
+    def floor_sq(m: int) -> float:
+        gain = 1.0 if m == d else np.linalg.norm(g1[:m], 2) * np.linalg.norm(g2[:, :m], 2)
+        return float(((rel_tol + rounding) * gain * norm) ** 2)
+
     def lane(first: int) -> int:
-        m, testing = d, SKETCH_NORM_RANGE[0] <= norm <= SKETCH_NORM_RANGE[1]
-        floor_sq = ((rel_tol + rounding) * norm) ** 2
-        stack_buffer, *scratch = buffers[first]
+        m, failed = minimum[0], 0
+        testing = SKETCH_NORM_RANGE[0] <= norm <= SKETCH_NORM_RANGE[1]
+        stack_buffer, scratch, index = buffers[first]
         for start in starts[first::workers]:
+            if minimum[0] < m:  # lowered by another lane or by this one
+                m, failed = minimum[0], 0
             stack = stack_buffer[:len(cuts) - start]
-            for k, out in enumerate(stack, start):
-                Bipartition(n, cuts[k]).matricize(state.amplitudes, out=out)
+            _gather_cuts(psi, weights[start:start + len(stack)], index, stack)
             passed = np.zeros(len(stack), dtype=bool)
             if testing:
-                passed = _gram_test(stack, m, (g1, g2), floor_sq, scratch)
+                passed = _gram_test(stack, m, (g1, g2), floor_sq(m), scratch)
                 kept = np.flatnonzero(~passed)
                 # Compacted in place: copying the failed cuts out of the first
                 # stacks raised the dense_analysis peak RSS by 2 MiB.
@@ -390,27 +446,39 @@ def min_equipartition_rank(
                 stack = stack[:len(kept)]
             low = int(stacked_ranks(singular_values(stack), rel_tol).min()) if len(stack) else m
             if low < m:
-                m = low
-                if m == 0:  # psi = 0: every cut has rank 0
-                    break
-                if testing:
-                    gain = np.linalg.norm(g1[:m], 2) * np.linalg.norm(g2[:, :m], 2)
-                    floor_sq = ((rel_tol + rounding) * gain * norm) ** 2
-            elif not passed.any():
-                testing = False
-        return m
+                with lock:
+                    minimum[0] = min(minimum[0], low)
+            else:
+                failed = 0 if passed.any() else failed + len(passed)
+                testing = testing and failed < STOP_AFTER_FAILED_CUTS
+        return minimum[0]
 
     # Each lane refills one stack buffer and tests its cuts in three flat
     # batch buffers (sketches, conjugates, Gram matrices), all made here on
     # the calling thread: stack buffers made on the pool's threads raised
     # the peak of five rounds of the dense_analysis jobs from 47.8 to 49.8 MiB.
+    # The batch buffers, viewed as intp, also hold a stack's gather index:
+    # a batch is at least a quarter of a stack.
     lanes = range(min(workers, len(starts)))
     shape = (min(per_stack, len(cuts)), d, d)
-    batch = min(math.prod(shape), max(d * d, GRAM_BATCH_ENTRIES))
-    buffers = [
-        (np.empty(shape, dtype=np.complex128), *np.empty((3, batch), dtype=np.complex128))
-        for _ in lanes
-    ]
+    batch = math.prod(shape)
+    if d * d < GRAM_BATCH_ENTRIES:
+        batch = min(batch, GRAM_BATCH_ENTRIES)
+
+    def lane_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        scratch = np.empty((3, batch), dtype=np.complex128)
+        return np.empty(shape, dtype=np.complex128), scratch, scratch.reshape(-1).view(np.intp)
+
+    buffers = [lane_buffers() for _ in lanes]
+    # The shared minimum starts at cut 0's rank, from a full SVD in lane 0's
+    # buffers.  Reads of minimum[0] need no lock; the lock keeps a lane from
+    # raising it with a stale min().
+    cut_0 = buffers[0][0][:1]
+    _gather_cuts(psi, weights[:1], buffers[0][2], cut_0)
+    minimum = [int(stacked_ranks(singular_values(cut_0), rel_tol)[0])]
+    lock = threading.Lock()
+    if minimum[0] == 0:  # psi = 0: every cut has rank 0
+        return 0
     return min(parallel_map(lane, lanes, workers))
 
 

@@ -16,8 +16,9 @@ default seed), and a few edge cases of flag parsing, of the thread
 pool's SVD stacks, of bound-scan's probe stacks (zero-padded spectrum
 heads, the tau-free rank stack, randomized product probes) and of
 rank-scaling's sketched scan (at 1 and 2 workers, at a --tol where
-cuts fail their sketch and take the full SVD, and on an n = 10 state
-whose minimum is d = 32, so every cut is proven at m = d).  Input files are
+cuts fail their sketch and take the full SVD, on an n = 10 state
+whose minimum is d = 32, so every cut is proven at m = d, and at n = 16,
+where a stack holds one cut).  Input files are
 written to a scratch directory and named by relative paths, so
 ``meta.source`` is the same for every checkout; two checkouts are then
 compared with one ``diff`` of their outputs.
@@ -83,6 +84,7 @@ EDGE_CASES = [
     *(["rank-scaling", "--n-list", "10,12", "--seeds", "3", "--workers", w] for w in ("2", "1")),
     ["rank-scaling", "--n-list", "10,12", "--seeds", "3", "--workers", "2", "--tol", "1e-2"],
     ["rank-scaling", "--n-list", "10", "--seeds", "4", "--workers", "2"],
+    ["rank-scaling", "--n-list", "16", "--seeds", "2", "--partition-cap", "200", "--workers", "2"],
 ]
 
 

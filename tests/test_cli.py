@@ -458,7 +458,7 @@ def test_workers_must_be_positive(capsys):
 
 def test_bound_scan_and_tree_edge_run_serially_at_any_worker_count(capsys, monkeypatch):
     # Their items are one SVD or one small tree each, and a pool of them lost
-    # to serial; only the stacked SVDs of rank-scaling and concentration use it.
+    # to serial; only the stacks of rank-scaling and concentration use it.
     def pool(*_args, **_kwargs):
         raise AssertionError("a thread pool was started")
 

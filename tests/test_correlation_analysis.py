@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -325,10 +326,10 @@ def test_sketch_threshold_carries_the_sketch_norms(monkeypatch, rel_tol, factor,
 
 
 def test_sketched_scan_takes_full_svds_only_where_the_sketch_fails(monkeypatch):
-    # Task 1 of `rank-scaling --n-list 10,12 --seeds 1`, at n = 12: the first
-    # two stacks of 16 cuts pass the Cholesky test at m = d = 64, the third
-    # finds the minimum, 32, in 6 of its cuts, and every later cut passes at
-    # m = 32.
+    # Task 1 of `rank-scaling --n-list 10,12 --seeds 1`, at n = 12: the seed
+    # SVD gives cut 0 rank d = 64, the first two stacks of 16 cuts pass the
+    # Cholesky test at m = 64, the third finds the minimum, 32, in 6 of its
+    # cuts, and every later cut passes at m = 32.
     master = SeedSpec(1).child(1)
     state = _u0(random_two_qubit_circuit(12, 24, master.child(0)))
     shapes, tested = [], []
@@ -345,16 +346,109 @@ def test_sketched_scan_takes_full_svds_only_where_the_sketch_fails(monkeypatch):
     monkeypatch.setattr(correlation_analysis, "singular_values", recording_svd)
     monkeypatch.setattr(correlation_analysis, "_gram_test", recording_test)
     assert min_equipartition_rank(state, seed=master.child(1)) == 32
-    assert shapes == [(64, 64)] * 6
+    assert shapes == [(64, 64)] * 7
     assert tested == [64] * 48 + [32] * 414
-    # At rel_tol 1e-2 no cut passes: four stacks of tests lower m only
-    # through their full SVDs (64 -> 47 -> 44 -> 30), the fourth leaves it,
-    # and from there on every cut takes the full SVD alone.
+    # At rel_tol 1e-2 no cut passes: the seed SVD gives m = 61, four stacks
+    # of tests lower it only through their full SVDs (61 -> 47 -> 44 -> 30),
+    # the fourth leaves it, and from there on every cut takes the full SVD
+    # alone.
     shapes.clear()
     tested.clear()
     assert min_equipartition_rank(state, 1e-2, seed=master.child(1)) == 19
-    assert shapes == [(64, 64)] * 462
-    assert tested == [64] * 16 + [47] * 16 + [44] * 16 + [30] * 16
+    assert shapes == [(64, 64)] * 463
+    assert tested == [61] * 16 + [47] * 16 + [44] * 16 + [30] * 16
+
+
+def test_lanes_share_one_running_minimum(monkeypatch):
+    # The n = 12 state above on two lanes, with lane 1 run to completion
+    # before lane 0 starts.  Lane 1 starts at the seed SVD's m = d = 64 and
+    # lowers it to 32 on its own; lane 0 then tests every cut at 32 or below.
+    master = SeedSpec(1).child(1)
+    state = _u0(random_two_qubit_circuit(12, 24, master.child(0)))
+    tested, lane_1 = [], []
+    gram_test = correlation_analysis._gram_test
+
+    def recording_test(stack, m, *args):
+        tested.extend([m] * len(stack))
+        return gram_test(stack, m, *args)
+
+    def lane_1_first(fn, items, workers=1):
+        assert list(items) == [0, 1]
+        minimum = fn(1)
+        lane_1.append((len(tested), minimum))
+        return [fn(0), minimum]
+
+    monkeypatch.setattr(correlation_analysis, "_gram_test", recording_test)
+    monkeypatch.setattr(correlation_analysis, "parallel_map", lane_1_first)
+    assert min_equipartition_rank(state, seed=master.child(1), workers=2) == 32
+    [(split, minimum)] = lane_1
+    assert minimum == 32 and max(tested[:split]) == 64
+    assert len(tested[split:]) == 238 and max(tested[split:]) <= minimum
+
+
+def test_lanes_lower_the_shared_minimum_under_thread_switches(monkeypatch):
+    # Four lanes on two cores, stacks of 4 cuts, a 1 us switch interval and
+    # a tol at which most full SVDs lower m: a lane that raised the minimum
+    # with a stale value would end some scan above the full scan's minimum
+    # (without min() under the lock, 3 of these 40 scans did in one run).
+    _cuts_per_stack(monkeypatch, 10, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(40):
+            state = _u0(random_two_qubit_circuit(10, 20, SeedSpec(8300 + k)))
+            want = min_rank_over_equipartitions(state, 1e-2).min_rank
+            assert min_equipartition_rank(state, 1e-2, workers=4) == want, k
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failed_cut_of_rank_m_leaves_the_lane_testing(monkeypatch):
+    # One cut per stack.  The first cut that passes is failed by force: its
+    # full SVD finds a rank of at least m, so m stays, and a rule counted in
+    # stacks would stop testing there.  Counted in cuts, every cut is still
+    # tested and the minimum is unchanged.
+    master = SeedSpec(1).child(1)
+    state = _u0(random_two_qubit_circuit(12, 24, master.child(0)))
+    _cuts_per_stack(monkeypatch, 12, 1)
+    gram_test = correlation_analysis._gram_test
+    tested, forced = [], []
+
+    def failing(stack, m, *args):
+        passed = gram_test(stack, m, *args)
+        tested.append(m)
+        if passed.any() and (fail_every or not forced):
+            forced.append(len(tested))
+            passed[:] = False
+        return passed
+
+    monkeypatch.setattr(correlation_analysis, "_gram_test", failing)
+    fail_every = False
+    assert min_equipartition_rank(state, seed=master.child(1)) == 32
+    assert forced == [1] and len(tested) == math.comb(11, 5)
+    # Every test failing: the lane stops after 16 failed cuts in a row at
+    # one m (m only decreases, so its last value was tested 16 times).
+    tested.clear()
+    fail_every = True
+    assert min_equipartition_rank(state, seed=master.child(1)) == 32
+    assert len(tested) < math.comb(11, 5) and tested.count(tested[-1]) == 16
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_gathered_cut_matrices_are_the_matricized_cuts(n):
+    # Every half:half cut, in stacks of 16 through the same buffers, bit for
+    # bit against the one definition of the x -> (i, j) map.
+    psi = _gaussian(np.random.default_rng(8200 + n), 2**n)
+    cuts = _sample_cuts(n - 1, [n // 2 - 1], None, None)
+    d = 2 ** (n // 2)
+    weights = correlation_analysis._cut_weights(n, cuts)
+    buffer = np.empty((16, d, d), dtype=np.complex128)
+    index = np.empty(buffer.size, dtype=np.intp)
+    for start in range(0, len(cuts), 16):
+        stack = buffer[:len(cuts) - start]
+        correlation_analysis._gather_cuts(psi, weights[start:start + 16], index, stack)
+        for side_a, matrix in zip(cuts[start:], stack):
+            assert matrix.tobytes() == Bipartition(n, side_a).matricize(psi).tobytes()
 
 
 def _gram_passes(stack, rel_tol=DEFAULT_RANK_TOL):

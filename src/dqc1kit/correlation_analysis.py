@@ -262,15 +262,22 @@ SKETCH_NORM_RANGE = (2.0**-256, 2.0**256)
 def _cholesky_mask(grams: np.ndarray) -> np.ndarray:
     """Which matrices of the (k, m, m) Hermitian stack np.linalg.cholesky factors.
 
-    One stacked call serves a stack whose every matrix factors; a stack
-    that raises is retried one matrix at a time.
+    One stacked call serves a stack whose every matrix factors.  A stack
+    that raises is split in halves and each half retried, so one failing
+    matrix among 64 costs 13 calls, not 65.  A stack of 4 or fewer is
+    retried one matrix at a time: halving it takes as many calls or more,
+    and factors more matrices (rank-scaling's failing stacks at m = d hold
+    4 or 16 matrices, often with 2 failing).
     """
     try:
         np.linalg.cholesky(grams)
     except np.linalg.LinAlgError:
         if len(grams) == 1:
             return np.zeros(1, dtype=bool)
-        return np.concatenate([_cholesky_mask(gram[np.newaxis]) for gram in grams])
+        if len(grams) <= 4:
+            return np.concatenate([_cholesky_mask(gram[np.newaxis]) for gram in grams])
+        half = len(grams) // 2
+        return np.concatenate([_cholesky_mask(grams[:half]), _cholesky_mask(grams[half:])])
     return np.ones(len(grams), dtype=bool)
 
 

@@ -17,7 +17,10 @@ DENSE_LIMIT = 12
 
 # Gates are fused into blocks acting on at most this many qubits, and each
 # block is one pass over the columns.  4n random gates fuse into about n
-# blocks, and at n = 14 a 5-qubit pass costs about twice a two-qubit one.
+# blocks (14 at n = 14, seed 1).  A 5-qubit pass over 20 columns at n = 14
+# takes 1.9 ms against 1.3 ms for a two-qubit one, and width 5 was the
+# fastest of 4-6 (n = 9 trace: 11.1, 8.6 and 9.2 ms; one BLAS thread).
+# Another width moves the columns' last bits, and so the CLI's output.
 FUSED_BLOCK_QUBITS = 5
 
 _MASK64 = (1 << 64) - 1
@@ -204,7 +207,16 @@ class Circuit:
             ]
             width = len(qubits)
             identity = np.eye(2**width, dtype=np.complex128).reshape((2**width,) + (2,) * width)
-            blocks.append((qubits, _apply_blocks(steps, identity, range(width), width)))
+            matrix = _apply_blocks(steps, identity, range(width), width)
+            # A product with one column rounds differently with the matrix in
+            # C or Fortran order, so each block keeps the order the
+            # column-first kernel gave it: Fortran exactly when the gates,
+            # each moving its targets' axes to the front, leave them in order.
+            order = list(range(width))
+            for targets, _ in steps:
+                order = [*targets, *(q for q in order if q not in targets)]
+            keep = np.asfortranarray if order == list(range(width)) else np.ascontiguousarray
+            blocks.append((qubits, keep(matrix)))
         return tuple(blocks)
 
 
@@ -257,25 +269,33 @@ def plan_blocks(gates: Sequence[GateSpec]) -> list[tuple[tuple[int, ...], list[i
     return [(tuple(sorted(q)), m) for q, m in zip(qubit_sets, members)]
 
 
-def _insert_basis_qubits(
-    t: np.ndarray, order: list[int], qubits: Iterable[int], xs: np.ndarray, n: int
-) -> tuple[np.ndarray, list[int]]:
-    """Carry the listed qubits that ``order`` lacks, each one-hot at its bit of xs[j].
+# The label of the column axis in _apply_blocks' list of axis labels.
+_COLUMNS = -1
 
-    The new axes go first, right after the column axis; returns the grown
-    tensor and its new qubit order.
+
+def _insert_basis_qubits(
+    t: np.ndarray, axes: list[int], new: list[int], xs: np.ndarray, n: int
+) -> tuple[np.ndarray, list[int]]:
+    """Carry the ``new`` qubits, each one-hot at its bit of xs[j] in column j.
+
+    The column axis stays first or last, and the new axes go next to it:
+    right after it when it comes first, in front of all when it comes last.
+    Returns the grown tensor and its axis labels.
     """
-    new = [q for q in qubits if q not in order]
-    if not new:
-        return t, order
-    k = t.shape[0]
+    k = xs.size
     bits = np.zeros(k, dtype=np.intp)
     for q in new:
         bits = 2 * bits + ((xs >> (n - 1 - q)) & 1)
-    grown = np.zeros((k, 2 ** len(new)) + t.shape[1:], dtype=np.complex128)
-    grown[np.arange(k), bits] = t
-    order = new + order
-    return grown.reshape((k,) + (2,) * len(order)), order
+    if axes[0] == _COLUMNS:
+        grown = np.zeros((k, 2 ** len(new)) + t.shape[1:], dtype=np.complex128)
+        grown[np.arange(k), bits] = t
+        axes = [_COLUMNS, *new, *axes[1:]]
+    else:
+        # One select per value of the new bits, each a pass over the rows of t.
+        hot = bits == np.arange(2 ** len(new))[:, np.newaxis]
+        grown = np.where(hot.reshape(hot.shape[:1] + (1,) * (t.ndim - 1) + (k,)), t, 0)
+        axes = [*new, *axes]
+    return grown.reshape([k if a == _COLUMNS else 2 for a in axes]), axes
 
 
 def _apply_blocks(
@@ -293,21 +313,55 @@ def _apply_blocks(
     is inserted, one-hot at that bit, just before the first block that
     touches it, and after the last block if none does.  With every qubit
     carried, ``xs`` is not read.
+
+    A block of width w on c carried qubits is one matrix product over
+    R = 2^(c - w) entries of each column.  With R >= 4 the column axis goes
+    last and all k columns take one (2^w, R k) product, whose rest axes
+    come in the order the next blocks need them, so the transposed copies
+    move outer axes and keep long inner runs.  With R < 4 the column axis
+    goes first and each column takes its own (2^w, R) product.  Either way
+    each column's bits are those of the column evolved alone: OpenBLAS
+    computes an entry of a product with at least 4 columns the same way
+    whatever the width and the entry's place, and not with 1 or 2
+    (OpenBLAS 0.3.31, SkylakeX kernel, w = 2-5, k = 1-130, matrices in
+    either memory order: of 3000 random trials, none of the 2410 with
+    R >= 4 changed a bit against per-column products, and 576 of the 590
+    with R < 4 did).
     """
+    blocks = list(blocks)
     k = t.shape[0]
-    order = list(carried)  # axis a + 1 of t holds qubit order[a]
-    for qubits, matrix in blocks:
-        t, order = _insert_basis_qubits(t, order, qubits, xs, n)
-        rest = [q for q in order if q not in qubits]
-        # The column axis comes first, so each column goes through the same
-        # matmul calls, bit for bit, whatever the other columns are.
-        perm = [0] + [1 + order.index(q) for q in (*qubits, *rest)]
-        flat = t.transpose(perm).reshape(k, matrix.shape[0], -1)
-        t = np.matmul(matrix, flat).reshape(t.shape)
-        order = [*qubits, *rest]
-    t, order = _insert_basis_qubits(t, order, range(n), xs, n)
-    perm = [1 + order.index(q) for q in range(n)] + [0]
-    return t.transpose(perm).reshape(2**n, k)
+    axes = [_COLUMNS, *carried]  # axis a of t holds qubit axes[a], or the columns
+    soonest, upcoming = [], {}  # soonest[b][q]: the first block after block b to touch q
+    for qubits, _ in reversed(blocks):
+        soonest.append(dict(upcoming))
+        upcoming.update((q, len(blocks) - len(soonest)) for q in qubits)
+    # Each block copies its operand into stage and multiplies it into result,
+    # one allocation per call: fresh arrays per block cost page faults, and
+    # made a circuit_scan session about 10% slower.
+    stage, result = np.empty((2, 2**n * k), dtype=np.complex128)
+    for (qubits, matrix), after in zip(blocks, reversed(soonest)):
+        new = [q for q in qubits if q not in axes]
+        if new:
+            t, axes = _insert_basis_qubits(t, axes, new, xs, n)
+        rest = [q for q in axes if q != _COLUMNS and q not in qubits]
+        if len(rest) >= 2:
+            rest.sort(key=lambda q: after.get(q, len(blocks)))
+            target, shape = [*qubits, *rest, _COLUMNS], (matrix.shape[0], -1)
+        else:
+            target, shape = [_COLUMNS, *qubits, *rest], (k, matrix.shape[0], -1)
+        moved = t.transpose([axes.index(a) for a in target])
+        operand = stage[: t.size].reshape(moved.shape)
+        np.copyto(operand, moved)
+        t = np.matmul(matrix, operand.reshape(shape), out=result[: t.size].reshape(shape))
+        axes = target
+        t = t.reshape([k if a == _COLUMNS else 2 for a in axes])
+    new = [q for q in range(n) if q not in axes]
+    if new:
+        t, axes = _insert_basis_qubits(t, axes, new, xs, n)
+    # Always a fresh array: a view of result would hold both buffers.
+    columns = np.empty((2,) * n + (k,), dtype=np.complex128)
+    np.copyto(columns, t.transpose([axes.index(a) for a in (*range(n), _COLUMNS)]))
+    return columns.reshape(2**n, k)
 
 
 def evolve_basis_columns(

@@ -18,7 +18,10 @@ heads, the tau-free rank stack, randomized product probes) and of
 rank-scaling's sketched scan (at 1 and 2 workers, at a --tol where
 cuts fail their sketch and take the full SVD, on an n = 10 state
 whose minimum is d = 32, so every cut is proven at m = d, and at n = 16,
-where a stack holds one cut).  Input files are
+where a stack holds one cut) and of the circuit column kernel (an
+11-qubit streamed trace, whose blocks hold 32 columns, and a
+randomized-index scan at n = 12, whose blocks hold 16 columns evolved
+both ways).  Input files are
 written to a scratch directory and named by relative paths, so
 ``meta.source`` is the same for every checkout; two checkouts are then
 compared with one ``diff`` of their outputs.
@@ -85,6 +88,8 @@ EDGE_CASES = [
     ["rank-scaling", "--n-list", "10,12", "--seeds", "3", "--workers", "2", "--tol", "1e-2"],
     ["rank-scaling", "--n-list", "10", "--seeds", "4", "--workers", "2"],
     ["rank-scaling", "--n-list", "16", "--seeds", "2", "--partition-cap", "200", "--workers", "2"],
+    ["trace-estimate", "--circuit", "c11.circ", "--circuit-qubits", "11"],
+    ["bound-scan", "--unitary", "circuit", "--n", "12", "--cuts", "30", "--randomize-index"],
 ]
 
 
@@ -183,6 +188,7 @@ def corpus(workdir: Path) -> Iterator[str]:
             os.chdir(workdir)
             write_cmat("u3.cmat", haar_unitary(3, SeedSpec(7)).matrix)
             write_circuit("c4.circ", random_two_qubit_circuit(4, 6, SeedSpec(95)))
+            write_circuit("c11.circ", random_two_qubit_circuit(11, 44, SeedSpec(11)))
             for seed in ("1", "7"):
                 for workers in ("1", "4"):
                     for argv in DETERMINISM_SET:

@@ -2,7 +2,9 @@
 
 Everything here is computed with explicit bit arithmetic and dense matrix
 algebra, deliberately avoiding the package's reshape/transpose kernels so
-the two sides of each comparison share no code.
+the two sides of each comparison share no code.  The one exception is the
+column-first circuit kernel at the end, kept as the bit-for-bit reference
+for the package's circuit columns: it shares only the fusion plan.
 """
 
 from __future__ import annotations
@@ -165,3 +167,75 @@ def tree_split_sizes(
                 stack.append(other)
     side = sum(1 for leaf in range(num_leaves) if leaf in seen)
     return side, num_leaves - side
+
+
+def _column_first_insert(t, order, qubits, xs, n):
+    """Carry the qubits ``order`` lacks, one-hot at their bits of xs[j], right after the column axis."""
+    new = [q for q in qubits if q not in order]
+    if not new:
+        return t, order
+    k = t.shape[0]
+    bits = np.zeros(k, dtype=np.intp)
+    for q in new:
+        bits = 2 * bits + ((xs >> (n - 1 - q)) & 1)
+    grown = np.zeros((k, 2 ** len(new)) + t.shape[1:], dtype=np.complex128)
+    grown[np.arange(k), bits] = t
+    order = new + order
+    return grown.reshape((k,) + (2,) * len(order)), order
+
+
+def column_first_blocks(blocks, t: np.ndarray, carried, n: int, xs=None) -> np.ndarray:
+    """(qubits, matrix) blocks applied to k columns with the column axis first, as (2^n, k).
+
+    ``t`` has shape (k, 2, ..., 2) and its axis a + 1 holds qubit
+    ``carried[a]``; a qubit outside it enters one-hot at its bit of xs[j]
+    just before the first block that touches it.  Every block is one
+    (2^w, R) product per column, whatever R, and each matrix is used in
+    the memory order it comes in.
+    """
+    k = t.shape[0]
+    order = list(carried)
+    for qubits, matrix in blocks:
+        t, order = _column_first_insert(t, order, qubits, xs, n)
+        rest = [q for q in order if q not in qubits]
+        perm = [0] + [1 + order.index(q) for q in (*qubits, *rest)]
+        flat = t.transpose(perm).reshape(k, matrix.shape[0], -1)
+        t = np.matmul(matrix, flat).reshape(t.shape)
+        order = [*qubits, *rest]
+    t, order = _column_first_insert(t, order, range(n), xs, n)
+    perm = [1 + order.index(q) for q in range(n)] + [0]
+    return t.transpose(perm).reshape(2**n, k)
+
+
+def column_first_fused_blocks(circuit) -> list:
+    """The circuit's fused (qubits, matrix) blocks, each built by :func:`column_first_blocks`."""
+    from dqc1kit.randomness import plan_blocks
+
+    blocks = []
+    for qubits, members in plan_blocks(circuit.gates):
+        local = {q: a for a, q in enumerate(qubits)}
+        steps = [
+            (tuple(local[q] for q in circuit.gates[i].targets), circuit.gates[i].matrix)
+            for i in members
+        ]
+        width = len(qubits)
+        identity = np.eye(2**width, dtype=np.complex128).reshape((2**width,) + (2,) * width)
+        blocks.append((qubits, column_first_blocks(steps, identity, range(width), width)))
+    return blocks
+
+
+def column_first_columns(circuit, xs, adjoint: bool = False) -> np.ndarray:
+    """C|x> (or C-dagger|x>) for each listed x, on the light cone, as a (2^n, k) block."""
+    blocks = column_first_fused_blocks(circuit)
+    if adjoint:
+        blocks = [(qubits, mat.conj().T) for qubits, mat in reversed(blocks)]
+    xs = np.asarray(xs, dtype=np.intp)
+    n = circuit.num_qubits
+    return column_first_blocks(blocks, np.ones(xs.size, dtype=np.complex128), (), n, xs)
+
+
+def column_first_state(circuit, amplitudes: np.ndarray) -> np.ndarray:
+    """C|psi> with every qubit carried from the start."""
+    n = circuit.num_qubits
+    t = amplitudes.reshape((1,) + (2,) * n)
+    return column_first_blocks(column_first_fused_blocks(circuit), t, range(n), n)[:, 0]

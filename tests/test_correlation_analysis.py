@@ -492,6 +492,32 @@ def test_cholesky_stack_with_a_failing_cut_gives_the_per_cut_mask():
     assert _gram_passes(stack).tolist() == alone
 
 
+@pytest.mark.parametrize("failing", [{0}, {63}, {3, 40}, set(range(64))], ids=["0", "63", "3,40", "all"])
+def test_cholesky_mask_is_the_per_matrix_mask(monkeypatch, failing):
+    # 64 positive definite Gram matrices, those listed made indefinite.
+    rng = np.random.default_rng(8166)
+    y = _gaussian(rng, 64, 8, 8)
+    grams = y @ y.conj().transpose(0, 2, 1) + 8 * np.eye(8)
+    for k in failing:
+        grams[k, 5, 5] = -1.0
+    alone = []
+    for gram in grams:
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            alone.append(False)
+        else:
+            alone.append(True)
+    assert alone == [k not in failing for k in range(64)]
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
+    assert correlation_analysis._cholesky_mask(grams).tolist() == alone
+    if len(failing) == 1:
+        # The stack, both halves of each failing part down to 4, then 4 single calls.
+        assert len(calls) <= 13
+
+
 def test_sketched_scan_working_set_is_its_lane_buffers():
     # The bound allows each of the 2 lanes 3 arrays of 16 x 64 x 64 complex
     # (1 MiB each) at n = 12; a lane holds its 1 MiB stack buffer and three

@@ -23,7 +23,13 @@ from dqc1kit import (
 )
 from dqc1kit import randomness
 from dqc1kit.dqc1_model import register_columns
-from dqc1kit.randomness import DENSE_LIMIT, LazyUnitary, _mix64, plan_blocks
+from dqc1kit.randomness import (
+    DENSE_LIMIT,
+    LazyUnitary,
+    _mix64,
+    evolve_basis_columns,
+    plan_blocks,
+)
 
 import oracles
 from lemmas import random_density_matrix
@@ -418,3 +424,66 @@ def test_light_cone_agrees_with_the_full_register_kernel():
         register_columns(circuit, [2**n], False)
     with pytest.raises(ValueError, match="basis indices"):
         register_columns(circuit, [-1], True)
+
+
+def _outside_exponents(circuit, adjoint):
+    """log2 R per block in light-cone order: carried qubits outside the block."""
+    blocks = [qubits for qubits, _ in circuit.fused_blocks]
+    carried = set()
+    for qubits in reversed(blocks) if adjoint else blocks:
+        carried |= set(qubits)
+        yield len(carried) - len(qubits)
+
+
+# Block 1, {0, 1, 2, 4, 5}, leaves one carried qubit outside it in either
+# direction (R = 2), so its products run one column at a time.
+NARROW_SECOND_BLOCK = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 5), (2, 5)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random circuit on 2-14 qubits with 1-5n gates, and 1-130 basis indices."""
+    n = draw(st.integers(2, 14))
+    gates, k = draw(st.integers(1, 5 * n)), draw(st.integers(1, 130))
+    seed, index_seed = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+    xs = np.random.default_rng(index_seed).integers(0, 2**n, k)
+    return random_two_qubit_circuit(n, gates, SeedSpec(seed)), xs
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(kernel_cases())
+@example((_circuit_on(6, NARROW_SECOND_BLOCK, 6), np.arange(64)))
+@example((random_two_qubit_circuit(14, 56, SeedSpec(14)), np.arange(130) * 126))
+# every qubit carried through one block of the whole register, whose
+# one-column product rounds differently in the two memory orders at this seed
+@example((random_two_qubit_circuit(4, 13, SeedSpec(1327957532)), [15, 0, 7]))
+@example((random_two_qubit_circuit(2, 3, SeedSpec(2)), [3]))
+def test_circuit_kernel_is_the_column_first_kernel_bit_for_bit(case):
+    circuit, xs = case
+    n = circuit.num_qubits
+    reference = oracles.column_first_fused_blocks(circuit)
+    for (qubits, matrix), (want_qubits, want) in zip(circuit.fused_blocks, reference, strict=True):
+        assert qubits == want_qubits and np.array_equal(matrix, want)
+        # A one-column product reads the matrix's bits through its memory order.
+        assert matrix.flags.f_contiguous == want.flags.f_contiguous
+    for adjoint in (False, True):
+        want = oracles.column_first_columns(circuit, xs, adjoint)
+        assert np.array_equal(evolve_basis_columns(circuit, xs, adjoint), want)
+    v = np.exp(1j * np.arange(2**n)) / np.sqrt(2**n)
+    assert np.array_equal(
+        apply_circuit(circuit, PureState(n, v)).amplitudes, oracles.column_first_state(circuit, v)
+    )
+    if n <= 8:
+        want = oracles.column_first_columns(circuit, np.arange(2**n))
+        assert np.array_equal(circuit_unitary(circuit).matrix, want)
+
+
+def test_kernel_examples_cover_narrow_blocks():
+    # The examples above reach the one-product-per-column branch past the
+    # first block (NARROW_SECOND_BLOCK) and with every qubit carried (n = 2, 4).
+    narrow = _circuit_on(6, NARROW_SECOND_BLOCK, 6)
+    assert list(_outside_exponents(narrow, False)) == [0, 1]
+    assert list(_outside_exponents(narrow, True)) == [0, 1]
+    for n, gates, seed in ((2, 3, 2), (4, 13, 1327957532)):
+        circuit = random_two_qubit_circuit(n, gates, SeedSpec(seed))
+        assert n in [len(qubits) for qubits, _ in circuit.fused_blocks]

@@ -20,7 +20,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .randomness import Circuit, GateSpec
+from .randomness import Circuit, GateSpec, first_nonunitary_gate
 from .tensor_core import UNITARY_TOL, DenseOperator, is_unitary
 
 CMAT_MAGIC = "CMAT v1"
@@ -153,33 +153,47 @@ def write_circuit(path: str, circuit: Circuit) -> None:
 
 
 def read_circuit(path: str, num_qubits: int) -> Circuit:
-    """Parse a gate-per-line circuit file onto a declared register size."""
-    gates = []
-    with _ascii_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 2 + 32:
-                raise FileFormatError(
-                    f"{path}:{lineno}: need 2 targets plus 16 're im' pairs"
-                )
-            try:
-                q1, q2 = int(parts[0]), int(parts[1])
-                values = [float(p) for p in parts[2:]]
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: bad number") from exc
-            if not np.isfinite(values).all():
-                raise FileFormatError(f"{path}:{lineno}: non-finite number")
-            mat = np.array(values[0::2]) + 1j * np.array(values[1::2])
-            try:
-                gates.append(GateSpec((q1, q2), mat.reshape(4, 4)))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+    """Parse a gate-per-line circuit file onto a declared register size.
+
+    The gates are checked for unitarity together, when the Circuit is
+    built.  A refusal still names the line at fault: the first
+    non-unitary gate's, unless an error on an earlier line comes first.
+    """
+    gates, linenos = [], []
     try:
+        with _ascii_text(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                body = line.split("#", 1)[0].strip()
+                if not body:
+                    continue
+                parts = body.split()
+                if len(parts) != 2 + 32:
+                    raise FileFormatError(
+                        f"{path}:{lineno}: need 2 targets plus 16 're im' pairs"
+                    )
+                try:
+                    q1, q2 = int(parts[0]), int(parts[1])
+                    values = [float(p) for p in parts[2:]]
+                except ValueError as exc:
+                    raise FileFormatError(f"{path}:{lineno}: bad number") from exc
+                if not np.isfinite(values).all():
+                    raise FileFormatError(f"{path}:{lineno}: non-finite number")
+                mat = np.array(values[0::2]) + 1j * np.array(values[1::2])
+                try:
+                    gates.append(GateSpec((q1, q2), mat.reshape(4, 4)))
+                except ValueError as exc:
+                    raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+                linenos.append(lineno)
         return Circuit(num_qubits, tuple(gates))
-    except ValueError as exc:
+    except (FileFormatError, ValueError) as exc:
+        # Every gate read so far lies on a line before the error's.
+        bad = first_nonunitary_gate(gates)
+        if bad is not None:
+            raise FileFormatError(
+                f"{path}:{linenos[bad]}: gate is not unitary within {UNITARY_TOL}"
+            ) from exc
+        if isinstance(exc, FileFormatError):
+            raise
         raise FileFormatError(f"{path}: {exc}") from exc
 
 

@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .tensor_core import UNITARY_TOL, DenseOperator, PureState, is_unitary
+from .tensor_core import UNITARY_TOL, DenseOperator, PureState
 
 # Keeping full circuit unitaries dense above this register size is a memory
 # hazard (2^24 complex entries at 12 qubits is the practical desk limit).
@@ -147,10 +147,10 @@ def haar_product_unitary(num_qubits: int, seed: SeedSpec) -> LazyUnitary:
 
 @dataclass(frozen=True)
 class GateSpec:
-    """One 4x4 unitary applied to an ordered pair of distinct qubits.
+    """One 4x4 matrix applied to an ordered pair of distinct qubits.
 
-    Construction rejects a matrix that is not unitary within
-    ``UNITARY_TOL``; the kernels that apply gates do not check again.
+    Construction checks the targets and the shape only: the
+    :class:`Circuit` holding the gate checks that it is unitary.
     """
 
     targets: tuple[int, int]
@@ -163,18 +163,36 @@ class GateSpec:
         mat = np.asarray(self.matrix, dtype=np.complex128)
         if mat.shape != (4, 4):
             raise ValueError("gate matrix must be 4x4")
-        # Both products are checked, so G-dagger, which the adjoint
-        # evolution applies, is unitary within the same tolerance.
-        adjoint = mat.conj().T
-        if not (is_unitary(mat) and is_unitary(adjoint)):
-            raise ValueError(f"gate is not unitary within {UNITARY_TOL}")
         object.__setattr__(self, "targets", (int(q1), int(q2)))
         object.__setattr__(self, "matrix", mat)
 
 
+def first_nonunitary_gate(gates: Sequence[GateSpec]) -> Optional[int]:
+    """The index of the first gate G for which G or G-dagger fails ``is_unitary``, or None.
+
+    One stacked pass over all the gates: each gate's G†G and GG† are the
+    products ``is_unitary`` takes for G and for G-dagger, bit for bit.
+    """
+    if not gates:
+        return None
+    stack = np.array([g.matrix for g in gates])
+    adjoints = stack.conj().transpose(0, 2, 1)
+    eye = np.eye(4)
+    unitary = (np.abs(adjoints @ stack - eye).max(axis=(1, 2)) <= UNITARY_TOL) & (
+        np.abs(stack @ adjoints - eye).max(axis=(1, 2)) <= UNITARY_TOL
+    )
+    bad = np.flatnonzero(~unitary)
+    return int(bad[0]) if bad.size else None
+
+
 @dataclass(frozen=True)
 class Circuit:
-    """A gate list over a fixed register, applied first-to-last."""
+    """A gate list over a fixed register, applied first-to-last.
+
+    Construction rejects the gates unless each G and G-dagger, which the
+    adjoint evolution applies, is unitary within ``UNITARY_TOL``; the
+    kernels that apply gates do not check again.
+    """
 
     num_qubits: int
     gates: tuple[GateSpec, ...] = field(default_factory=tuple)
@@ -183,6 +201,8 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         gates = tuple(self.gates)
+        if first_nonunitary_gate(gates) is not None:
+            raise ValueError(f"gate is not unitary within {UNITARY_TOL}")
         for g in gates:
             if any(q < 0 or q >= self.num_qubits for q in g.targets):
                 raise ValueError(f"gate targets {g.targets} out of range")
@@ -193,10 +213,11 @@ class Circuit:
 
     @cached_property
     def fused_blocks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-        """The gate list as (qubits, 2^k x 2^k matrix) blocks, first to last.
+        """The gate list as (qubits, 2^w x 2^w matrix) blocks, first to last.
 
         Planned and built once per circuit; ``qubits`` ascend, and the
-        first one is the most significant bit of the block matrix.
+        first one is the most significant bit of the block matrix.  Each
+        block is built by :func:`_block_matrix`.
         """
         blocks = []
         for qubits, members in plan_blocks(self.gates):
@@ -205,18 +226,7 @@ class Circuit:
                 (tuple(local[q] for q in self.gates[i].targets), self.gates[i].matrix)
                 for i in members
             ]
-            width = len(qubits)
-            identity = np.eye(2**width, dtype=np.complex128).reshape((2**width,) + (2,) * width)
-            matrix = _apply_blocks(steps, identity, range(width), width)
-            # A product with one column rounds differently with the matrix in
-            # C or Fortran order, so each block keeps the order the
-            # column-first kernel gave it: Fortran exactly when the gates,
-            # each moving its targets' axes to the front, leave them in order.
-            order = list(range(width))
-            for targets, _ in steps:
-                order = [*targets, *(q for q in order if q not in targets)]
-            keep = np.asfortranarray if order == list(range(width)) else np.ascontiguousarray
-            blocks.append((qubits, keep(matrix)))
+            blocks.append((qubits, _block_matrix(len(qubits), steps)))
         return tuple(blocks)
 
 
@@ -269,7 +279,7 @@ def plan_blocks(gates: Sequence[GateSpec]) -> list[tuple[tuple[int, ...], list[i
     return [(tuple(sorted(q)), m) for q, m in zip(qubit_sets, members)]
 
 
-# The label of the column axis in _apply_blocks' list of axis labels.
+# The label of the column axis in the block kernels' lists of axis labels.
 _COLUMNS = -1
 
 
@@ -296,6 +306,34 @@ def _insert_basis_qubits(
         grown = np.where(hot.reshape(hot.shape[:1] + (1,) * (t.ndim - 1) + (k,)), t, 0)
         axes = [*new, *axes]
     return grown.reshape([k if a == _COLUMNS else 2 for a in axes]), axes
+
+
+def _block_matrix(width: int, steps: Sequence[tuple[tuple[int, int], np.ndarray]]) -> np.ndarray:
+    """The (targets, 4x4 gate) steps on ``width`` qubits, as one 2^w x 2^w matrix.
+
+    Each gate takes one product on the 2^w identity columns, the product
+    :func:`_apply_blocks` takes with every qubit carried: with R = 2^(w - 2)
+    >= 4 entries of each column outside the gate, one (4, R 2^w) product
+    with the column axis last, and otherwise one (4, R) product per
+    column with the column axis first.
+    """
+    dim = 2**width
+    wide = width >= 4
+    axes = [*range(width), _COLUMNS] if wide else [_COLUMNS, *range(width)]
+    t = np.eye(dim, dtype=np.complex128).reshape([dim if a == _COLUMNS else 2 for a in axes])
+    for targets, gate in steps:
+        rest = [a for a in axes if a != _COLUMNS and a not in targets]
+        target = [*targets, *rest, _COLUMNS] if wide else [_COLUMNS, *targets, *rest]
+        operand = np.ascontiguousarray(t.transpose([axes.index(a) for a in target]))
+        t = np.matmul(gate, operand.reshape((4, -1) if wide else (dim, 4, -1)))
+        t, axes = t.reshape(operand.shape), target
+    matrix = t.transpose([axes.index(a) for a in (*range(width), _COLUMNS)]).reshape(dim, dim)
+    # A product with one column rounds differently with the matrix in C or
+    # Fortran order, so each block keeps the order the column-first kernel
+    # gave it: Fortran exactly when the gates, each moving its targets'
+    # axes to the front, leave them in order.
+    in_order = [a for a in axes if a != _COLUMNS] == list(range(width))
+    return np.asfortranarray(matrix) if in_order else np.ascontiguousarray(matrix)
 
 
 def _apply_blocks(

@@ -21,7 +21,9 @@ whose minimum is d = 32, so every cut is proven at m = d, and at n = 16,
 where a stack holds one cut) and of the circuit column kernel (an
 11-qubit streamed trace, whose blocks hold 32 columns, and a
 randomized-index scan at n = 12, whose blocks hold 16 columns evolved
-both ways).  Input files are
+both ways), and of the circuit-file unitarity check (c4.circ with one
+entry of its third gate moved by 5e-10, which is accepted, and by 1e-7,
+which is refused with exit code 3).  Input files are
 written to a scratch directory and named by relative paths, so
 ``meta.source`` is the same for every checkout; two checkouts are then
 compared with one ``diff`` of their outputs.
@@ -46,6 +48,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator
 
 WORKDIR = Path(tempfile.gettempdir()) / "dqc1kit-cli-corpus"
@@ -90,6 +93,8 @@ EDGE_CASES = [
     ["rank-scaling", "--n-list", "16", "--seeds", "2", "--partition-cap", "200", "--workers", "2"],
     ["trace-estimate", "--circuit", "c11.circ", "--circuit-qubits", "11"],
     ["bound-scan", "--unitary", "circuit", "--n", "12", "--cuts", "30", "--randomize-index"],
+    *(["trace-estimate", "--circuit", f"c4_off{eps}.circ", "--circuit-qubits", "4"]
+      for eps in ("5e-10", "1e-7")),
 ]
 
 
@@ -170,6 +175,15 @@ def environment() -> dict[str, str]:
     }
 
 
+def _write_off_unitary(path: str, circuit, eps: float) -> None:
+    """``circuit``'s file with ``eps`` added to the first entry of its third gate."""
+    from dqc1kit import write_circuit
+
+    gates = [SimpleNamespace(targets=g.targets, matrix=g.matrix.copy()) for g in circuit.gates]
+    gates[2].matrix[0, 0] += eps
+    write_circuit(path, SimpleNamespace(num_qubits=circuit.num_qubits, gates=gates))
+
+
 def corpus(workdir: Path) -> Iterator[str]:
     """Run the corpus in ``workdir``, which it empties first; yield one line per command.
 
@@ -187,7 +201,10 @@ def corpus(workdir: Path) -> Iterator[str]:
         with _one_blas_thread():
             os.chdir(workdir)
             write_cmat("u3.cmat", haar_unitary(3, SeedSpec(7)).matrix)
-            write_circuit("c4.circ", random_two_qubit_circuit(4, 6, SeedSpec(95)))
+            c4 = random_two_qubit_circuit(4, 6, SeedSpec(95))
+            write_circuit("c4.circ", c4)
+            for eps in ("5e-10", "1e-7"):
+                _write_off_unitary(f"c4_off{eps}.circ", c4, float(eps))
             write_circuit("c11.circ", random_two_qubit_circuit(11, 44, SeedSpec(11)))
             for seed in ("1", "7"):
                 for workers in ("1", "4"):

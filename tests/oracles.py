@@ -39,6 +39,14 @@ def circuit_matrix(circuit) -> np.ndarray:
     return u
 
 
+def gate_is_unitary(gate: np.ndarray, tol: float = 1e-8) -> bool:
+    """One 4x4 gate at a time: both G†G and GG† within ``tol`` of I, entry by entry."""
+    eye = np.eye(4)
+    gram = gate.conj().T @ gate
+    cogram = gate @ gate.conj().T
+    return bool(np.abs(gram - eye).max() <= tol and np.abs(cogram - eye).max() <= tol)
+
+
 def basis_vector(num_qubits: int, index: int) -> np.ndarray:
     """Amplitudes of the computational basis state |index>; qubit 0 is the MSB."""
     vec = np.zeros(2**num_qubits, dtype=np.complex128)

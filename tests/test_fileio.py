@@ -513,6 +513,28 @@ def test_circuit_file_errors(tmp_path):
         read_circuit(path, 2)
 
 
+def test_circuit_file_names_the_first_of_several_non_unitary_lines(tmp_path):
+    # Gates 3 and 5 fail (lines 5 and 7, after a header and a blank line),
+    # and line 8 is short: the file is refused at line 5, as a check of each
+    # gate on its own line would.
+    circuit = random_two_qubit_circuit(4, 5, SeedSpec(31))
+    path = tmp_path / "c.circ"
+    write_circuit(path, circuit)
+    lines = path.read_text().splitlines()
+    lines.insert(1, "")
+    for k, eps in ((4, 1e-7), (6, 1.0)):
+        parts = lines[k].split()
+        parts[2] = format_float(float(parts[2]) + eps)
+        lines[k] = " ".join(parts)
+    path.write_text("\n".join(lines + ["0 1 x"]) + "\n")
+    with pytest.raises(FileFormatError, match=f"^{path}:5: gate is not unitary within 1e-08$"):
+        read_circuit(path, 4)
+    # Without the earlier gates' faults, the later error is the one named.
+    path.write_text("\n".join(lines[:4] + ["0 1 x"]) + "\n")
+    with pytest.raises(FileFormatError, match=f"^{path}:5: need 2 targets"):
+        read_circuit(path, 4)
+
+
 @pytest.mark.parametrize("kind", ["cmat", "circuit"])
 def test_undecodable_byte_is_a_format_error_naming_the_file(tmp_path, capsys, kind):
     # One non-ASCII byte, in a CMAT entry or in a circuit-file comment.

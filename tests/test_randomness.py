@@ -307,16 +307,43 @@ def test_circuit_validation():
         GateSpec((0, 1), np.eye(3))
     with pytest.raises(ValueError):
         Circuit(2, (GateSpec((0, 2), np.eye(4)),))
+    # Unitarity is the circuit's check, on all its gates at once.
     with pytest.raises(ValueError, match="not unitary"):
-        GateSpec((0, 1), np.ones((4, 4)))
+        Circuit(2, (GateSpec((0, 1), np.ones((4, 4))),))
     off = np.eye(4, dtype=np.complex128)
     off[0, 0] += 1e-7
     with pytest.raises(ValueError, match="not unitary"):
-        GateSpec((0, 1), off)
+        Circuit(2, (GateSpec((0, 1), off),))
     # Inside the documented 1e-8 tolerance: accepted, and so is its adjoint.
     off[0, 0] = 1.0 + 5e-10
-    assert GateSpec((0, 1), off).matrix[0, 0] == off[0, 0]
-    assert GateSpec((0, 1), off.conj().T).matrix[0, 0] == off[0, 0]
+    assert Circuit(2, (GateSpec((0, 1), off),)).gates[0].matrix[0, 0] == off[0, 0]
+    assert Circuit(2, (GateSpec((0, 1), off.conj().T),)).gates[0].matrix[0, 0] == off[0, 0]
+
+
+@st.composite
+def perturbed_gate_stacks(draw):
+    """1-60 Haar gates on 2-6 qubits, one entry of one gate moved by eps at a random phase."""
+    n, count = draw(st.integers(2, 6)), draw(st.integers(1, 60))
+    gates = random_two_qubit_circuit(n, count, SeedSpec(draw(st.integers(0, 2**32 - 1)))).gates
+    where = draw(st.integers(0, count - 1))
+    row, col = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    eps = draw(st.sampled_from([0.0, 5e-10, 5e-9, 2e-8, 1e-7]))
+    phase = np.exp(2j * np.pi * draw(st.floats(0, 1)))
+    matrix = gates[where].matrix.copy()
+    matrix[row, col] += eps * phase
+    stack = gates[:where] + (GateSpec(gates[where].targets, matrix),) + gates[where + 1:]
+    return n, stack
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(perturbed_gate_stacks())
+def test_circuit_refuses_a_stack_exactly_when_some_gate_fails_the_per_gate_check(case):
+    n, gates = case
+    if all(oracles.gate_is_unitary(g.matrix) for g in gates):
+        assert len(Circuit(n, gates)) == len(gates)
+    else:
+        with pytest.raises(ValueError, match=r"^gate is not unitary within 1e-08$"):
+            Circuit(n, gates)
 
 
 def test_random_density_matrix_properties():
@@ -438,6 +465,9 @@ def _outside_exponents(circuit, adjoint):
 # Block 1, {0, 1, 2, 4, 5}, leaves one carried qubit outside it in either
 # direction (R = 2), so its products run one column at a time.
 NARROW_SECOND_BLOCK = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 5), (2, 5)]
+# Block 1, {0, 1, 5}, holds three gates, each with its higher qubit first,
+# so its build takes one product per column (R = 2) gate after gate.
+NARROW_BLOCK_BUILD = [(0, 1), (2, 3), (4, 0), (5, 0), (5, 1), (1, 0)]
 
 
 @st.composite
@@ -453,6 +483,7 @@ def kernel_cases(draw):
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(kernel_cases())
 @example((_circuit_on(6, NARROW_SECOND_BLOCK, 6), np.arange(64)))
+@example((_circuit_on(6, NARROW_BLOCK_BUILD, 7), [0, 33, 63, 33]))
 @example((random_two_qubit_circuit(14, 56, SeedSpec(14)), np.arange(130) * 126))
 # every qubit carried through one block of the whole register, whose
 # one-column product rounds differently in the two memory orders at this seed
@@ -487,3 +518,11 @@ def test_kernel_examples_cover_narrow_blocks():
     for n, gates, seed in ((2, 3, 2), (4, 13, 1327957532)):
         circuit = random_two_qubit_circuit(n, gates, SeedSpec(seed))
         assert n in [len(qubits) for qubits, _ in circuit.fused_blocks]
+    # Blocks of width 2 or 3 are built one product per column; these hold
+    # more than one gate (NARROW_BLOCK_BUILD, and the n = 2 circuit's one block).
+    plan = plan_blocks(_circuit_on(6, NARROW_BLOCK_BUILD, 7).gates)
+    assert [(qubits, len(members)) for qubits, members in plan] == [
+        ((0, 1, 2, 3, 4), 3), ((0, 1, 5), 3)
+    ]
+    plan = plan_blocks(random_two_qubit_circuit(2, 3, SeedSpec(2)).gates)
+    assert [(qubits, len(members)) for qubits, members in plan] == [((0, 1), 3)]

@@ -225,12 +225,12 @@ def min_rank_over_equipartitions(
 # stream; they decide only which cuts take a full SVD, never a result.
 SKETCH_SEED = SeedSpec(0x5EED)
 # The sketch threshold's rounding term is SKETCH_ROUNDING * d^2 * u: the
-# worst-case error constants of the two d-term products that make a sketch
-# and of the full SVD that counts a cut's rank, with room.
+# worst-case error constants of the d-term product that makes a sketch and
+# of the full SVD that counts a cut's rank, with room.
 SKETCH_ROUNDING = 32.0
-# The Cholesky test's shift adds GRAM_ROUNDING * m * u * ||Y||_F^2, which
+# The Cholesky test's shift adds GRAM_ROUNDING * d * u * ||Y||_F^2, which
 # covers the rounding of the Gram product, of the factorization and of the
-# shift itself (about 2.5 m + 12 units of u ||Y||_F^2) with room; see
+# shift itself (about 1.5 d + m + 12 units of u ||Y||_F^2) with room; see
 # min_equipartition_rank.
 GRAM_ROUNDING = 64.0
 UNIT_ROUNDOFF = 2.0**-53
@@ -247,15 +247,15 @@ GRAM_BATCH_ENTRIES = 2**14
 STOP_AFTER_FAILED_CUTS = 16
 # ||psi|| inside this range keeps every squared magnitude of the Cholesky
 # test finite and its underflow negligible, so the test runs only there.  At
-# d <= 2^10 (n <= 20) the fixed draws have ||G1||_2, ||G2||_2 < 90 < 2^7 and
-# gain > 1.7 (gain = 1 at m = d).  Overflow: Y's entries, G1[:m] M's and s
-# stay below 2^14 ||psi|| <= 2^270, and a Gram entry, ||Y||_F^2 and s^2
-# below m 2^540 <= 2^550, far from 2^1024.  Underflow: an operation on tiny
-# entries errs by at most 2^-1075 absolutely, so a Gram entry by a few
-# m 2^-1074 and the Gram matrix by under 2^-1040 in 2-norm.  A pass needs
-# every shifted diagonal entry of Y Y^H above 0, so ||Y||_F^2 > m s^2, and
-# s >= 32 d^2 u 2^-256 >= 2^-302: the shift's room of 49 m u ||Y||_F^2
-# > 2^-660 absorbs it, with the sketch products' own underflow.
+# d <= 2^10 (n <= 20) the fixed draw has ||G1||_2 < 90 < 2^7, so
+# 1.2 < gain < 2^7 (gain = 1 at m = d).  Overflow: Y's entries, ||Y||_F and
+# s stay below 2^8 ||psi|| <= 2^264, and a Gram entry, ||Y||_F^2 and s^2
+# below 2^528, far from 2^1024.  Underflow: an operation on tiny entries
+# errs by at most 2^-1075 absolutely, so a Gram entry by a few d 2^-1074
+# and the Gram matrix by under 2^-1040 in 2-norm.  A pass needs every
+# shifted diagonal entry of Y Y^H above 0, so ||Y||_F^2 > m s^2, and
+# s >= 32 d^2 u 2^-256 >= 2^-302: the shift's room of 49 d u ||Y||_F^2
+# > 2^-660 absorbs it, with the sketch product's own underflow.
 SKETCH_NORM_RANGE = (2.0**-256, 2.0**256)
 
 
@@ -282,32 +282,30 @@ def _cholesky_mask(grams: np.ndarray) -> np.ndarray:
 
 
 def _gram_test(
-    stack: np.ndarray, m: int, draws: tuple[np.ndarray, np.ndarray], floor_sq: float,
-    scratch: Sequence[np.ndarray],
+    stack: np.ndarray, m: int, g1: np.ndarray, floor_sq: float, scratch: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Mask over the (k, d, d) stack: True where Cholesky proves sigma_m(Y) > sqrt(floor_sq).
 
-    Y is each matrix itself when m = d, else its sketch G1[:m] M G2[:, :m]
-    with ``draws`` = (G1, G2).  Y Y^H - (floor_sq + GRAM_ROUNDING m u
-    ||Y||_F^2) I, with ||Y||_F^2 read off the Gram diagonal, goes to
-    :func:`_cholesky_mask`.  The matrices are taken in batches that fit the
-    three equal flat buffers of ``scratch``: the sketches, their conjugates,
-    and the Gram matrices (which first hold G1[:m] M).
+    Y is each matrix M itself when m = d, else its m x d sketch G1[:m] M.
+    Y Y^H - (floor_sq + GRAM_ROUNDING d u ||Y||_F^2) I, with ||Y||_F^2
+    read off the Gram diagonal, goes to :func:`_cholesky_mask`.  The
+    matrices are taken in batches that fit the three equal flat buffers of
+    ``scratch``: the sketches, their conjugates, and the Gram matrices.
     """
     k, d, _ = stack.shape
     batch = scratch[0].size // (m * d)
     masks = []
     for part in (stack[i:i + batch] for i in range(0, k, batch)):
-        sketches, conj, gram = (buffer[:len(part) * m * m].reshape(-1, m, m) for buffer in scratch)
+        sketches, conj = (buffer[:len(part) * m * d].reshape(-1, m, d) for buffer in scratch[:2])
+        gram = scratch[2][:len(part) * m * m].reshape(-1, m, m)
         if m == d:
             sketches = part
         else:
-            left = np.matmul(draws[0][:m], part, out=scratch[2][:len(part) * m * d].reshape(-1, m, d))
-            np.matmul(left, draws[1][:, :m], out=sketches)
+            np.matmul(g1[:m], part, out=sketches)
         np.matmul(sketches, np.conjugate(sketches, out=conj).swapaxes(1, 2), out=gram)
         diagonal = gram.reshape(-1, m * m)[:, :: m + 1]
         frobenius_sq = diagonal.real.sum(axis=1, keepdims=True)
-        diagonal -= floor_sq + GRAM_ROUNDING * m * UNIT_ROUNDOFF * frobenius_sq
+        diagonal -= floor_sq + GRAM_ROUNDING * d * UNIT_ROUNDOFF * frobenius_sq
         masks.append(_cholesky_mask(gram))
     return np.concatenate(masks)
 
@@ -362,38 +360,38 @@ def min_equipartition_rank(
     before each stack and lowers it, under a lock, when its own SVDs find
     a smaller rank.  Every cut matrix M (d x d, d = 2^(n/2)) is tested at
     the m its lane read.  The test matrix Y
-    is M itself while m = d (gain 1); below d it is the sketch
-    G1[:m] M G2[:, :m], with complex Gaussian G1 and G2 drawn from
-    SKETCH_SEED (gain ||G1[:m]||_2 ||G2[:, :m]||_2, computed once per m).
+    is M itself while m = d (gain 1); below d it is the m x d sketch
+    G1[:m] M, the one-sided randomized range finder, with complex Gaussian
+    G1 drawn from SKETCH_SEED (gain ||G1[:m]||_2, computed once per m).
     With u the unit roundoff, the cut passes if np.linalg.cholesky factors
 
-        Y Y^H - (s^2 + GRAM_ROUNDING m u ||Y||_F^2) I,
+        Y Y^H - (s^2 + GRAM_ROUNDING d u ||Y||_F^2) I,
         s = (rel_tol + SKETCH_ROUNDING d^2 u) gain ||psi||_2,
 
     with ||Y||_F taken per cut.  A pass proves sigma_m(Y) > s for the
     computed Y, because the shift covers every rounding error of the test
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.):
-    - the Gram product errs entrywise by at most about sqrt(2) (m + 2) u
-      |Y| |Y|^H (Lemma 3.5 with complex arithmetic), so by at most that
-      times ||Y||_F^2 in 2-norm;
+    - the Gram product sums d terms per entry, so it errs entrywise by at
+      most about sqrt(2) (d + 2) u |Y| |Y|^H (Lemma 3.5 with complex
+      arithmetic), so by at most that times ||Y||_F^2 in 2-norm;
     - a Cholesky factorization that runs to completion is exact for a
       matrix within (m + 1) u |R^H| |R| (Thm 10.3), and
       || |R^H| |R| ||_2 <= ||R||_F^2, the trace, at most ||Y||_F^2 up to
       rounding;
     - the subtraction from the diagonal and the computed shift (s^2 is
       below every diagonal entry on a pass) add under 8 u ||Y||_F^2.
-    That is at most about 2.5 m + 12 units of u ||Y||_F^2, below 15 m for
-    every m >= 1, so GRAM_ROUNDING = 64 covers it with 49 m to spare, and
-    Y Y^H - s^2 I is positive definite.  The test runs one stacked
+    That is at most about 1.5 d + m + 12 units of u ||Y||_F^2, below 15 d
+    for every m <= d, so GRAM_ROUNDING = 64 covers it with 49 d to spare,
+    and Y Y^H - s^2 I is positive definite.  The test runs one stacked
     np.linalg.cholesky call per batch (see GRAM_BATCH_ENTRIES) and
     retries a batch that raises one cut at a time.
 
     From there the argument is the one for any Y.  M holds the entries of
-    psi, so sigma_1(M) <= ||M||_F = ||psi||_2, and sigma_m(G1 M G2) <=
-    ||G1||_2 sigma_m(M) ||G2||_2.  Rounding moves the computed sketch's
-    sigma_m by at most a small multiple of d^2 u ||G1||_2 ||G2||_2
-    ||psi||_2: each product sums d terms, and an m-row or m-column |G| has
-    a 2-norm at most sqrt(m) <= sqrt(d) times that of G.  So a pass gives
+    psi, so sigma_1(M) <= ||M||_F = ||psi||_2, and sigma_m(G1[:m] M) <=
+    ||G1[:m]||_2 sigma_m(M).  Rounding moves the computed sketch's sigma_m
+    by at most about d sqrt(m) u ||G1[:m]||_2 ||psi||_2: the product sums d
+    terms, and the m-row |G1[:m]| has a 2-norm at most sqrt(m) times that
+    of G1[:m].  That is inside the d^2 u term of s, so a pass gives
     sigma_m(M) > (rel_tol + c d^2 u) ||psi||_2, and the full SVD of M, whose
     computed values move by at most a small multiple of d^2 u sigma_1(M),
     counts sigma_m above rel_tol times its sigma_1: :func:`rank_of` gives M
@@ -409,9 +407,8 @@ def min_equipartition_rank(
     ``workers`` and any interleaving of the lanes: they change only the
     work done.  A lane stops testing once STOP_AFTER_FAILED_CUTS cuts in a
     row have failed while its m stayed (counted over whole stacks, none
-    passing), since the bound is then too loose at this rel_tol (at 1e-2
-    no cut of rank-scaling's circuits passed).  A state whose norm lies
-    outside SKETCH_NORM_RANGE is scanned in full.
+    passing), since the bound is then too loose at this rel_tol.  A state
+    whose norm lies outside SKETCH_NORM_RANGE is scanned in full.
     """
     cuts = _equipartition_cuts(state, partition_cap, seed)
     n = state.num_qubits
@@ -423,13 +420,13 @@ def min_equipartition_rank(
     # every cut at once would take 2 cuts d 4 bytes, 757 MB at n = 20.
     weights = _cut_weights(n, cuts)
     rng = SKETCH_SEED.generator()
-    g1, g2 = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    g1 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     norm = float(np.linalg.norm(state.amplitudes))
     rounding = SKETCH_ROUNDING * d * d * UNIT_ROUNDOFF
 
     @cache
     def floor_sq(m: int) -> float:
-        gain = 1.0 if m == d else np.linalg.norm(g1[:m], 2) * np.linalg.norm(g2[:, :m], 2)
+        gain = 1.0 if m == d else np.linalg.norm(g1[:m], 2)
         return float(((rel_tol + rounding) * gain * norm) ** 2)
 
     def lane(first: int) -> int:
@@ -443,7 +440,7 @@ def min_equipartition_rank(
             _gather_cuts(psi, weights[start:start + len(stack)], index, stack)
             passed = np.zeros(len(stack), dtype=bool)
             if testing:
-                passed = _gram_test(stack, m, (g1, g2), floor_sq(m), scratch)
+                passed = _gram_test(stack, m, g1, floor_sq(m), scratch)
                 kept = np.flatnonzero(~passed)
                 # Compacted in place: copying the failed cuts out of the first
                 # stacks raised the dense_analysis peak RSS by 2 MiB.

@@ -315,10 +315,17 @@ def test_sketched_minimum_is_the_full_scan_minimum_property(case, monkeypatch):
 def test_sketch_threshold_carries_the_sketch_norms(monkeypatch, rel_tol, factor, want):
     # Cut {0, 2, 3} splits only the pair (0, 1), whose coefficients 1 and
     # lam sit at the rank cutoff; the first cut, {0, 1, 2}, has rank 2.  A
-    # test without ||G1|| ||G2|| passes {0, 2, 3} at m = 2 and misses rank 1.
+    # test without the gain ||G1[:2]||_2 passes {0, 2, 3} at m = 2 and
+    # misses rank 1: G1[:2] stretches this cut's sigma_2 by 1.44, past
+    # 1 / 0.999.  The first assertion checks that for SKETCH_SEED's draw, so
+    # a new draw cannot take this test's power away unnoticed.
     # At 1e-10 the Gram rounding term of the shift dominates s^2, so only
-    # the case at 1e-3 sees the sketch norms.
+    # the case at 1e-3 sees the sketch norm.
     state = _pair_state(6, [(0, 1), (2, 3), (4, 5)], [rel_tol * factor, 1.0, 1.0])
+    if rel_tol == 1e-3:
+        psi = state.amplitudes / np.linalg.norm(state.amplitudes)
+        cut = Bipartition(6, (0, 2, 3)).matricize(psi)
+        assert _gram_passes(cut[np.newaxis], rel_tol, m=2, gain=False).tolist() == [True]
     _cuts_per_stack(monkeypatch, 6, 1)
     assert min_rank_over_equipartitions(state, rel_tol).min_rank == want
     for workers in (1, 2):
@@ -348,15 +355,16 @@ def test_sketched_scan_takes_full_svds_only_where_the_sketch_fails(monkeypatch):
     assert min_equipartition_rank(state, seed=master.child(1)) == 32
     assert shapes == [(64, 64)] * 7
     assert tested == [64] * 48 + [32] * 414
-    # At rel_tol 1e-2 no cut passes: the seed SVD gives m = 61, four stacks
-    # of tests lower it only through their full SVDs (61 -> 47 -> 44 -> 30),
-    # the fourth leaves it, and from there on every cut takes the full SVD
-    # alone.
+    # At rel_tol 1e-2 the seed SVD gives m = 61, and three stacks that all
+    # fail lower it through their full SVDs (61 -> 47 -> 44 -> 30).  Two
+    # stacks at m = 30 pass 2 cuts between them, and their full SVDs lower
+    # m to 19, where 365 of the remaining 382 cuts pass: every cut is
+    # tested.  These pin the work done with SKETCH_SEED's draw, not a result.
     shapes.clear()
     tested.clear()
     assert min_equipartition_rank(state, 1e-2, seed=master.child(1)) == 19
-    assert shapes == [(64, 64)] * 463
-    assert tested == [61] * 16 + [47] * 16 + [44] * 16 + [30] * 16
+    assert shapes == [(64, 64)] * 96
+    assert tested == [61] * 16 + [47] * 16 + [44] * 16 + [30] * 32 + [19] * 382
 
 
 def test_lanes_share_one_running_minimum(monkeypatch):
@@ -451,42 +459,60 @@ def test_gathered_cut_matrices_are_the_matricized_cuts(n):
             assert matrix.tobytes() == Bipartition(n, side_a).matricize(psi).tobytes()
 
 
-def _gram_passes(stack, rel_tol=DEFAULT_RANK_TOL):
-    """The Cholesky test at m = d on a (k, d, d) stack of unit-norm matrices, in one batch."""
+def _sketch_g1(d):
+    """The d x d Gaussian G1 that min_equipartition_rank draws from SKETCH_SEED."""
+    return _gaussian(correlation_analysis.SKETCH_SEED.generator(), d, d)
+
+
+def _gram_passes(stack, rel_tol=DEFAULT_RANK_TOL, m=None, gain=True):
+    """The Cholesky test at m (default d) on a (k, d, d) stack of unit-norm matrices, in one batch.
+
+    Below d each matrix is sketched by SKETCH_SEED's G1, and s carries the
+    gain ||G1[:m]||_2 unless ``gain`` is False.
+    """
     d = stack.shape[-1]
+    m = m or d
+    g1 = _sketch_g1(d)
     floor = (rel_tol + correlation_analysis.SKETCH_ROUNDING * d * d * correlation_analysis.UNIT_ROUNDOFF)
+    if m < d and gain:
+        floor *= np.linalg.norm(g1[:m], 2)
     scratch = np.empty((3, stack.size), dtype=np.complex128)
-    return correlation_analysis._gram_test(stack, d, (None, None), floor**2, scratch)
+    return correlation_analysis._gram_test(stack, m, g1, floor**2, scratch)
 
 
 def _gaussian(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _rank_deficient_batch(m, count, seed):
-    """``count`` unit-norm m x m products of m x (m-1) and (m-1) x m Gaussians."""
+def _rank_deficient_batch(d, rank, count, seed):
+    """``count`` unit-norm d x d products of d x rank and rank x d Gaussians."""
     rng = np.random.default_rng(seed)
-    products = _gaussian(rng, count, m, m - 1) @ _gaussian(rng, count, m - 1, m)
+    products = _gaussian(rng, count, d, rank) @ _gaussian(rng, count, rank, d)
     return products / np.linalg.norm(products, axis=(1, 2), keepdims=True)
 
 
-@pytest.mark.parametrize("m", [8, 64])
-def test_cholesky_test_passes_no_rank_deficient_product(monkeypatch, m):
-    # Each product has rank m - 1, so its computed sigma_m is a rounding
-    # error, far below s.  At rel_tol 1e-10 s^2 is below the rounding of
-    # the Gram product, so the rounding term of the shift is what keeps
-    # these from passing: without it, about half of them pass.
-    batch = _rank_deficient_batch(m, 300, 8100 + m)
-    assert not _gram_passes(batch).any()
+@pytest.mark.parametrize("d,m,seed", [
+    pytest.param(8, 8, 8108, id="8"),
+    pytest.param(64, 64, 8164, id="64"),
+    *(pytest.param(64, m, 8400 + m, id=f"d64-m{m}") for m in (2, 8, 32)),
+])
+def test_cholesky_test_passes_no_rank_deficient_product(monkeypatch, d, m, seed):
+    # Each product has rank m - 1, so the computed sigma_m of it (m = d) or
+    # of its sketch G1[:m] M (m < d) is a rounding error, far below s.  At
+    # rel_tol 1e-10 s^2 is below the rounding of the Gram product, so the
+    # rounding term of the shift is what keeps these from passing: without
+    # it, about half of them pass.
+    batch = _rank_deficient_batch(d, m - 1, 300, seed)
+    assert not _gram_passes(batch, m=m).any()
     monkeypatch.setattr(correlation_analysis, "GRAM_ROUNDING", 0.0)
-    assert _gram_passes(batch).sum() > 60
+    assert _gram_passes(batch, m=m).sum() > 60
 
 
 def test_cholesky_stack_with_a_failing_cut_gives_the_per_cut_mask():
     rng = np.random.default_rng(8164)
     stack = _gaussian(rng, 9, 16, 16)
     stack /= np.linalg.norm(stack, axis=(1, 2), keepdims=True)
-    stack[3] = _rank_deficient_batch(16, 1, 8165)[0]
+    stack[3] = _rank_deficient_batch(16, 15, 1, 8165)[0]
     alone = [bool(_gram_passes(matrix[np.newaxis])[0]) for matrix in stack]
     assert alone == [k != 3 for k in range(9)]
     assert _gram_passes(stack).tolist() == alone
@@ -522,7 +548,7 @@ def test_sketched_scan_working_set_is_its_lane_buffers():
     # The bound allows each of the 2 lanes 3 arrays of 16 x 64 x 64 complex
     # (1 MiB each) at n = 12; a lane holds its 1 MiB stack buffer and three
     # quarter-stack test buffers (sketches, conjugates, Gram matrices).  The
-    # 1 MiB margin holds the Gaussian draws (128 KiB) and the Cholesky and
+    # 1 MiB margin holds the Gaussian draw G1 (64 KiB) and the Cholesky and
     # SVD outputs.  The 462 cut matrices at once would take 28.9 MiB.
     master = SeedSpec(1).child(1)
     state = _u0(random_two_qubit_circuit(12, 24, master.child(0)))

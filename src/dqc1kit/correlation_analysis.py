@@ -247,15 +247,17 @@ GRAM_BATCH_ENTRIES = 2**14
 STOP_AFTER_FAILED_CUTS = 16
 # ||psi|| inside this range keeps every squared magnitude of the Cholesky
 # test finite and its underflow negligible, so the test runs only there.  At
-# d <= 2^10 (n <= 20) the fixed draw has ||G1||_2 < 90 < 2^7, so
-# 1.2 < gain < 2^7 (gain = 1 at m = d).  Overflow: Y's entries, ||Y||_F and
-# s stay below 2^8 ||psi|| <= 2^264, and a Gram entry, ||Y||_F^2 and s^2
-# below 2^528, far from 2^1024.  Underflow: an operation on tiny entries
-# errs by at most 2^-1075 absolutely, so a Gram entry by a few d 2^-1074
-# and the Gram matrix by under 2^-1040 in 2-norm.  A pass needs every
-# shifted diagonal entry of Y Y^H above 0, so ||Y||_F^2 > m s^2, and
-# s >= 32 d^2 u 2^-256 >= 2^-302: the shift's room of 49 d u ||Y||_F^2
-# > 2^-660 absorbs it, with the sketch product's own underflow.
+# d <= 2^10 (n <= 20) the fixed draw's gains ||G1[:m]||_2, m < d, run from
+# 0.569 (d = 2, m = 1) to 63.7 (d = 2^10, m = d - 1), so 2^-1 < gain < 2^6
+# (gain = 1 at m = d).  Overflow: Y's entries, ||Y||_F and s stay below
+# 2^7 ||psi|| <= 2^263, and a Gram entry, ||Y||_F^2 and s^2 below 2^526,
+# far from 2^1024.  Underflow: an operation on tiny entries errs by at most
+# 2^-1075 absolutely, so a Gram entry by a few d 2^-1074 and the Gram
+# matrix by under 2^-1040 in 2-norm.  A pass needs every shifted diagonal
+# entry of Y Y^H above 0, so ||Y||_F^2 > m s^2, and
+# s >= 32 d^2 u 2^-1 2^-256 >= 2^-303: the shift's room of
+# 49 d u ||Y||_F^2 > 2^-660 absorbs it, with the sketch product's own
+# underflow.
 SKETCH_NORM_RANGE = (2.0**-256, 2.0**256)
 
 
@@ -301,7 +303,9 @@ def _gram_test(
         if m == d:
             sketches = part
         else:
-            np.matmul(g1[:m], part, out=sketches)
+            # A complex (d, d) cut viewed as float64 is (d, 2d), real and
+            # imaginary parts interleaved: one real product writes Y in place.
+            np.matmul(g1[:m], part.view(np.float64), out=sketches.view(np.float64))
         np.matmul(sketches, np.conjugate(sketches, out=conj).swapaxes(1, 2), out=gram)
         diagonal = gram.reshape(-1, m * m)[:, :: m + 1]
         frobenius_sq = diagonal.real.sum(axis=1, keepdims=True)
@@ -361,7 +365,7 @@ def min_equipartition_rank(
     a smaller rank.  Every cut matrix M (d x d, d = 2^(n/2)) is tested at
     the m its lane read.  The test matrix Y
     is M itself while m = d (gain 1); below d it is the m x d sketch
-    G1[:m] M, the one-sided randomized range finder, with complex Gaussian
+    G1[:m] M, the one-sided randomized range finder, with real Gaussian
     G1 drawn from SKETCH_SEED (gain ||G1[:m]||_2, computed once per m).
     With u the unit roundoff, the cut passes if np.linalg.cholesky factors
 
@@ -388,10 +392,11 @@ def min_equipartition_rank(
 
     From there the argument is the one for any Y.  M holds the entries of
     psi, so sigma_1(M) <= ||M||_F = ||psi||_2, and sigma_m(G1[:m] M) <=
-    ||G1[:m]||_2 sigma_m(M).  Rounding moves the computed sketch's sigma_m
-    by at most about d sqrt(m) u ||G1[:m]||_2 ||psi||_2: the product sums d
-    terms, and the m-row |G1[:m]| has a 2-norm at most sqrt(m) times that
-    of G1[:m].  That is inside the d^2 u term of s, so a pass gives
+    ||G1[:m]||_2 sigma_m(M), for any G1.  Rounding moves the computed
+    sketch's sigma_m by at most about d sqrt(m) u ||G1[:m]||_2 ||psi||_2:
+    the real and the imaginary part of Y are each a real product of G1[:m]
+    that sums d terms, and the m-row |G1[:m]| has a 2-norm at most sqrt(m)
+    times that of G1[:m].  That is inside the d^2 u term of s, so a pass gives
     sigma_m(M) > (rel_tol + c d^2 u) ||psi||_2, and the full SVD of M, whose
     computed values move by at most a small multiple of d^2 u sigma_1(M),
     counts sigma_m above rel_tol times its sigma_1: :func:`rank_of` gives M
@@ -419,8 +424,7 @@ def min_equipartition_rank(
     # The row and column tables are made per stack from these: tables of
     # every cut at once would take 2 cuts d 4 bytes, 757 MB at n = 20.
     weights = _cut_weights(n, cuts)
-    rng = SKETCH_SEED.generator()
-    g1 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g1 = SKETCH_SEED.generator().standard_normal((d, d))
     norm = float(np.linalg.norm(state.amplitudes))
     rounding = SKETCH_ROUNDING * d * d * UNIT_ROUNDOFF
 
@@ -610,11 +614,14 @@ def concentration_report(
         raise ValueError("samples must be >= 1")
     d_a, d_b = 2**n_a, 2**n_b
 
+    # Drawn straight into the stack slot.  The bits are those of
+    # (a + 1j b) / ||a + 1j b||: the sum a + 1j b can differ from the
+    # parts a, b only in a zero's sign, where a draw is exactly -0.
     def fill(k: int, out: np.ndarray) -> None:
         rng = seed.child(k).generator()
-        v = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
-        v /= np.linalg.norm(v)
-        out[...] = v.reshape(d_a, d_b)
+        out.real = rng.standard_normal((d_a, d_b))
+        out.imag = rng.standard_normal((d_a, d_b))
+        out /= np.linalg.norm(out)
 
     sing = _stacked_singular_values(fill, samples, (d_a, d_b), workers)
     deviations = np.max(np.abs(sing**2 * d_a - 1.0), axis=1)
@@ -816,11 +823,12 @@ def random_degree3_tree(num_leaves: int, seed: SeedSpec) -> TreeGraph:
     """
     if num_leaves < 2:
         raise ValueError("need at least 2 leaves")
-    rng = seed.generator()
+    # Leaf k is attached to one of the 2k - 3 edges present, drawn in one
+    # call that consumes the generator as one integers(2k - 3) per leaf does.
+    picks = seed.generator().integers(np.arange(1, 2 * num_leaves - 4, 2))
     edges: list[tuple[int, int]] = [(0, 1)]
     next_internal = num_leaves
-    for leaf in range(2, num_leaves):
-        pick = int(rng.integers(len(edges)))
+    for leaf, pick in enumerate(picks.tolist(), 2):
         u, v = edges.pop(pick)
         middle = next_internal
         next_internal += 1

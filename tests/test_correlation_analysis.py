@@ -2,7 +2,7 @@ import json
 import math
 import sys
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 import pytest
@@ -45,7 +45,7 @@ from dqc1kit.correlation_analysis import (
     min_equipartition_rank,
     parallel_map,
 )
-from dqc1kit.dqc1_model import register_columns
+from dqc1kit.dqc1_model import STREAM_LIMIT, register_columns
 
 import oracles
 from lemmas import (
@@ -313,19 +313,22 @@ def test_sketched_minimum_is_the_full_scan_minimum_property(case, monkeypatch):
     pytest.param(1e-3, 1 + 1e-3, 2, id="tol1e-3-1.001-2"),
 ])
 def test_sketch_threshold_carries_the_sketch_norms(monkeypatch, rel_tol, factor, want):
-    # Cut {0, 2, 3} splits only the pair (0, 1), whose coefficients 1 and
-    # lam sit at the rank cutoff; the first cut, {0, 1, 2}, has rank 2.  A
-    # test without the gain ||G1[:2]||_2 passes {0, 2, 3} at m = 2 and
-    # misses rank 1: G1[:2] stretches this cut's sigma_2 by 1.44, past
-    # 1 / 0.999.  The first assertion checks that for SKETCH_SEED's draw, so
-    # a new draw cannot take this test's power away unnoticed.
+    # Cuts {0, 2, 3} and {0, 4, 5} split only the pair (0, 1), whose
+    # coefficients 1 and lam sit at the rank cutoff; the first cut,
+    # {0, 1, 2}, has rank 2.  A test without the gain ||G1[:2]||_2 passes
+    # both at m = 2 and misses rank 1: under the random one-qubit unitaries
+    # of seed 10, SKETCH_SEED's real G1[:2] stretches their sigma_2 by 1.77
+    # and 1.59, past 1 / 0.999 (without them, by 0.906 only).  The first
+    # assertion checks that for SKETCH_SEED's draw, so a new draw cannot
+    # take this test's power away unnoticed.
     # At 1e-10 the Gram rounding term of the shift dominates s^2, so only
     # the case at 1e-3 sees the sketch norm.
-    state = _pair_state(6, [(0, 1), (2, 3), (4, 5)], [rel_tol * factor, 1.0, 1.0])
+    state = _pair_state(6, [(0, 1), (2, 3), (4, 5)], [rel_tol * factor, 1.0, 1.0],
+                        np.random.default_rng(10))
     if rel_tol == 1e-3:
         psi = state.amplitudes / np.linalg.norm(state.amplitudes)
-        cut = Bipartition(6, (0, 2, 3)).matricize(psi)
-        assert _gram_passes(cut[np.newaxis], rel_tol, m=2, gain=False).tolist() == [True]
+        cuts = np.stack([Bipartition(6, side_a).matricize(psi) for side_a in [(0, 2, 3), (0, 4, 5)]])
+        assert _gram_passes(cuts, rel_tol, m=2, gain=False).tolist() == [True, True]
     _cuts_per_stack(monkeypatch, 6, 1)
     assert min_rank_over_equipartitions(state, rel_tol).min_rank == want
     for workers in (1, 2):
@@ -460,8 +463,8 @@ def test_gathered_cut_matrices_are_the_matricized_cuts(n):
 
 
 def _sketch_g1(d):
-    """The d x d Gaussian G1 that min_equipartition_rank draws from SKETCH_SEED."""
-    return _gaussian(correlation_analysis.SKETCH_SEED.generator(), d, d)
+    """The real d x d Gaussian G1 that min_equipartition_rank draws from SKETCH_SEED."""
+    return correlation_analysis.SKETCH_SEED.generator().standard_normal((d, d))
 
 
 def _gram_passes(stack, rel_tol=DEFAULT_RANK_TOL, m=None, gain=True):
@@ -508,6 +511,61 @@ def test_cholesky_test_passes_no_rank_deficient_product(monkeypatch, d, m, seed)
     assert _gram_passes(batch, m=m).sum() > 60
 
 
+@pytest.mark.parametrize("d,m", [(8, 3), (64, 32)])
+def test_sketch_is_the_complex_product_with_the_real_draw(monkeypatch, d, m):
+    # _gram_test multiplies the real G1[:m] into the stack viewed as float64,
+    # (d, 2d) per cut with real and imaginary parts interleaved.  Each
+    # batch's sketches, read from the sketch buffer as the batch reaches the
+    # Cholesky test, must be G1[:m] M in complex arithmetic, up to the
+    # docstring's rounding d sqrt(m) u ||G1[:m]||_2 ||M||_F for each of the
+    # two products.  10 cuts in batches of 4 end in a partial batch; the
+    # compacted stack is its buffer's prefix after 5 cuts moved forward.
+    g1 = _sketch_g1(d)
+    buffer = _gaussian(np.random.default_rng(8500 + d), 10, d, d)
+    scratch = np.empty((3, 4 * m * d), dtype=np.complex128)
+    seen = []
+    cholesky_mask = correlation_analysis._cholesky_mask
+
+    def recording_mask(grams):
+        seen.append(scratch[0][:len(grams) * m * d].reshape(-1, m, d).copy())
+        return cholesky_mask(grams)
+
+    monkeypatch.setattr(correlation_analysis, "_cholesky_mask", recording_mask)
+    rounding = d * math.sqrt(m) * correlation_analysis.UNIT_ROUNDOFF * np.linalg.norm(g1[:m], 2)
+
+    def check(stack, batches):
+        seen.clear()
+        correlation_analysis._gram_test(stack, m, g1, 0.0, scratch)
+        assert [len(batch) for batch in seen] == batches
+        want = g1[:m].astype(np.complex128) @ stack
+        error = np.linalg.norm(np.concatenate(seen) - want, 2, axis=(1, 2))
+        assert (error <= 2 * rounding * np.linalg.norm(stack, axis=(1, 2))).all()
+
+    check(buffer, [4, 4, 2])
+    kept = [1, 4, 5, 8, 9]
+    for j, k in enumerate(kept):
+        buffer[j] = buffer[k]
+    check(buffer[:len(kept)], [4, 1])
+
+
+def test_sketch_gains_lie_in_the_norm_range_comments_bounds():
+    # The SKETCH_NORM_RANGE comment bounds the gain ||G1[:m]||_2, m < d, of
+    # the fixed draw by 2^-1 < gain < 2^6 for every d that rank-scaling
+    # reaches, d = 2^(n/2) for even n up to STREAM_LIMIT; adding rows never
+    # lowers a 2-norm, so G1[:1] and G1[:d-1] bound every m < d.  Its
+    # overflow and underflow steps then follow from the constants.
+    lows, highs = [], []
+    for n in range(2, STREAM_LIMIT + 1, 2):
+        g1 = _sketch_g1(2 ** (n // 2))
+        lows.append(np.linalg.norm(g1[0]))
+        highs.append(math.sqrt(np.linalg.eigvalsh(g1[:-1] @ g1[:-1].T)[-1]))
+    assert 2**-1 < min(lows) and max(highs) < 2**6
+    assert (round(min(lows), 3), round(max(highs), 1)) == (0.569, 63.7)
+    low, high = correlation_analysis.SKETCH_NORM_RANGE
+    u, rounding = correlation_analysis.UNIT_ROUNDOFF, correlation_analysis.SKETCH_ROUNDING
+    assert 2**7 * high <= 2**263 and rounding * 2**2 * u * 2**-1 * low >= 2**-303
+
+
 def test_cholesky_stack_with_a_failing_cut_gives_the_per_cut_mask():
     rng = np.random.default_rng(8164)
     stack = _gaussian(rng, 9, 16, 16)
@@ -548,8 +606,8 @@ def test_sketched_scan_working_set_is_its_lane_buffers():
     # The bound allows each of the 2 lanes 3 arrays of 16 x 64 x 64 complex
     # (1 MiB each) at n = 12; a lane holds its 1 MiB stack buffer and three
     # quarter-stack test buffers (sketches, conjugates, Gram matrices).  The
-    # 1 MiB margin holds the Gaussian draw G1 (64 KiB) and the Cholesky and
-    # SVD outputs.  The 462 cut matrices at once would take 28.9 MiB.
+    # 1 MiB margin holds the real Gaussian draw G1 (32 KiB) and the Cholesky
+    # and SVD outputs.  The 462 cut matrices at once would take 28.9 MiB.
     master = SeedSpec(1).child(1)
     state = _u0(random_two_qubit_circuit(12, 24, master.child(0)))
     tracemalloc.start()
@@ -1080,6 +1138,24 @@ def test_random_degree3_tree_structure():
             assert deg == (1 if node < leaves else 3)
     same = random_degree3_tree(12, SeedSpec(80))
     assert same == random_degree3_tree(12, SeedSpec(80))
+
+
+@pytest.mark.parametrize("seed", [0, 84, 2**64 - 1])
+def test_random_degree3_tree_picks_are_the_per_leaf_draws(seed):
+    # One integers() call over the bounds 1, 3, ..., 2 leaves - 5 must give
+    # the per-leaf draws integers(len(edges)) that grow the tree, and leave
+    # the generator where they leave it.
+    for leaves in range(6, 65):
+        spec = SeedSpec(seed).child(leaves)
+        rng = spec.generator()
+        edges = [(0, 1)]
+        for leaf, middle in zip(range(2, leaves), count(leaves)):
+            u, v = edges.pop(int(rng.integers(len(edges))))
+            edges.extend([(u, middle), (middle, v), (middle, leaf)])
+        assert random_degree3_tree(leaves, spec) == TreeGraph(leaves, tuple(edges))
+        at_once = spec.generator()
+        at_once.integers(np.arange(1, 2 * leaves - 4, 2))
+        assert at_once.bit_generator.state == rng.bit_generator.state
 
 
 def test_balanced_tree_edge_binary_tree():

@@ -79,11 +79,13 @@ def register_columns(
 
     The one place that tells unitary kinds apart: a circuit evolves all k
     basis columns in one pass over its fused blocks, each on its light cone
-    (:func:`evolve_basis_columns`), a :class:`LazyUnitary`
-    serves U|0> from its up-front column without building its matrix, and
-    otherwise a matrix's columns are sliced out.
+    (:func:`evolve_basis_columns`), a :class:`LazyUnitary` serves U|0> from
+    its up-front column without building its matrix, and otherwise a
+    matrix's columns are sliced out.  Every kind refuses an x outside 0..2^n - 1.
     """
     indices = np.asarray(register_indices, dtype=np.intp)
+    if indices.size and not (0 <= indices.min() and indices.max() < 2**unitary.num_qubits):
+        raise ValueError(f"basis indices must lie in 0..{2**unitary.num_qubits - 1}")
     if isinstance(unitary, Circuit):
         return evolve_basis_columns(unitary, indices, adjoint)
     if isinstance(unitary, LazyUnitary) and not adjoint and not indices.any():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -229,6 +229,11 @@ class Circuit:
             blocks.append((qubits, _block_matrix(len(qubits), steps)))
         return tuple(blocks)
 
+    @cached_property
+    def adjoint_blocks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """C-dagger's blocks, built once: the fused blocks reversed, each conjugate-transposed."""
+        return tuple((qubits, mat.conj().T) for qubits, mat in reversed(self.fused_blocks))
+
 
 def random_two_qubit_circuit(num_qubits: int, num_gates: int, seed: SeedSpec) -> Circuit:
     """Haar-random 4x4 gates on uniformly random unordered qubit pairs.
@@ -283,49 +288,65 @@ def plan_blocks(gates: Sequence[GateSpec]) -> list[tuple[tuple[int, ...], list[i
 _COLUMNS = -1
 
 
-def _insert_basis_qubits(
-    t: np.ndarray, axes: list[int], new: list[int], xs: np.ndarray, n: int
-) -> tuple[np.ndarray, list[int]]:
-    """Carry the ``new`` qubits, each one-hot at its bit of xs[j] in column j.
+def _product_layout(
+    block: Sequence[int], axes: Sequence[int], key: Callable[[int], int] = lambda q: 0
+) -> tuple[list[int], tuple[int, ...]]:
+    """The axis order and matmul shape of a block's product on a tensor with axes ``axes``.
 
-    The column axis stays first or last, and the new axes go next to it:
-    right after it when it comes first, in front of all when it comes last.
-    Returns the grown tensor and its axis labels.
+    With R >= 4 entries of each column outside the block, the rest axes,
+    stably sorted by ``key``, go next and the column axis last: all k
+    columns take one (2^w, R k) product.  With R < 4 the column axis goes
+    first, and each column takes its own (2^w, R) product.  Either way each
+    column's bits are those of the column evolved alone: OpenBLAS computes
+    an entry of a product with at least 4 columns the same way whatever the
+    width and the entry's place, and not with 1 or 2 (OpenBLAS 0.3.31,
+    SkylakeX kernel, w = 2-5, k = 1-130, matrices in either memory order:
+    of 3000 random trials, none of the 2410 with R >= 4 changed a bit
+    against per-column products, and 576 of the 590 with R < 4 did).
     """
-    k = xs.size
-    bits = np.zeros(k, dtype=np.intp)
-    for q in new:
-        bits = 2 * bits + ((xs >> (n - 1 - q)) & 1)
-    if axes[0] == _COLUMNS:
-        grown = np.zeros((k, 2 ** len(new)) + t.shape[1:], dtype=np.complex128)
-        grown[np.arange(k), bits] = t
-        axes = [_COLUMNS, *new, *axes[1:]]
-    else:
-        # One select per value of the new bits, each a pass over the rows of t.
-        hot = bits == np.arange(2 ** len(new))[:, np.newaxis]
-        grown = np.where(hot.reshape(hot.shape[:1] + (1,) * (t.ndim - 1) + (k,)), t, 0)
-        axes = [*new, *axes]
-    return grown.reshape([k if a == _COLUMNS else 2 for a in axes]), axes
+    rest = [a for a in axes if a != _COLUMNS and a not in block]
+    if len(rest) >= 2:
+        return [*block, *sorted(rest, key=key), _COLUMNS], (2 ** len(block), -1)
+    return [_COLUMNS, *block, *rest], (-1, 2 ** len(block), 2 ** len(rest))
+
+
+def _stage(
+    t: np.ndarray, axes: list[int], target: list[int], xs: Optional[np.ndarray], n: int,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Write ``t``, whose axis a holds qubit axes[a] or the columns, into ``out`` as ``target``.
+
+    Returns the view of ``out`` with one axis per label of ``target``.  A
+    qubit of ``target`` that ``t`` does not carry enters one-hot at its bit
+    of the basis index xs[j] in column j (qubit 0 the most significant).
+    """
+    k = t.shape[axes.index(_COLUMNS)]
+    new = [q for q in target if q not in axes]
+    operand = out[: t.size << len(new)].reshape([k if a == _COLUMNS else 2 for a in target])
+    hot = True
+    if new:
+        bits = sum(((xs >> (n - 1 - q)) & 1) << (len(new) - 1 - i) for i, q in enumerate(new))
+        bits = bits.reshape([k if a == _COLUMNS else 1 for a in axes])
+        hot = bits == np.arange(2 ** len(new)).reshape((2,) * len(new) + (1,) * len(axes))
+        operand.fill(0)
+    np.copyto(operand.transpose([target.index(a) for a in (*new, *axes)]), t, where=hot)
+    return operand
 
 
 def _block_matrix(width: int, steps: Sequence[tuple[tuple[int, int], np.ndarray]]) -> np.ndarray:
     """The (targets, 4x4 gate) steps on ``width`` qubits, as one 2^w x 2^w matrix.
 
-    Each gate takes one product on the 2^w identity columns, the product
-    :func:`_apply_blocks` takes with every qubit carried: with R = 2^(w - 2)
-    >= 4 entries of each column outside the gate, one (4, R 2^w) product
-    with the column axis last, and otherwise one (4, R) product per
-    column with the column axis first.
+    Each gate takes one product on the 2^w identity columns, laid out by
+    :func:`_product_layout` as :func:`_apply_blocks` would lay it out with
+    every qubit carried.
     """
     dim = 2**width
-    wide = width >= 4
-    axes = [*range(width), _COLUMNS] if wide else [_COLUMNS, *range(width)]
-    t = np.eye(dim, dtype=np.complex128).reshape([dim if a == _COLUMNS else 2 for a in axes])
+    axes = [_COLUMNS, *range(width)]
+    t = np.eye(dim, dtype=np.complex128).reshape((dim,) + (2,) * width)
     for targets, gate in steps:
-        rest = [a for a in axes if a != _COLUMNS and a not in targets]
-        target = [*targets, *rest, _COLUMNS] if wide else [_COLUMNS, *targets, *rest]
+        target, shape = _product_layout(targets, axes)
         operand = np.ascontiguousarray(t.transpose([axes.index(a) for a in target]))
-        t = np.matmul(gate, operand.reshape((4, -1) if wide else (dim, 4, -1)))
+        t = np.matmul(gate, operand.reshape(shape))
         t, axes = t.reshape(operand.shape), target
     matrix = t.transpose([axes.index(a) for a in (*range(width), _COLUMNS)]).reshape(dim, dim)
     # A product with one column rounds differently with the matrix in C or
@@ -337,69 +358,43 @@ def _block_matrix(width: int, steps: Sequence[tuple[tuple[int, int], np.ndarray]
 
 
 def _apply_blocks(
-    blocks: Iterable[tuple[tuple[int, ...], np.ndarray]],
+    blocks: Sequence[tuple[tuple[int, ...], np.ndarray]],
     t: np.ndarray,
-    carried: Sequence[int],
     n: int,
     xs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Apply (qubits, matrix) blocks in order to k columns; return them as (2^n, k).
 
-    ``t`` has shape (k, 2, ..., 2), and its axis a + 1 holds qubit
-    ``carried[a]``.  Every other qubit of column j still holds its bit of
-    the basis index ``xs[j]`` (qubit 0 the most significant), so its axis
-    is inserted, one-hot at that bit, just before the first block that
-    touches it, and after the last block if none does.  With every qubit
-    carried, ``xs`` is not read.
+    ``t`` has shape (k, 2, ..., 2), and its axis a + 1 holds qubit a.
+    Every other qubit of column j still holds its bit of the basis index
+    ``xs[j]`` (qubit 0 the most significant), and :func:`_stage` enters it,
+    one-hot at that bit, straight into the operand of the first block that
+    touches it, or into the output if none does.  With every qubit carried,
+    ``xs`` is not read.
 
     A block of width w on c carried qubits is one matrix product over
-    R = 2^(c - w) entries of each column.  With R >= 4 the column axis goes
-    last and all k columns take one (2^w, R k) product, whose rest axes
-    come in the order the next blocks need them, so the transposed copies
-    move outer axes and keep long inner runs.  With R < 4 the column axis
-    goes first and each column takes its own (2^w, R) product.  Either way
-    each column's bits are those of the column evolved alone: OpenBLAS
-    computes an entry of a product with at least 4 columns the same way
-    whatever the width and the entry's place, and not with 1 or 2
-    (OpenBLAS 0.3.31, SkylakeX kernel, w = 2-5, k = 1-130, matrices in
-    either memory order: of 3000 random trials, none of the 2410 with
-    R >= 4 changed a bit against per-column products, and 576 of the 590
-    with R < 4 did).
+    R = 2^(c - w) entries of each column, laid out by
+    :func:`_product_layout`.  With R >= 4 the rest axes come in the order
+    the next blocks need them, so the transposed copies move outer axes and
+    keep long inner runs.
     """
-    blocks = list(blocks)
     k = t.shape[0]
-    axes = [_COLUMNS, *carried]  # axis a of t holds qubit axes[a], or the columns
+    axes = [_COLUMNS, *range(t.ndim - 1)]  # axis a of t holds qubit axes[a], or the columns
     soonest, upcoming = [], {}  # soonest[b][q]: the first block after block b to touch q
     for qubits, _ in reversed(blocks):
         soonest.append(dict(upcoming))
         upcoming.update((q, len(blocks) - len(soonest)) for q in qubits)
-    # Each block copies its operand into stage and multiplies it into result,
-    # one allocation per call: fresh arrays per block cost page faults, and
+    # Each operand, and last the output, is staged in stage, and each product
+    # is written to result: two allocations per call, and the returned
+    # columns hold only stage.  Fresh arrays per block cost page faults, and
     # made a circuit_scan session about 10% slower.
-    stage, result = np.empty((2, 2**n * k), dtype=np.complex128)
+    stage, result = (np.empty(2**n * k, dtype=np.complex128) for _ in range(2))
     for (qubits, matrix), after in zip(blocks, reversed(soonest)):
-        new = [q for q in qubits if q not in axes]
-        if new:
-            t, axes = _insert_basis_qubits(t, axes, new, xs, n)
-        rest = [q for q in axes if q != _COLUMNS and q not in qubits]
-        if len(rest) >= 2:
-            rest.sort(key=lambda q: after.get(q, len(blocks)))
-            target, shape = [*qubits, *rest, _COLUMNS], (matrix.shape[0], -1)
-        else:
-            target, shape = [_COLUMNS, *qubits, *rest], (k, matrix.shape[0], -1)
-        moved = t.transpose([axes.index(a) for a in target])
-        operand = stage[: t.size].reshape(moved.shape)
-        np.copyto(operand, moved)
-        t = np.matmul(matrix, operand.reshape(shape), out=result[: t.size].reshape(shape))
-        axes = target
-        t = t.reshape([k if a == _COLUMNS else 2 for a in axes])
-    new = [q for q in range(n) if q not in axes]
-    if new:
-        t, axes = _insert_basis_qubits(t, axes, new, xs, n)
-    # Always a fresh array: a view of result would hold both buffers.
-    columns = np.empty((2,) * n + (k,), dtype=np.complex128)
-    np.copyto(columns, t.transpose([axes.index(a) for a in (*range(n), _COLUMNS)]))
-    return columns.reshape(2**n, k)
+        target, shape = _product_layout(qubits, axes, lambda q: after.get(q, len(blocks)))
+        operand = _stage(t, axes, target, xs, n, stage)
+        t = np.matmul(matrix, operand.reshape(shape), out=result[: operand.size].reshape(shape))
+        t, axes = t.reshape(operand.shape), target
+    return _stage(t, axes, [*range(n), _COLUMNS], xs, n, stage).reshape(2**n, k)
 
 
 def evolve_basis_columns(
@@ -409,19 +404,17 @@ def evolve_basis_columns(
 
     Each column is carried on its light cone: only the qubits that the
     blocks run so far have touched.  A qubit enters, one-hot at x's bit,
-    just before the first block that touches it, and the qubits no block
-    touches enter at the end.  The touched set depends only on the circuit
-    and the direction, so column j is bit for bit that column evolved alone.
-    C-dagger runs the reversed blocks' adjoints.
+    straight into the operand of the first block that touches it, and the
+    qubits no block touches enter into the output.  The touched set depends
+    only on the circuit and the direction, so column j is bit for bit that
+    column evolved alone.  C-dagger runs :attr:`Circuit.adjoint_blocks`.
+    The call works in two buffers of 2^n k amplitudes, and the returned
+    block is one of them.  Each x must lie in 0..2^n - 1, which
+    :func:`register_columns` checks.
     """
-    n = circuit.num_qubits
     xs = np.asarray(xs, dtype=np.intp)
-    if xs.size and not (0 <= xs.min() and xs.max() < 2**n):
-        raise ValueError(f"basis indices must lie in 0..{2**n - 1}")
-    blocks = circuit.fused_blocks
-    if adjoint:
-        blocks = ((qubits, mat.conj().T) for qubits, mat in reversed(blocks))
-    return _apply_blocks(blocks, np.ones(xs.size, dtype=np.complex128), (), n, xs)
+    blocks = circuit.adjoint_blocks if adjoint else circuit.fused_blocks
+    return _apply_blocks(blocks, np.ones(xs.size, dtype=np.complex128), circuit.num_qubits, xs)
 
 
 def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
@@ -433,7 +426,7 @@ def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
     n = circuit.num_qubits
     # Every qubit carried: a general state has no light cone to follow.
     t = state.amplitudes.reshape((1,) + (2,) * n)
-    return PureState(n, _apply_blocks(circuit.fused_blocks, t, range(n), n)[:, 0])
+    return PureState(n, _apply_blocks(circuit.fused_blocks, t, n)[:, 0])
 
 
 def circuit_unitary(circuit: Circuit) -> DenseOperator:

@@ -23,9 +23,11 @@ whose minimum is d = 32, so every cut is proven at m = d, and at n = 16,
 where a stack holds one cut) and of the circuit column kernel (an
 11-qubit streamed trace, whose blocks hold 32 columns, and a
 randomized-index scan at n = 12, whose blocks hold 16 columns evolved
-both ways), and of the circuit-file unitarity check (c4.circ with one
-entry of its third gate moved by 5e-10, which is accepted, and by 1e-7,
-which is refused with exit code 3).  Input files are
+both ways, and one at n = 14 with 4 gates, whose untouched qubits enter
+the columns only after the last block), and of the circuit-file
+unitarity check (c4.circ with one entry of its third gate moved by
+5e-10, which is accepted, and by 1e-7, which is refused with exit code
+3).  Input files are
 written to a scratch directory and named by relative paths, so
 ``meta.source`` is the same for every checkout; two checkouts are then
 compared with one ``diff`` of their outputs.
@@ -97,6 +99,8 @@ EDGE_CASES = [
     ["rank-scaling", "--n-list", "16", "--seeds", "2", "--partition-cap", "200", "--workers", "2"],
     ["trace-estimate", "--circuit", "c11.circ", "--circuit-qubits", "11"],
     ["bound-scan", "--unitary", "circuit", "--n", "12", "--cuts", "30", "--randomize-index"],
+    ["bound-scan", "--unitary", "circuit", "--n", "14", "--gates", "4", "--cuts", "20",
+     "--randomize-index"],
     *(["trace-estimate", "--circuit", f"c4_off{eps}.circ", "--circuit-qubits", "4"]
       for eps in ("5e-10", "1e-7")),
 ]

@@ -132,6 +132,21 @@ def test_apply_to_product_index_out_of_range():
             apply_to_product(config, t, x)
 
 
+@pytest.mark.parametrize("kind", ["circuit", "lazy", "dense"])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_register_columns_refuses_indices_outside_the_register_for_every_kind(kind, adjoint):
+    n = 3
+    unitary = {
+        "circuit": random_two_qubit_circuit(n, 4, SeedSpec(5)),
+        "lazy": haar_unitary(n, SeedSpec(5)),
+        "dense": DenseOperator(n, np.eye(2**n)),
+    }[kind]
+    for xs in ([-1], [2**n], [0, 2**n - 1, 2**n]):
+        with pytest.raises(ValueError, match=r"basis indices must lie in 0\.\.7"):
+            register_columns(unitary, xs, adjoint)
+    assert register_columns(unitary, [0, 2**n - 1], adjoint).shape == (2**n, 2)
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_probe_spectrum_matches_dense_probe(n):
     # The nonzero-row spectrum of every in-window register cut, padded with

@@ -468,6 +468,9 @@ NARROW_SECOND_BLOCK = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 5), (
 # Block 1, {0, 1, 5}, holds three gates, each with its higher qubit first,
 # so its build takes one product per column (R = 2) gate after gate.
 NARROW_BLOCK_BUILD = [(0, 1), (2, 3), (4, 0), (5, 0), (5, 1), (1, 0)]
+# Blocks {0, 1, 2, 3, 4} and {4, 5}: qubit 5 enters block 1 with R = 16,
+# and in the adjoint qubits 0-3 enter block 1 with R = 2.
+CHAIN = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 @st.composite
@@ -489,6 +492,10 @@ def kernel_cases(draw):
 # one-column product rounds differently in the two memory orders at this seed
 @example((random_two_qubit_circuit(4, 13, SeedSpec(1327957532)), [15, 0, 7]))
 @example((random_two_qubit_circuit(2, 3, SeedSpec(2)), [3]))
+# qubits entering blocks of either layout, and qubits no gate touches
+@example((_circuit_on(6, CHAIN, 8), [0, 63, 21, 42, 5]))
+@example((_circuit_on(7, CHAIN, 9), [127, 64, 1]))
+@example((random_two_qubit_circuit(14, 4, SeedSpec(3)), np.arange(20) * 819))
 def test_circuit_kernel_is_the_column_first_kernel_bit_for_bit(case):
     circuit, xs = case
     n = circuit.num_qubits
@@ -526,3 +533,43 @@ def test_kernel_examples_cover_narrow_blocks():
     ]
     plan = plan_blocks(random_two_qubit_circuit(2, 3, SeedSpec(2)).gates)
     assert [(qubits, len(members)) for qubits, members in plan] == [((0, 1), 3)]
+
+
+def _entering(circuit, adjoint):
+    """(qubits entering, log2 R) per block in light-cone order, then (entering the output, None)."""
+    carried = set()
+    for qubits, _ in reversed(circuit.fused_blocks) if adjoint else circuit.fused_blocks:
+        yield len(set(qubits) - carried), len(carried | set(qubits)) - len(qubits)
+        carried |= set(qubits)
+    yield circuit.num_qubits - len(carried), None
+
+
+def test_kernel_examples_cover_every_entry_of_a_qubit():
+    # Past the first block, qubits enter an operand with the column axis last
+    # (R >= 4, CHAIN forward) and first (R < 4, CHAIN adjoint); qubits that no
+    # gate touches enter the output (n = 7 CHAIN, and the 4-gate circuit).
+    chain = _circuit_on(6, CHAIN, 8)
+    assert list(_entering(chain, False)) == [(5, 0), (1, 4), (0, None)]
+    assert list(_entering(chain, True)) == [(2, 0), (4, 1), (0, None)]
+    sparse = random_two_qubit_circuit(14, 4, SeedSpec(3))
+    for adjoint in (False, True):
+        assert list(_entering(_circuit_on(7, CHAIN, 9), adjoint))[-1] == (1, None)
+        assert list(_entering(sparse, adjoint))[-1] == (7, None)
+
+
+@pytest.mark.parametrize("n, k", [(12, 16), (10, 64)])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_basis_columns_work_in_two_buffers(n, k, adjoint):
+    # The operands and the output are staged in one buffer and the products
+    # written to the other: no third buffer of 2^n k amplitudes.
+    circuit = random_two_qubit_circuit(n, 4 * n, SeedSpec(n))
+    xs = np.random.default_rng(k).integers(0, 2**n, k)
+    evolve_basis_columns(circuit, xs[:1], adjoint)  # the circuit's blocks, built once
+    tracemalloc.start()
+    try:
+        columns = evolve_basis_columns(circuit, xs, adjoint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns.shape == (2**n, k)
+    assert peak <= 2.1 * 2**n * k * 16

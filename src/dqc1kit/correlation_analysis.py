@@ -355,15 +355,18 @@ def min_equipartition_rank(
     """``min_rank_over_equipartitions(...).min_rank``, with most full SVDs skipped.
 
     The same cuts, in the same order, are gathered into stacks; a
-    ``partition_cap`` below the population needs ``seed``.  Stack k
-    goes to lane k mod ``workers``, and the lanes run on one thread pool: a
-    pool per round of ``workers`` stacks made the benchmark's rank-scaling
-    job slower (107 against 90 ms on two workers).  The lanes share one
-    running minimum m.  It starts at the rank of cut 0, decided by a full
-    SVD before the pool starts, and only ever decreases: each lane reads it
-    before each stack and lowers it, under a lock, when its own SVDs find
-    a smaller rank.  Every cut matrix M (d x d, d = 2^(n/2)) is tested at
-    the m its lane read.  The test matrix Y
+    ``partition_cap`` below the population needs ``seed``.  The stacks
+    share one running minimum m.  It starts at the rank of cut 0, decided
+    by a full SVD, and only ever decreases.  Stack 0 is scanned next, on
+    the calling thread, so no lane starts at a stale m; then stack k,
+    k >= 1, goes to lane (k - 1) mod ``workers``, lane 0 carrying on from
+    stack 0's state, so a scan of two stacks runs one lane and
+    ``workers = 1`` scans the stacks in order.  The lanes run on one
+    thread pool: a pool per round of ``workers`` stacks made the
+    benchmark's rank-scaling job slower (107 against 90 ms on two
+    workers).  Each lane reads m before each stack and lowers it, under a
+    lock, when its own SVDs find a smaller rank.  Every cut matrix M
+    (d x d, d = 2^(n/2)) is tested at the m its lane read.  The test matrix Y
     is M itself while m = d (gain 1); below d it is the m x d sketch
     G1[:m] M, the one-sided randomized range finder, with real Gaussian
     G1 drawn from SKETCH_SEED (gain ||G1[:m]||_2, computed once per m).
@@ -402,18 +405,22 @@ def min_equipartition_rank(
     counts sigma_m above rel_tol times its sigma_1: :func:`rank_of` gives M
     a rank of at least m.
 
-    The cuts that fail take the full SVD, and they may lower m.  Every
-    value m ever holds is the rank of a cut decided in full (cut 0's, or
-    one a lane's SVDs found), so the final m is at least the full scan's
-    minimum.  Every cut is either decided in full, and then m is lowered
-    to its rank or was already below it, or passes at a value m held, and
-    then has a rank of at least that value, which is at least the final
-    m.  So the result is the full scan's minimum for any sketch, any
-    ``workers`` and any interleaving of the lanes: they change only the
-    work done.  A lane stops testing once STOP_AFTER_FAILED_CUTS cuts in a
-    row have failed while its m stayed (counted over whole stacks, none
-    passing), since the bound is then too loose at this rel_tol.  A state
-    whose norm lies outside SKETCH_NORM_RANGE is scanned in full.
+    The cuts that fail take the full SVD, and they may lower m.  Where a
+    stack leaves two or more, one of them takes its SVD first; if m has
+    then fallen below the value the stack was tested at, the others are
+    tested again at the new m, and those that still fail take their SVDs
+    in one call.  Every value m ever holds is the rank of a cut decided
+    in full (cut 0's, or one a lane's SVDs found), so the final m is at
+    least the full scan's minimum.  Every cut is either decided in full,
+    and then m is lowered to its rank or was already below it, or passes
+    a test, first or again, at a value m held, and then has a rank of at
+    least that value, which is at least the final m.  So the result is
+    the full scan's minimum for any sketch, any ``workers`` and any
+    interleaving of the lanes: they change only the work done.  A lane
+    stops testing once STOP_AFTER_FAILED_CUTS cuts in a row have failed
+    while its m stayed (counted over whole stacks, none passing), since
+    the bound is then too loose at this rel_tol.  A state whose norm lies
+    outside SKETCH_NORM_RANGE is scanned in full.
     """
     cuts = _equipartition_cuts(state, partition_cap, seed)
     n = state.num_qubits
@@ -427,39 +434,63 @@ def min_equipartition_rank(
     g1 = SKETCH_SEED.generator().standard_normal((d, d))
     norm = float(np.linalg.norm(state.amplitudes))
     rounding = SKETCH_ROUNDING * d * d * UNIT_ROUNDOFF
+    in_range = SKETCH_NORM_RANGE[0] <= norm <= SKETCH_NORM_RANGE[1]
 
     @cache
     def floor_sq(m: int) -> float:
         gain = 1.0 if m == d else np.linalg.norm(g1[:m], 2)
         return float(((rel_tol + rounding) * gain * norm) ** 2)
 
-    def lane(first: int) -> int:
-        m, failed = minimum[0], 0
-        testing = SKETCH_NORM_RANGE[0] <= norm <= SKETCH_NORM_RANGE[1]
-        stack_buffer, scratch, index = buffers[first]
-        for start in starts[first::workers]:
-            if minimum[0] < m:  # lowered by another lane or by this one
-                m, failed = minimum[0], 0
-            stack = stack_buffer[:len(cuts) - start]
-            _gather_cuts(psi, weights[start:start + len(stack)], index, stack)
-            passed = np.zeros(len(stack), dtype=bool)
-            if testing:
-                passed = _gram_test(stack, m, g1, floor_sq(m), scratch)
-                kept = np.flatnonzero(~passed)
-                # Compacted in place: copying the failed cuts out of the first
-                # stacks raised the dense_analysis peak RSS by 2 MiB.
-                for j, k in enumerate(kept.tolist()):
-                    if j < k:
-                        stack[j] = stack[k]
-                stack = stack[:len(kept)]
-            low = int(stacked_ranks(singular_values(stack), rel_tol).min()) if len(stack) else m
-            if low < m:
-                with lock:
-                    minimum[0] = min(minimum[0], low)
-            else:
-                failed = 0 if passed.any() else failed + len(passed)
-                testing = testing and failed < STOP_AFTER_FAILED_CUTS
-        return minimum[0]
+    def failures(stack: np.ndarray, m: int, scratch: np.ndarray) -> np.ndarray:
+        """The cuts of ``stack`` that fail the test at m, moved to its front."""
+        kept = np.flatnonzero(~_gram_test(stack, m, g1, floor_sq(m), scratch))
+        # Compacted in place: copying the failed cuts out of the first
+        # stacks raised the dense_analysis peak RSS by 2 MiB.
+        for j, k in enumerate(kept.tolist()):
+            if j < k:
+                stack[j] = stack[k]
+        return stack[:len(kept)]
+
+    def decide(stack: np.ndarray) -> None:
+        """Full SVDs of the stack's cuts; their least rank lowers the shared m."""
+        low = int(stacked_ranks(singular_values(stack), rel_tol).min())
+        if low < minimum[0]:
+            with lock:
+                minimum[0] = min(minimum[0], low)
+
+    def scan_stack(
+        start: int, m: int, failed: int, testing: bool, buffers: tuple[np.ndarray, ...]
+    ) -> tuple[int, int, bool]:
+        """Decide the cuts of the stack at ``start``.
+
+        Takes a lane's (m, failed, testing) and returns them as the stack leaves them.
+        """
+        if minimum[0] < m:  # lowered by another lane or by this one
+            m, failed = minimum[0], 0
+        stack_buffer, scratch, index = buffers
+        stack = stack_buffer[:len(cuts) - start]
+        count = len(stack)
+        _gather_cuts(psi, weights[start:start + count], index, stack)
+        passed = False
+        if testing:
+            stack = failures(stack, m, scratch)
+            passed = len(stack) < count
+            if len(stack) > 1:
+                decide(stack[:1])
+                stack = stack[1:]
+                if minimum[0] < m:
+                    stack = failures(stack, minimum[0], scratch)
+        if len(stack):
+            decide(stack)
+        if minimum[0] == m:
+            failed = 0 if passed else failed + count
+            testing = testing and failed < STOP_AFTER_FAILED_CUTS
+        return m, failed, testing
+
+    def lane(first: int) -> None:
+        carried = stack_0 if first == 0 else (minimum[0], 0, in_range)
+        for start in starts[1 + first::workers]:
+            carried = scan_stack(start, *carried, buffers[first])
 
     # Each lane refills one stack buffer and tests its cuts in three flat
     # batch buffers (sketches, conjugates, Gram matrices), all made here on
@@ -467,7 +498,7 @@ def min_equipartition_rank(
     # the peak of five rounds of the dense_analysis jobs from 47.8 to 49.8 MiB.
     # The batch buffers, viewed as intp, also hold a stack's gather index:
     # a batch is at least a quarter of a stack.
-    lanes = range(min(workers, len(starts)))
+    lanes = range(min(workers, len(starts) - 1))
     shape = (min(per_stack, len(cuts)), d, d)
     batch = math.prod(shape)
     if d * d < GRAM_BATCH_ENTRIES:
@@ -477,7 +508,7 @@ def min_equipartition_rank(
         scratch = np.empty((3, batch), dtype=np.complex128)
         return np.empty(shape, dtype=np.complex128), scratch, scratch.reshape(-1).view(np.intp)
 
-    buffers = [lane_buffers() for _ in lanes]
+    buffers = [lane_buffers() for _ in range(max(1, len(lanes)))]
     # The shared minimum starts at cut 0's rank, from a full SVD in lane 0's
     # buffers.  Reads of minimum[0] need no lock; the lock keeps a lane from
     # raising it with a stale min().
@@ -487,7 +518,9 @@ def min_equipartition_rank(
     lock = threading.Lock()
     if minimum[0] == 0:  # psi = 0: every cut has rank 0
         return 0
-    return min(parallel_map(lane, lanes, workers))
+    stack_0 = scan_stack(0, minimum[0], 0, in_range, buffers[0])
+    parallel_map(lane, lanes, workers)
+    return minimum[0]
 
 
 def _probe_spectra(tau: float, probes: Sequence[tuple], shape: tuple[int, int]) -> np.ndarray:

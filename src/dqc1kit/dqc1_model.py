@@ -83,8 +83,12 @@ def register_columns(
     its up-front column without building its matrix, and otherwise a
     matrix's columns are sliced out.  Every kind refuses an x outside 0..2^n - 1.
     """
-    indices = np.asarray(register_indices, dtype=np.intp)
-    if indices.size and not (0 <= indices.min() and indices.max() < 2**unitary.num_qubits):
+    try:
+        indices = np.asarray(register_indices, dtype=np.intp)
+        in_range = not indices.size or 0 <= indices.min() and indices.max() < 2**unitary.num_qubits
+    except OverflowError:  # an index of at least 2^63 or below -2^63
+        in_range = False
+    if not in_range:
         raise ValueError(f"basis indices must lie in 0..{2**unitary.num_qubits - 1}")
     if isinstance(unitary, Circuit):
         return evolve_basis_columns(unitary, indices, adjoint)

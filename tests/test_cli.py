@@ -533,7 +533,8 @@ def test_bound_scan_refuses_a_dense_unitary_above_the_limit_before_drawing(
         raise AssertionError("a Haar matrix was drawn")
 
     monkeypatch.setattr(randomness, "_haar_matrix", drew)
-    monkeypatch.setattr(randomness, "_ginibre", drew)
+    # haar_unitary draws its normal blocks straight from the generator.
+    monkeypatch.setattr(randomness.SeedSpec, "generator", drew)
     code, out, err = run(capsys, ["bound-scan", "--n", "13", "--unitary", unitary])
     assert (code, out) == (1, "")
     assert "1 <= n <= 12 qubits, got 13" in err

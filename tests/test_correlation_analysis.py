@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import tracemalloc
+import zlib
 from itertools import combinations, count
 
 import numpy as np
@@ -338,15 +339,18 @@ def test_sketch_threshold_carries_the_sketch_norms(monkeypatch, rel_tol, factor,
 def test_sketched_scan_takes_full_svds_only_where_the_sketch_fails(monkeypatch):
     # Task 1 of `rank-scaling --n-list 10,12 --seeds 1`, at n = 12: the seed
     # SVD gives cut 0 rank d = 64, the first two stacks of 16 cuts pass the
-    # Cholesky test at m = 64, the third finds the minimum, 32, in 6 of its
-    # cuts, and every later cut passes at m = 32.
+    # Cholesky test at m = 64, and 6 cuts of the third fail.  The first of
+    # them takes its full SVD and lowers m to the minimum, 32, where the
+    # other 5 pass when tested again, as does every later cut (7 full SVDs
+    # before the retest).
     master = SeedSpec(1).child(1)
     state = _u0(random_two_qubit_circuit(12, 24, master.child(0)))
-    shapes, tested = [], []
+    svds, tested = [], []
     svd, gram_test = correlation_analysis.singular_values, correlation_analysis._gram_test
 
     def recording_svd(matrix):
-        shapes.extend([matrix.shape[1:]] * len(matrix))
+        assert matrix.shape[1:] == (64, 64)
+        svds.append(len(matrix))
         return svd(matrix)
 
     def recording_test(stack, m, *args):
@@ -356,27 +360,32 @@ def test_sketched_scan_takes_full_svds_only_where_the_sketch_fails(monkeypatch):
     monkeypatch.setattr(correlation_analysis, "singular_values", recording_svd)
     monkeypatch.setattr(correlation_analysis, "_gram_test", recording_test)
     assert min_equipartition_rank(state, seed=master.child(1)) == 32
-    assert shapes == [(64, 64)] * 7
-    assert tested == [64] * 48 + [32] * 414
+    assert svds == [1, 1]
+    assert tested == [64] * 48 + [32] * 5 + [32] * 414
     # At rel_tol 1e-2 the seed SVD gives m = 61, and three stacks that all
-    # fail lower it through their full SVDs (61 -> 47 -> 44 -> 30).  Two
-    # stacks at m = 30 pass 2 cuts between them, and their full SVDs lower
-    # m to 19, where 365 of the remaining 382 cuts pass: every cut is
-    # tested.  These pin the work done with SKETCH_SEED's draw, not a result.
-    shapes.clear()
+    # fail lower it through their full SVDs (61 -> 47 -> 44 -> 30); in each
+    # the first failed cut's SVD leaves m where it was, so the other 15
+    # take theirs in one call, untested again.  Two stacks at m = 30 pass
+    # 3 cuts between them, and their full SVDs lower m to 19, where 364 of
+    # the remaining 382 cuts pass: every cut is tested once (96 full SVDs,
+    # as before the retest).  These pin the work done with SKETCH_SEED's
+    # draw, not a result.
+    svds.clear()
     tested.clear()
     assert min_equipartition_rank(state, 1e-2, seed=master.child(1)) == 19
-    assert shapes == [(64, 64)] * 96
+    assert svds == [1] + [1, 15] * 3 + [1, 12, 1, 15] + [1] * 7 + [2, 1, 1, 2] + [1] * 5
     assert tested == [61] * 16 + [47] * 16 + [44] * 16 + [30] * 32 + [19] * 382
 
 
 def test_lanes_share_one_running_minimum(monkeypatch):
     # The n = 12 state above on two lanes, with lane 1 run to completion
-    # before lane 0 starts.  Lane 1 starts at the seed SVD's m = d = 64 and
-    # lowers it to 32 on its own; lane 0 then tests every cut at 32 or below.
+    # before lane 0.  Stack 0 passes at the seed SVD's m = d = 64 before
+    # the lanes start.  Lane 1 tests its first stack (stack 2) at 64, lowers
+    # m to 32 on its own and tests the rest of that stack again at 32;
+    # lane 0 then tests every cut of its 14 stacks at 32.
     master = SeedSpec(1).child(1)
     state = _u0(random_two_qubit_circuit(12, 24, master.child(0)))
-    tested, lane_1 = [], []
+    tested, split = [], []
     gram_test = correlation_analysis._gram_test
 
     def recording_test(stack, m, *args):
@@ -385,16 +394,16 @@ def test_lanes_share_one_running_minimum(monkeypatch):
 
     def lane_1_first(fn, items, workers=1):
         assert list(items) == [0, 1]
-        minimum = fn(1)
-        lane_1.append((len(tested), minimum))
-        return [fn(0), minimum]
+        fn(1)
+        split.append(len(tested))
+        fn(0)
 
     monkeypatch.setattr(correlation_analysis, "_gram_test", recording_test)
     monkeypatch.setattr(correlation_analysis, "parallel_map", lane_1_first)
     assert min_equipartition_rank(state, seed=master.child(1), workers=2) == 32
-    [(split, minimum)] = lane_1
-    assert minimum == 32 and max(tested[:split]) == 64
-    assert len(tested[split:]) == 238 and max(tested[split:]) <= minimum
+    [split] = split
+    assert tested[:split] == [64] * 32 + [32] * 5 + [32] * 206
+    assert tested[split:] == [32] * 224
 
 
 def test_lanes_lower_the_shared_minimum_under_thread_switches(monkeypatch):
@@ -443,6 +452,48 @@ def test_a_failed_cut_of_rank_m_leaves_the_lane_testing(monkeypatch):
     fail_every = True
     assert min_equipartition_rank(state, seed=master.child(1)) == 32
     assert len(tested) < math.comb(11, 5) and tested.count(tested[-1]) == 16
+
+
+# (gates, circuit and sampling seed, cuts per stack) per n.  The first case
+# of each n fails when cuts that fail the retest skip their SVDs, and at
+# n = 10 and 12 also when the retest runs at half the lowered m: a cut of
+# the minimum rank then sits behind the stack's first failed cut.
+FORCED_FAILURE_CASES = {
+    8: [(12, 9451, 2), (8, 9400, 3), (12, 9451, 4)],
+    10: [(15, 9614, 2), (10, 9600, 5), (15, 9614, 5)],
+    12: [(12, 9816, 3), (18, 9800, 5)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(FORCED_FAILURE_CASES))
+def test_random_forced_failures_leave_the_full_scan_minimum(monkeypatch, n):
+    # Failing a cut that passes is always sound: it only sends the cut to
+    # its full SVD.  Here every cut whose matrix has an odd CRC-32 fails,
+    # a fixed pseudo-random half that no thread schedule changes, so small
+    # stacks are left with several failed cuts; where the first one's SVD
+    # lowers m, the rest are tested again at the lowered m.  On every lane
+    # count and at a tight and a loose tol the minimum must stay the full
+    # scan's.  A retest gets the compacted stack without its first cut, a
+    # view one cut into the stack buffer; a first test gets the buffer's start.
+    gram_test = correlation_analysis._gram_test
+    retests = []
+
+    def failing_odd(stack, m, *args):
+        retests.append(stack.ctypes.data != stack.base.ctypes.data)
+        even = [zlib.crc32(matrix.tobytes()) % 2 == 0 for matrix in stack]
+        return gram_test(stack, m, *args) & np.array(even, dtype=bool)
+
+    monkeypatch.setattr(correlation_analysis, "_gram_test", failing_odd)
+    cap = 40 if n == 12 else None
+    for gates, seed, per_stack in FORCED_FAILURE_CASES[n]:
+        _cuts_per_stack(monkeypatch, n, per_stack)
+        state = _u0(random_two_qubit_circuit(n, gates, SeedSpec(seed)))
+        for rel_tol in (DEFAULT_RANK_TOL, 1e-2):
+            want = min_rank_over_equipartitions(state, rel_tol, cap, SeedSpec(seed)).min_rank
+            for workers in (1, 2, 4):
+                got = min_equipartition_rank(state, rel_tol, cap, SeedSpec(seed), workers)
+                assert got == want, (gates, seed, per_stack, rel_tol, workers)
+    assert any(retests)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])

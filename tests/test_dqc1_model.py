@@ -141,7 +141,9 @@ def test_register_columns_refuses_indices_outside_the_register_for_every_kind(ki
         "lazy": haar_unitary(n, SeedSpec(5)),
         "dense": DenseOperator(n, np.eye(2**n)),
     }[kind]
-    for xs in ([-1], [2**n], [0, 2**n - 1, 2**n]):
+    # Past the int64 range an index used to raise OverflowError in the intp conversion.
+    for xs in ([-1], [2**n], [0, 2**n - 1, 2**n], [2**70], [-2**70], [2**63], [np.uint64(2**63)],
+               [-2**63], [-2**63 - 1], np.array([2**63], dtype=np.uint64)):
         with pytest.raises(ValueError, match=r"basis indices must lie in 0\.\.7"):
             register_columns(unitary, xs, adjoint)
     assert register_columns(unitary, [0, 2**n - 1], adjoint).shape == (2**n, 2)

@@ -132,6 +132,23 @@ def test_ginibre_draw_keeps_the_bits_of_the_two_draw_sum(dim):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_haar_draw_keeps_the_bits_of_the_assembled_ginibre_draw(n):
+    # haar_unitary keeps the two real normal blocks apart and assembles the
+    # complex draw only to build the matrix.  U|0> and the built matrix keep
+    # the bits they had with the draw assembled up front.
+    for s in range(3 if n <= 8 else 1):
+        seed = SeedSpec(1400 + 10 * n + s)
+        ginibre = randomness._ginibre(2**n, seed.generator())
+        u = haar_unitary(n, seed)
+        column = ginibre[:, 0] / np.linalg.norm(ginibre[:, 0])
+        assert u.first_column.tobytes() == column.tobytes()
+        if n <= 8:
+            want = randomness._phase_fixed_q(ginibre)
+            want[:, 0] = column
+            assert u.matrix.tobytes() == want.tobytes()
+
+
 def test_built_haar_matrix_keeps_no_ginibre_draw():
     # At n = 10 the Ginibre draw and the matrix are 16 MiB each.
     tracemalloc.start()
@@ -267,7 +284,8 @@ def test_dense_builders_refuse_registers_above_the_limit_before_drawing(monkeypa
         raise AssertionError("a Haar matrix was drawn")
 
     monkeypatch.setattr(randomness, "_haar_matrix", drew)
-    monkeypatch.setattr(randomness, "_ginibre", drew)
+    # haar_unitary draws its normal blocks straight from the generator.
+    monkeypatch.setattr(randomness.SeedSpec, "generator", drew)
     for build in (haar_unitary, haar_product_unitary):
         with pytest.raises(ValueError, match=f"n <= {DENSE_LIMIT} qubits, got {DENSE_LIMIT + 1}"):
             build(DENSE_LIMIT + 1, SeedSpec(19))

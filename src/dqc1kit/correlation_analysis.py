@@ -25,7 +25,7 @@ from .dqc1_model import (
     Dqc1Config,
     column_blocks,
     final_state,
-    probe_matrix,
+    probe_stack,
     register_columns,
 )
 from .tensor_core import (
@@ -82,18 +82,18 @@ def _stacked_singular_values(
 ) -> np.ndarray:
     """Singular values of ``count`` same-shape matrices, row k for matrix k.
 
-    ``fill(k, out)`` writes matrix k into the (m, n) array ``out``.  The
-    matrices go to :func:`singular_values` in stacks of at most
-    COLUMN_BLOCK_ENTRIES amplitudes (at least one matrix), each filled in
-    place, and the stacks are the items of :func:`parallel_map`: one SVD
-    per item loses to serial on two threads, a stack of them wins.
+    The matrices go to :func:`singular_values` in stacks of at most
+    COLUMN_BLOCK_ENTRIES amplitudes (at least one matrix), and
+    ``fill(start, stack)`` writes matrices start, start + 1, ... into the
+    (k, m, n) array ``stack`` in place.  The stacks are the items of
+    :func:`parallel_map`: one SVD per item loses to serial on two threads,
+    a stack of them wins.
     """
     per_stack = max(1, COLUMN_BLOCK_ENTRIES // (shape[0] * shape[1]))
 
     def run(start: int) -> np.ndarray:
         stack = np.empty((min(per_stack, count - start), *shape), dtype=np.complex128)
-        for k, out in enumerate(stack, start):
-            fill(k, out)
+        fill(start, stack)
         return singular_values(stack)
 
     return np.concatenate(parallel_map(run, range(0, count, per_stack), workers))
@@ -357,11 +357,15 @@ def min_equipartition_rank(
     The same cuts, in the same order, are gathered into stacks; a
     ``partition_cap`` below the population needs ``seed``.  The stacks
     share one running minimum m.  It starts at the rank of cut 0, decided
-    by a full SVD, and only ever decreases.  Stack 0 is scanned next, on
-    the calling thread, so no lane starts at a stale m; then stack k,
-    k >= 1, goes to lane (k - 1) mod ``workers``, lane 0 carrying on from
-    stack 0's state, so a scan of two stacks runs one lane and
-    ``workers = 1`` scans the stacks in order.  The lanes run on one
+    by a full SVD, and only ever decreases.  Where a stack holds more than
+    one cut (n <= 14), stack 0 is scanned next, on the calling thread, so
+    no lane starts at a stale m; then stack k, k >= 1, goes to lane
+    (k - 1) mod ``workers``, lane 0 carrying on from stack 0's state, so a
+    scan of two stacks runs one lane.  Where a stack holds one cut, stack
+    0 would be one cut's test alone on the calling thread, and stack k
+    goes to lane k mod ``workers`` (at n = 16 on two workers, 78 of 120
+    alternated runs were faster so).  Either way ``workers = 1`` scans the
+    stacks in order.  The lanes run on one
     thread pool: a pool per round of ``workers`` stacks made the
     benchmark's rank-scaling job slower (107 against 90 ms on two
     workers).  Each lane reads m before each stack and lowers it, under a
@@ -488,8 +492,8 @@ def min_equipartition_rank(
         return m, failed, testing
 
     def lane(first: int) -> None:
-        carried = stack_0 if first == 0 else (minimum[0], 0, in_range)
-        for start in starts[1 + first::workers]:
+        carried = stack_0 if first == 0 and first_alone else (minimum[0], 0, in_range)
+        for start in starts[first_alone + first::workers]:
             carried = scan_stack(start, *carried, buffers[first])
 
     # Each lane refills one stack buffer and tests its cuts in three flat
@@ -498,7 +502,8 @@ def min_equipartition_rank(
     # the peak of five rounds of the dense_analysis jobs from 47.8 to 49.8 MiB.
     # The batch buffers, viewed as intp, also hold a stack's gather index:
     # a batch is at least a quarter of a stack.
-    lanes = range(min(workers, len(starts) - 1))
+    first_alone = int(per_stack > 1)
+    lanes = range(min(workers, len(starts) - first_alone))
     shape = (min(per_stack, len(cuts)), d, d)
     batch = math.prod(shape)
     if d * d < GRAM_BATCH_ENTRIES:
@@ -518,17 +523,19 @@ def min_equipartition_rank(
     lock = threading.Lock()
     if minimum[0] == 0:  # psi = 0: every cut has rank 0
         return 0
-    stack_0 = scan_stack(0, minimum[0], 0, in_range, buffers[0])
+    if first_alone:
+        stack_0 = scan_stack(0, minimum[0], 0, in_range, buffers[0])
     parallel_map(lane, lanes, workers)
     return minimum[0]
 
 
-def _probe_spectra(tau: float, probes: Sequence[tuple], shape: tuple[int, int]) -> np.ndarray:
-    """Stacked singular values of :func:`probe_matrix` for (task_id, cut, j, column) probes."""
+def _probe_spectra(
+    tau: float, columns: np.ndarray, probes: Sequence[tuple], shape: tuple[int, int]
+) -> np.ndarray:
+    """Stacked singular values of :func:`probe_stack` for (column, axes, j) probes."""
 
-    def fill(k: int, out: np.ndarray) -> None:
-        _task_id, cut, j, column = probes[k]
-        probe_matrix(tau, cut, j, column, out)
+    def fill(start: int, stack: np.ndarray) -> None:
+        probe_stack(tau, columns, probes[start : start + len(stack)], stack)
 
     return _stacked_singular_values(fill, len(probes), shape)
 
@@ -574,16 +581,21 @@ def rank_bound_scan(
     cuts = _sample_cuts(n, sizes, num_cuts, seed)
 
     # Probes are grouped by the column W|x> they read, keyed (adjoint, x);
-    # each entry is (task_id, register cut, j).  The draws come in the order
-    # t, i, j, which the output bytes depend on.
-    probes: dict[tuple[bool, int], list[tuple[int, Bipartition, int]]] = {}
+    # each entry is (task_id, axes, j), with the register qubits in axes
+    # ordered side A, then side B.  A cut is a Bipartition only where the
+    # randomized index needs its sizes and its (i, j) -> x map; the draws
+    # come in the order t, i, j, which the output bytes depend on.
+    probes: dict[tuple[bool, int], list[tuple[int, tuple[int, ...], int]]] = {}
     for task_id, side_a in enumerate(cuts):
-        cut = Bipartition(n, tuple(q - 1 for q in side_a[1:]))
-        t = i = j = 0
+        register_a = [q - 1 for q in side_a[1:]]
+        axes = tuple(register_a + [q for q in range(n) if q not in register_a])
+        t = j = x = 0
         if randomize_index:
+            cut = Bipartition(n, axes[: len(register_a)])
             rng = seed.child(task_id).generator()
             t, i, j = (int(rng.integers(size)) for size in (2, cut.dim_a, cut.dim_b))
-        probes.setdefault((bool(t), cut.basis_index(i, j)), []).append((task_id, cut, j))
+            x = cut.basis_index(i, j)
+        probes.setdefault((bool(t), x), []).append((task_id, axes, j))
 
     # Each distinct column is evolved once, in the column blocks of its
     # direction (U or U-dagger); while a block is held, its probes are
@@ -593,19 +605,20 @@ def rank_bound_scan(
     for adjoint in (False, True):
         distinct = [x for direction, x in probes if direction == adjoint]
         for xs, evolved in column_blocks(config.unitary, distinct, adjoint):
-            by_size: dict[int, list[tuple[int, Bipartition, int, np.ndarray]]] = {}
-            for x, column in zip(xs.tolist(), evolved.T):
-                for task_id, cut, j in probes[adjoint, x]:
-                    by_size.setdefault(cut.n_a, []).append((task_id, cut, j, column))
+            by_size: dict[int, list[tuple[int, tuple[int, tuple[int, ...], int]]]] = {}
+            for c, x in enumerate(xs.tolist()):
+                for task_id, axes, j in probes[adjoint, x]:
+                    by_size.setdefault(len(cuts[task_id]) - 1, []).append((task_id, (c, axes, j)))
             for a, group in by_size.items():
                 shape = (2**a + 1, 2 ** (n - a))
-                spectra = _probe_spectra(tau, group, shape)
-                free = spectra if tau in (0.0, 1.0) else _probe_spectra(1.0, group, shape)
+                picks = [probe for _, probe in group]
+                spectra = _probe_spectra(tau, evolved, picks, shape)
+                free = spectra if tau in (0.0, 1.0) else _probe_spectra(1.0, evolved, picks, shape)
                 ranks = stacked_ranks(free, rel_tol)
-                sides = [cuts[task_id] for task_id, *_ in group]
+                sides = [cuts[task_id] for task_id, _ in group]
                 width = min(2 ** (a + 1), 2 ** (n - a))
                 block = _cut_records(sides, min(a, n - a), True, spectra, ranks, width)
-                for (task_id, *_), record in zip(group, block):
+                for (task_id, _), record in zip(group, block):
                     records[task_id] = record
     return RankScanReport(tuple(records))
 
@@ -650,11 +663,12 @@ def concentration_report(
     # Drawn straight into the stack slot.  The bits are those of
     # (a + 1j b) / ||a + 1j b||: the sum a + 1j b can differ from the
     # parts a, b only in a zero's sign, where a draw is exactly -0.
-    def fill(k: int, out: np.ndarray) -> None:
-        rng = seed.child(k).generator()
-        out.real = rng.standard_normal((d_a, d_b))
-        out.imag = rng.standard_normal((d_a, d_b))
-        out /= np.linalg.norm(out)
+    def fill(start: int, stack: np.ndarray) -> None:
+        for k, out in enumerate(stack, start):
+            rng = seed.child(k).generator()
+            out.real = rng.standard_normal((d_a, d_b))
+            out.imag = rng.standard_normal((d_a, d_b))
+            out /= np.linalg.norm(out)
 
     sing = _stacked_singular_values(fill, samples, (d_a, d_b), workers)
     deviations = np.max(np.abs(sing**2 * d_a - 1.0), axis=1)

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .randomness import Circuit, LazyUnitary, SeedSpec, check_dense_size, evolve_basis_columns
-from .tensor_core import Bipartition, DenseOperator, PureState
+from .tensor_core import DenseOperator, PureState
 
 UnitarySource = Union[DenseOperator, LazyUnitary, Circuit]
 
@@ -149,28 +149,41 @@ def apply_to_product(config: Dqc1Config, t: int, x: int) -> PureState:
     return PureState(config.num_register_qubits + 1, amp / (2 * dim))
 
 
-def probe_matrix(
-    tau: float, register_cut: Bipartition, j: int, column: np.ndarray, out: np.ndarray
+def probe_stack(
+    tau: float,
+    columns: np.ndarray,
+    probes: Sequence[tuple[int, tuple[int, ...], int]],
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Write the nonzero rows of :func:`apply_to_product`'s probe into ``out``.
+    """Write the nonzero rows of :func:`apply_to_product`'s probes, one per slot of ``out``.
 
-    The joint cut holds the top qubit and ``register_cut.side_a`` (shifted
-    up by one label) on side A.  ``column`` is W|x> for the probed x, whose
-    side-B index under ``register_cut`` is ``j``; t does not matter.  The
-    probe's 2^a rows of top bit t hold a single entry, 1 at (i, j), and its
-    2^a rows of top bit 1-t hold tau R(W|x>), the column matricized across
-    the register cut.  Its Schmidt coefficients are the singular values of
-    the (2^a + 1) x 2^b matrix [e_j^T ; tau R(W|x>)] / 2^{n+1} written here,
-    padded with zeros to min(2^{a+1}, 2^b).  The register rows take one
-    strided copy and one multiply by tau 2^-(n+1), which has the bits of
-    (tau R) / 2^{n+1} unless an entry falls into the subnormal range (for
-    unit-scale amplitudes, tau below about 1e-280).
+    ``columns`` is a (2^n, m) block of evolved columns W|x>, and probe s is
+    (c, axes, j): it reads column c; ``axes`` lists the register qubits of
+    its cut, side A's a labels and then side B's, each ascending (the order
+    :meth:`Bipartition.matricize` reads); and j is x's side-B index.  The
+    joint cut holds the top qubit and side A (shifted up by one label); t
+    does not matter.  The probe's 2^a rows of top bit t hold a single
+    entry, 1 at (i, j), and its 2^a rows of top bit 1-t hold tau R(W|x>),
+    the column matricized across the register cut.  Its Schmidt
+    coefficients are the singular values of the (2^a + 1) x 2^b matrix
+    [e_j^T ; tau R(W|x>)] / 2^{n+1}, padded with zeros to
+    min(2^{a+1}, 2^b), which slot s of the (k, 2^a + 1, 2^b) stack ``out``
+    receives.  Each probe's register rows take one strided copy from a
+    (m, 2, ..., 2) view of the block; then the e_j rows are set for the
+    whole stack and its register rows are multiplied once by
+    tau 2^-(n+1), which has the bits of (tau R) / 2^{n+1} unless an entry
+    falls into the subnormal range (for unit-scale amplitudes, tau below
+    about 1e-280).
     """
-    scale = 2.0 ** -(register_cut.total_qubits + 1)
-    out[0] = 0.0
-    out[0, j] = scale
-    register_cut.matricize(column, out=out[1:])
-    out[1:] *= tau * scale
+    n = columns.shape[0].bit_length() - 1
+    scale = 2.0 ** -(n + 1)
+    qubits = columns.T.reshape((-1,) + (2,) * n)
+    registers = out[:, 1:].reshape((len(out),) + (2,) * n)
+    for slot, (c, axes, _j) in zip(registers, probes):
+        slot[...] = qubits[c].transpose(axes)
+    out[:, 0] = 0.0
+    out[np.arange(len(out)), 0, [j for _c, _axes, j in probes]] = scale
+    out[:, 1:] *= tau * scale
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Optional, Sequence
@@ -120,9 +121,9 @@ class LazyUnitary:
     def matrix(self) -> np.ndarray:
         mat = self.build()
         mat[:, 0] = self.first_column
-        # Drop what build holds (a Haar draw's normal blocks).  cached_property
-        # has no lock on Python 3.12+, so a thread reading .matrix at once
-        # must still get a matrix from build: this one.
+        # Drop what build holds (a product's factors).  cached_property has
+        # no lock on Python 3.12+, so a thread reading .matrix at once must
+        # still get a matrix from build: this one.
         object.__setattr__(self, "build", lambda: mat)
         return mat
 
@@ -133,17 +134,29 @@ def haar_unitary(num_qubits: int, seed: SeedSpec) -> LazyUnitary:
     U|0> is z[:,0]/|z[:,0]| for the Ginibre draw z: column 0 of its phase-fixed
     QR in exact arithmetic (Mezzadri, Notices AMS 54, 592 (2007)).  The two
     real normal blocks of z are kept apart, and z itself is assembled only
-    when the matrix is built; U|0> needs only their first columns.
+    when the matrix is built; U|0> needs only their first columns.  The
+    build releases the blocks once z holds them, before the QR.
     """
     check_dense_size(num_qubits)
     # One draw, the real block's values first in the stream: one allocation
     # of the assembled matrix's size.  Two separate blocks made the next job
     # in the same process slower (truncation after an n = 9 scan: 8.3-8.6
     # against 5.8 ms), likely through the allocator's mmap threshold.
-    real, imag = seed.generator().standard_normal((2, 2**num_qubits, 2**num_qubits))
-    column = _complex_normals(real[:, 0], imag[:, 0])
+    normals = [seed.generator().standard_normal((2, 2**num_qubits, 2**num_qubits))]
+    column = _complex_normals(normals[0][0, :, 0], normals[0][1, :, 0])
     first = column / np.linalg.norm(column)
-    return LazyUnitary(num_qubits, first, lambda: _phase_fixed_q(_complex_normals(real, imag)))
+    built: list[np.ndarray] = []
+    lock = threading.Lock()
+
+    def build() -> np.ndarray:
+        # The blocks can be handed to one build only: threads that read
+        # .matrix at once wait here and share its matrix.
+        with lock:
+            if not built:
+                built.append(_phase_fixed_q(_complex_normals(*normals.pop())))
+            return built[0]
+
+    return LazyUnitary(num_qubits, first, build)
 
 
 def haar_product_unitary(num_qubits: int, seed: SeedSpec) -> LazyUnitary:

@@ -2,9 +2,11 @@
 
 Everything here is computed with explicit bit arithmetic and dense matrix
 algebra, deliberately avoiding the package's reshape/transpose kernels so
-the two sides of each comparison share no code.  The one exception is the
-column-first circuit kernel at the end, kept as the bit-for-bit reference
-for the package's circuit columns: it shares only the fusion plan.
+the two sides of each comparison share no code.  The two exceptions are
+kept as bit-for-bit references: the per-probe writer of bound-scan's probe
+matrices, which shares ``Bipartition.matricize``, and the column-first
+circuit kernel at the end, for the package's circuit columns, which shares
+only the fusion plan.
 """
 
 from __future__ import annotations
@@ -175,6 +177,24 @@ def tree_split_sizes(
                 stack.append(other)
     side = sum(1 for leaf in range(num_leaves) if leaf in seen)
     return side, num_leaves - side
+
+
+def probe_matrix(
+    tau: float, register_cut, j: int, column: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """One probe's [e_j^T ; tau R(W|x>)] / 2^{n+1} written into the (2^a + 1, 2^b) ``out``.
+
+    The per-probe reference for ``dqc1_model.probe_stack``: the e_j row,
+    then the column matricized across the register cut in one strided
+    copy, then the register rows multiplied by tau 2^-(n+1).  Each slot of
+    a stack must hold these bits exactly.
+    """
+    scale = 2.0 ** -(register_cut.total_qubits + 1)
+    out[0] = 0.0
+    out[0, j] = scale
+    register_cut.matricize(column, out=out[1:])
+    out[1:] *= tau * scale
+    return out
 
 
 def _column_first_insert(t, order, qubits, xs, n):

@@ -7,7 +7,7 @@ from itertools import combinations, count
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dqc1kit import (
     DEFAULT_RANK_TOL,
@@ -771,6 +771,71 @@ def test_stacked_bound_scan_is_the_dense_per_probe_path(n, kind):
                 assert record.rank == (1 if tau == 0 else rank_of(schmidt_decompose(free, joint)))
                 padded += min(2**reg_a + 1, 2 ** (n - reg_a)) < len(record.spectrum_head)
     assert (padded > 0) == (n == 5)
+
+
+@st.composite
+def probe_scan_cases(draw):
+    """(n, kind, tau, randomize, num_cuts, seed) of a bound scan at n = 5-9.
+
+    ``num_cuts`` None scans every cut, so default-index stacks hold many
+    probes; a randomized index spreads the probes over columns of both
+    directions, so most of its stacks hold one.
+    """
+    n = draw(st.integers(5, 9))
+    kind = draw(st.sampled_from(sorted(_UNITARY_BUILDERS)))
+    tau = draw(st.sampled_from([0.0, 1e-11, 0.6, 1.0]))
+    randomize = draw(st.booleans())
+    num_cuts = draw(st.one_of(st.none(), st.integers(1, 16)))
+    return n, kind, tau, randomize, num_cuts, draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=probe_scan_cases())
+@example(case=(9, "haar", 1.0, False, None, 1))  # stacks of 36 and 84 probes
+@example(case=(9, "circuit", 0.6, True, 6, 2))  # stacks of one
+@example(case=(8, "product", 1e-11, True, None, 3))
+def test_scan_stacks_hold_the_per_probe_writer_bits(case):
+    # Every matrix the scan hands to its SVDs, against the per-probe writer
+    # (oracles.probe_matrix) fed the very column the scan evolved: the same
+    # multiset of (shape, bytes).  At 0 < tau < 1 each probe is filled twice,
+    # once at tau and once at tau = 1 for the rank.
+    n, kind, tau, randomize, num_cuts, seed_value = case
+    seed = SeedSpec(seed_value)
+    unitary = _UNITARY_BUILDERS[kind](n, seed)
+    columns, filled, stack_sizes = {}, [], set()
+    blocks, svd = correlation_analysis.column_blocks, correlation_analysis.singular_values
+
+    def recorded_blocks(source, xs, adjoint):
+        for block_xs, block in blocks(source, xs, adjoint):
+            for c, x in enumerate(block_xs.tolist()):
+                columns[adjoint, x] = block[:, c].copy()
+            yield block_xs, block
+
+    def recorded_svd(stack):
+        stack_sizes.add(len(stack))
+        filled.extend((m.shape, m.tobytes()) for m in stack)
+        return svd(stack)
+
+    correlation_analysis.column_blocks = recorded_blocks
+    correlation_analysis.singular_values = recorded_svd
+    try:
+        report = rank_bound_scan(Dqc1Config(tau, unitary), num_cuts, seed=seed,
+                                 randomize_index=randomize)
+    finally:
+        correlation_analysis.column_blocks = blocks
+        correlation_analysis.singular_values = svd
+    want = []
+    for task_id, record in enumerate(report.records):
+        cut = Bipartition(n, tuple(q - 1 for q in record.side_a[1:]))
+        t, i, j = _scan_index(seed, task_id, cut.n_a, n) if randomize else (0, 0, 0)
+        column = columns[bool(t), oracles.register_index(n, cut.side_a, i, j)]
+        for scale in {tau, 1.0} if 0.0 < tau < 1.0 else {tau}:
+            out = np.empty((cut.dim_a + 1, cut.dim_b), dtype=np.complex128)
+            want.append((out.shape, oracles.probe_matrix(scale, cut, j, column, out).tobytes()))
+    assert sorted(filled) == sorted(want)
+    if num_cuts is None:
+        assert max(stack_sizes) > 1 or randomize
+        assert {adjoint for adjoint, _ in columns} == ({False, True} if randomize else {False})
 
 
 def test_default_index_circuit_scan_evolves_one_column(monkeypatch):

@@ -25,7 +25,7 @@ from dqc1kit import (
     simulate_trace_estimation,
     write_circuit,
 )
-from dqc1kit.dqc1_model import probe_matrix, register_columns
+from dqc1kit.dqc1_model import probe_stack, register_columns
 from dqc1kit.tensor_core import is_unitary
 from dqc1kit.randomness import DENSE_LIMIT
 
@@ -172,10 +172,11 @@ def test_probe_spectrum_matches_dense_probe(n):
                     i, j = int(rng.integers(cut.dim_a)), int(rng.integers(cut.dim_b))
                     x = oracles.register_index(n, cut.side_a, i, j)
                     column = register_columns(unitary, [x], bool(t))[:, 0]
-                    rows = np.full((cut.dim_a + 1, cut.dim_b), np.nan, dtype=complex)
-                    assert probe_matrix(tau, cut, j, column, rows) is rows
+                    rows = np.full((1, cut.dim_a + 1, cut.dim_b), np.nan, dtype=complex)
+                    probe = (0, cut.side_a + cut.side_b, j)
+                    assert probe_stack(tau, column[:, np.newaxis], [probe], rows) is rows
                     width = min(2 * cut.dim_a, cut.dim_b)
-                    sing = np.linalg.svd(rows, compute_uv=False)
+                    sing = np.linalg.svd(rows[0], compute_uv=False)
                     got = SchmidtSpectrum(np.pad(sing, (0, width - sing.size)))
                     want = schmidt_decompose(apply_to_product(config, t, x), joint)
                     assert got.coefficients.shape == want.coefficients.shape

@@ -150,17 +150,22 @@ def test_haar_draw_keeps_the_bits_of_the_assembled_ginibre_draw(n):
 
 
 def test_built_haar_matrix_keeps_no_ginibre_draw():
-    # At n = 10 the Ginibre draw and the matrix are 16 MiB each.
+    # At n = 10 the Ginibre draw and the matrix are 16 MiB each.  From the
+    # draw on, the peak is the build's, inside np.linalg.qr: four matrices
+    # (z, the QR's working copy, q and r), triu's 1 MiB boolean mask and a
+    # few columns.  Normals held through the QR made it 81 MiB.
+    haar_unitary(3, SeedSpec(3)).matrix  # first-use allocations, outside the trace
     tracemalloc.start()
     try:
         u = haar_unitary(10, SeedSpec(3))
         drawn = tracemalloc.get_traced_memory()[0]
         u.matrix
         gc.collect()
-        built = tracemalloc.get_traced_memory()[0]
+        built, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert built - drawn < 2**20
+    assert peak <= 65 * 2**20 + 4 * 16 * 2**10
 
 
 def test_haar_matrix_read_by_threads_at_once_is_one_matrix():

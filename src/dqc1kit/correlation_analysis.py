@@ -357,15 +357,11 @@ def min_equipartition_rank(
     The same cuts, in the same order, are gathered into stacks; a
     ``partition_cap`` below the population needs ``seed``.  The stacks
     share one running minimum m.  It starts at the rank of cut 0, decided
-    by a full SVD, and only ever decreases.  Where a stack holds more than
-    one cut (n <= 14), stack 0 is scanned next, on the calling thread, so
-    no lane starts at a stale m; then stack k, k >= 1, goes to lane
-    (k - 1) mod ``workers``, lane 0 carrying on from stack 0's state, so a
-    scan of two stacks runs one lane.  Where a stack holds one cut, stack
-    0 would be one cut's test alone on the calling thread, and stack k
-    goes to lane k mod ``workers`` (at n = 16 on two workers, 78 of 120
-    alternated runs were faster so).  Either way ``workers = 1`` scans the
-    stacks in order.  The lanes run on one
+    by a full SVD, and only ever decreases.  Stack 0 is scanned next, on
+    the calling thread, so no lane starts at a stale m; then stack k,
+    k >= 1, goes to lane (k - 1) mod ``workers``, lane 0 carrying on from
+    stack 0's state, so a scan of two stacks runs one lane and
+    ``workers = 1`` scans the stacks in order.  The lanes run on one
     thread pool: a pool per round of ``workers`` stacks made the
     benchmark's rank-scaling job slower (107 against 90 ms on two
     workers).  Each lane reads m before each stack and lowers it, under a
@@ -492,8 +488,8 @@ def min_equipartition_rank(
         return m, failed, testing
 
     def lane(first: int) -> None:
-        carried = stack_0 if first == 0 and first_alone else (minimum[0], 0, in_range)
-        for start in starts[first_alone + first::workers]:
+        carried = stack_0 if first == 0 else (minimum[0], 0, in_range)
+        for start in starts[1 + first::workers]:
             carried = scan_stack(start, *carried, buffers[first])
 
     # Each lane refills one stack buffer and tests its cuts in three flat
@@ -502,8 +498,7 @@ def min_equipartition_rank(
     # the peak of five rounds of the dense_analysis jobs from 47.8 to 49.8 MiB.
     # The batch buffers, viewed as intp, also hold a stack's gather index:
     # a batch is at least a quarter of a stack.
-    first_alone = int(per_stack > 1)
-    lanes = range(min(workers, len(starts) - first_alone))
+    lanes = range(min(workers, len(starts) - 1))
     shape = (min(per_stack, len(cuts)), d, d)
     batch = math.prod(shape)
     if d * d < GRAM_BATCH_ENTRIES:
@@ -523,8 +518,7 @@ def min_equipartition_rank(
     lock = threading.Lock()
     if minimum[0] == 0:  # psi = 0: every cut has rank 0
         return 0
-    if first_alone:
-        stack_0 = scan_stack(0, minimum[0], 0, in_range, buffers[0])
+    stack_0 = scan_stack(0, minimum[0], 0, in_range, buffers[0])
     parallel_map(lane, lanes, workers)
     return minimum[0]
 

@@ -116,15 +116,18 @@ class LazyUnitary:
     num_qubits: int
     first_column: np.ndarray
     build: Callable[[], np.ndarray]
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        mat = self.build()
-        mat[:, 0] = self.first_column
-        # Drop what build holds (a product's factors).  cached_property has
-        # no lock on Python 3.12+, so a thread reading .matrix at once must
-        # still get a matrix from build: this one.
-        object.__setattr__(self, "build", lambda: mat)
+        # cached_property has no lock on Python 3.12+: threads reading
+        # .matrix at once wait here, and build runs once.  Replacing it
+        # drops what it holds (a Haar draw's normals, a product's factors),
+        # and a waiting thread gets this matrix from it.
+        with self._lock:
+            mat = self.build()
+            mat[:, 0] = self.first_column
+            object.__setattr__(self, "build", lambda: mat)
         return mat
 
 
@@ -145,18 +148,7 @@ def haar_unitary(num_qubits: int, seed: SeedSpec) -> LazyUnitary:
     normals = [seed.generator().standard_normal((2, 2**num_qubits, 2**num_qubits))]
     column = _complex_normals(normals[0][0, :, 0], normals[0][1, :, 0])
     first = column / np.linalg.norm(column)
-    built: list[np.ndarray] = []
-    lock = threading.Lock()
-
-    def build() -> np.ndarray:
-        # The blocks can be handed to one build only: threads that read
-        # .matrix at once wait here and share its matrix.
-        with lock:
-            if not built:
-                built.append(_phase_fixed_q(_complex_normals(*normals.pop())))
-            return built[0]
-
-    return LazyUnitary(num_qubits, first, build)
+    return LazyUnitary(num_qubits, first, lambda: _phase_fixed_q(_complex_normals(*normals.pop())))
 
 
 def haar_product_unitary(num_qubits: int, seed: SeedSpec) -> LazyUnitary:

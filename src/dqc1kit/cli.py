@@ -87,6 +87,13 @@ def _one_blas_thread() -> Iterator[None]:
         set_(before)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or the CPU count where there is none."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # -> never returns
         raise ValueError(message)
@@ -206,6 +213,7 @@ def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
         rel_tol=args.tol,
         seed=master.child(1),
         randomize_index=args.randomize_index,
+        workers=args.workers,
     )
     low, _high = balanced_window(args.n)
     global_floor = 2**low
@@ -234,10 +242,7 @@ def _cmd_bound_scan(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_concentration(args: argparse.Namespace) -> CommandResult:
-    report = concentration_report(
-        args.na, args.nb, args.samples, SeedSpec(args.seed), workers=args.workers,
-        rel_tol=args.tol,
-    )
+    report = concentration_report(args.na, args.nb, args.samples, SeedSpec(args.seed), args.tol)
     rows = [
         {"sample": k, "max_deviation": dev, "nonzero_count": cnt}
         for k, (dev, cnt) in enumerate(zip(report.max_deviations, report.nonzero_counts))
@@ -262,7 +267,9 @@ def _cmd_trace_estimate(args: argparse.Namespace) -> CommandResult:
             raise ValueError("--circuit requires --circuit-qubits")
         unitary = read_circuit(args.circuit, args.circuit_qubits)
     config = Dqc1Config(args.tau, unitary)
-    estimate = simulate_trace_estimation(config, args.shots, SeedSpec(args.seed).child(0))
+    estimate = simulate_trace_estimation(
+        config, args.shots, SeedSpec(args.seed).child(0), args.workers
+    )
     exact = estimate.exact
     meta = _base_meta(args)
     meta.update(
@@ -333,10 +340,11 @@ def _build_parser() -> _Parser:
         help="master seed (default 1)",
     )
     common.add_argument(
-        "--workers", type=_AT_LEAST_1, default=1,
-        help="threads for the stacked SVDs of rank-scaling and concentration and for"
-        " rank-scaling's Cholesky tests; a rank-scaling scan of at most two stacks"
-        " (n <= 10) runs on one (default 1)",
+        "--workers", type=_AT_LEAST_1, default=None,
+        help="threads for rank-scaling's cut stacks and for the circuit column blocks of"
+        " bound-scan and trace-estimate --circuit; a rank-scaling scan of at most two"
+        " stacks (n <= 10) and a bound-scan of one block run on one, and the other"
+        " commands always do (default and cap: the CPUs this process may use)",
     )
     common.add_argument(
         "--tol", type=_ranged(float, lambda v: 0 < v < 1, "lie in (0, 1)"),
@@ -445,6 +453,9 @@ def _serialize(result: CommandResult, chosen_format: Optional[str]) -> str:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        # More lanes than CPUs only add buffers and threads.
+        cpus = _usable_cpus()
+        args.workers = cpus if args.workers is None else min(args.workers, cpus)
         with _one_blas_thread():
             result = args.run(args)
         text = _serialize(result, args.format)

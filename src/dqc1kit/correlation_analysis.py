@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, combinations, islice
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -23,8 +23,10 @@ from .dqc1_model import (
     COLUMN_BLOCK_ENTRIES,
     STREAM_LIMIT,
     Dqc1Config,
+    UnitarySource,
     column_blocks,
     final_state,
+    parallel_map,
     probe_stack,
     register_columns,
 )
@@ -39,10 +41,7 @@ from .tensor_core import (
     stacked_ranks,
     truncation_fidelity,
 )
-from .randomness import SeedSpec
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
+from .randomness import Circuit, SeedSpec, column_buffers, evolve_basis_columns
 
 # The truncation floor divides 1-F by tau^2, and the off-diagonal blocks hold
 # a share tau^2/(1+tau^2) of ||rho||_F^2.  Once that share nears the 2^-52
@@ -62,41 +61,25 @@ class ClaimFalsified(Exception):
     """A property the toolkit certifies numerically failed to hold."""
 
 
-def parallel_map(
-    fn: Callable[[_T], _R], items: Sequence[_T], workers: int = 1
-) -> list[_R]:
-    """Order-preserving map, optionally on a thread pool.
-
-    Results are merged by item index, so output is identical for any
-    worker count.  Threads suffice because the heavy kernels release the
-    interpreter lock inside the linear-algebra backend.
-    """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _stacked_singular_values(
-    fill: Callable[[int, np.ndarray], None], count: int, shape: tuple[int, int], workers: int = 1
-) -> np.ndarray:
+    fill: Callable[[int, np.ndarray], Sequence[np.ndarray]], count: int, shape: tuple[int, int]
+) -> list[np.ndarray]:
     """Singular values of ``count`` same-shape matrices, row k for matrix k.
 
     The matrices go to :func:`singular_values` in stacks of at most
-    COLUMN_BLOCK_ENTRIES amplitudes (at least one matrix), and
-    ``fill(start, stack)`` writes matrices start, start + 1, ... into the
-    (k, m, n) array ``stack`` in place.  The stacks are the items of
-    :func:`parallel_map`: one SVD per item loses to serial on two threads,
-    a stack of them wins.
+    COLUMN_BLOCK_ENTRIES amplitudes (at least one matrix), one call per
+    stack.  ``fill(start, stack)`` writes matrices start, start + 1, ...
+    into the (k, m, n) array ``stack`` in place and returns the stacks to
+    decompose, ``stack`` or arrays made from it; result i holds the
+    values of the i-th of them.  The stacks run serially: a pool of them
+    never paid where it was measured (see the README's ``--workers``).
     """
     per_stack = max(1, COLUMN_BLOCK_ENTRIES // (shape[0] * shape[1]))
-
-    def run(start: int) -> np.ndarray:
+    parts = []
+    for start in range(0, count, per_stack):
         stack = np.empty((min(per_stack, count - start), *shape), dtype=np.complex128)
-        fill(start, stack)
-        return singular_values(stack)
-
-    return np.concatenate(parallel_map(run, range(0, count, per_stack), workers))
+        parts.append([singular_values(matrices) for matrices in fill(start, stack)])
+    return [np.concatenate(values) for values in zip(*parts)]
 
 
 def balanced_window(num_register_qubits: int) -> tuple[int, int]:
@@ -525,13 +508,100 @@ def min_equipartition_rank(
 
 def _probe_spectra(
     tau: float, columns: np.ndarray, probes: Sequence[tuple], shape: tuple[int, int]
-) -> np.ndarray:
-    """Stacked singular values of :func:`probe_stack` for (column, axes, j) probes."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked singular values of :func:`probe_stack`'s (column, axes, j) probes at tau and at 1.
 
-    def fill(start: int, stack: np.ndarray) -> None:
-        probe_stack(tau, columns, probes[start : start + len(stack)], stack)
+    At tau = 0 or 1 one stack serves both and the two results are one
+    array; otherwise each stack is filled once and copied, and each copy
+    takes its own factor.
+    """
 
-    return _stacked_singular_values(fill, len(probes), shape)
+    def fill(start: int, stack: np.ndarray) -> tuple[np.ndarray, ...]:
+        unit = None if tau in (0.0, 1.0) else np.empty_like(stack)
+        probe_stack(tau, columns, probes[start : start + len(stack)], stack, unit)
+        return (stack,) if unit is None else (stack, unit)
+
+    spectra = _stacked_singular_values(fill, len(probes), shape)
+    return spectra[0], spectra[-1]
+
+
+def _evolved_blocks(
+    unitary: UnitarySource, columns: dict[bool, list[int]], workers: int
+) -> Iterator[tuple[bool, np.ndarray, np.ndarray]]:
+    """(adjoint, xs, W|xs>) over the listed columns of each direction, a block at a time.
+
+    Each direction's columns are split into the fewest blocks of at most
+    COLUMN_BLOCK_ENTRIES amplitudes.  A circuit's blocks run on L =
+    min(workers, blocks) lanes where L >= 2; any other source, or one
+    lane, is evolved on the calling thread by :func:`column_blocks`.
+
+    On lanes the blocks have sizes that differ by at most one and go
+    largest first, so that blocks evolved at the same time have equal
+    sizes.  Block i goes to lane i mod L, which evolves it in its own two
+    work buffers, and evolves its next block only once the caller is done
+    with this one: the caller takes the blocks in order and probes each
+    while the other lanes evolve theirs.  The lanes run on
+    :func:`parallel_map`, called from a helper thread that leaves the
+    caller free; each has its own thread, so every lane runs at once.
+    The buffers, and the circuit's fused blocks of both directions, are
+    made here before any lane starts.  An error in a lane is raised
+    here, and a caller that stops early releases the lanes.  A column's
+    bits do not depend on its block (:func:`evolve_basis_columns`).
+    """
+    n = unitary.num_qubits
+    step = max(1, COLUMN_BLOCK_ENTRIES >> n)
+    blocks = sorted(
+        ((adjoint, xs) for adjoint, indices in columns.items() if indices
+         for xs in np.array_split(np.asarray(indices, dtype=np.intp), -(-len(indices) // step))),
+        key=lambda block: -block[1].size,
+    )
+    lanes = min(workers, len(blocks))
+    if not isinstance(unitary, Circuit) or lanes <= 1:
+        for adjoint, indices in columns.items():
+            for xs, evolved in column_blocks(unitary, indices, adjoint):
+                yield adjoint, xs, evolved
+        return
+    unitary.adjoint_blocks  # built with the fused blocks, on this thread
+    buffers = [column_buffers(n, blocks[0][1].size) for _ in range(lanes)]
+    evolved: list[Optional[np.ndarray]] = [None] * len(blocks)
+    ready = [threading.Event() for _ in blocks]
+    free = [threading.Semaphore() for _ in range(lanes)]  # the caller is done with lane k's block
+    stopped = threading.Event()
+    errors: list[BaseException] = []
+
+    def lane(k: int) -> None:
+        for i in range(k, len(blocks), lanes):
+            free[k].acquire()
+            if stopped.is_set():
+                return
+            adjoint, xs = blocks[i]
+            try:
+                evolved[i] = evolve_basis_columns(unitary, xs, adjoint, buffers[k])
+            finally:
+                ready[i].set()  # a block left None tells the caller its lane failed
+
+    def run_lanes() -> None:
+        try:
+            parallel_map(lane, range(lanes), workers)
+        except BaseException as error:  # raised again on the calling thread
+            errors.append(error)
+
+    runner = threading.Thread(target=run_lanes)
+    runner.start()
+    try:
+        for i, (adjoint, xs) in enumerate(blocks):
+            ready[i].wait()
+            if evolved[i] is None:
+                break
+            yield adjoint, xs, evolved[i]
+            free[i % lanes].release()
+    finally:
+        stopped.set()
+        for lane_free in free:
+            lane_free.release()
+        runner.join()
+    if errors:
+        raise errors[0]
 
 
 def rank_bound_scan(
@@ -540,6 +610,7 @@ def rank_bound_scan(
     rel_tol: float = DEFAULT_RANK_TOL,
     seed: Optional[SeedSpec] = None,
     randomize_index: bool = False,
+    workers: int = 1,
 ) -> RankScanReport:
     """Certified rank floors over balanced cuts of the joint state.
 
@@ -554,12 +625,16 @@ def rank_bound_scan(
     draws each cut's t and register sides (i, j) from
     ``seed.child(task_id)``, so that mode needs a seed.
 
-    The probes run serially, stacked by shape, one SVD call per stack.  A
-    rank is decided on [e_j^T ; R(W|x>)], free of tau: on the tau-scaled
-    matrix sigma_1 comes from the e_j row and the rest scale with tau, so
-    from tau ~ 1e-10 down all of them would fall below the rel_tol cutoff.
-    At tau = 1 one stack serves both, for 0 < tau < 1 a second stack at
-    tau = 1 gives the ranks, and at tau = 0 the stack [e_j^T ; 0] has rank 1.
+    Each distinct column W|x> is evolved once, a circuit's on up to
+    ``workers`` lanes (:func:`_evolved_blocks`).  The probes run on the
+    calling thread, stacked by shape, one SVD call per
+    stack.  A rank is decided on [e_j^T ; R(W|x>)], free of tau: on the
+    tau-scaled matrix sigma_1 comes from the e_j row and the rest scale
+    with tau, so from tau ~ 1e-10 down all of them would fall below the
+    rel_tol cutoff.  At tau = 1 one stack serves both, for 0 < tau < 1 a
+    copy of each stack at tau = 1 gives the ranks, and at tau = 0 the
+    stack [e_j^T ; 0] has rank 1.  Records are filed by task id, so the
+    report does not depend on ``workers``.
     """
     n = config.num_register_qubits
     if n < SCAN_MIN_QUBITS:
@@ -591,23 +666,23 @@ def rank_bound_scan(
             x = cut.basis_index(i, j)
         probes.setdefault((bool(t), x), []).append((task_id, axes, j))
 
-    # Each distinct column is evolved once, in the column blocks of its
-    # direction (U or U-dagger); while a block is held, its probes are
-    # stacked by side-A size, which fixes the matrix shape.
+    # The columns of each direction (U or U-dagger) are evolved in blocks;
+    # while a block is held, its probes are stacked by side-A size, which
+    # fixes the matrix shape.
+    columns = {adjoint: [x for direction, x in probes if direction == adjoint]
+               for adjoint in (False, True)}
     tau = config.polarization
     records: list[Optional[CutRecord]] = [None] * len(cuts)
-    for adjoint in (False, True):
-        distinct = [x for direction, x in probes if direction == adjoint]
-        for xs, evolved in column_blocks(config.unitary, distinct, adjoint):
+    # Closed on any exit, so that an error here releases the lanes at once.
+    with closing(_evolved_blocks(config.unitary, columns, workers)) as blocks:
+        for adjoint, xs, evolved in blocks:
             by_size: dict[int, list[tuple[int, tuple[int, tuple[int, ...], int]]]] = {}
             for c, x in enumerate(xs.tolist()):
                 for task_id, axes, j in probes[adjoint, x]:
                     by_size.setdefault(len(cuts[task_id]) - 1, []).append((task_id, (c, axes, j)))
             for a, group in by_size.items():
                 shape = (2**a + 1, 2 ** (n - a))
-                picks = [probe for _, probe in group]
-                spectra = _probe_spectra(tau, evolved, picks, shape)
-                free = spectra if tau in (0.0, 1.0) else _probe_spectra(1.0, evolved, picks, shape)
+                spectra, free = _probe_spectra(tau, evolved, [probe for _, probe in group], shape)
                 ranks = stacked_ranks(free, rel_tol)
                 sides = [cuts[task_id] for task_id, _ in group]
                 width = min(2 ** (a + 1), 2 ** (n - a))
@@ -635,7 +710,6 @@ def concentration_report(
     n_b: int,
     samples: int,
     seed: SeedSpec,
-    workers: int = 1,
     rel_tol: float = DEFAULT_RANK_TOL,
 ) -> ConcentrationReport:
     """Sample Haar states on d_a x d_b and measure reduction spectra.
@@ -657,14 +731,15 @@ def concentration_report(
     # Drawn straight into the stack slot.  The bits are those of
     # (a + 1j b) / ||a + 1j b||: the sum a + 1j b can differ from the
     # parts a, b only in a zero's sign, where a draw is exactly -0.
-    def fill(start: int, stack: np.ndarray) -> None:
+    def fill(start: int, stack: np.ndarray) -> tuple[np.ndarray]:
         for k, out in enumerate(stack, start):
             rng = seed.child(k).generator()
             out.real = rng.standard_normal((d_a, d_b))
             out.imag = rng.standard_normal((d_a, d_b))
             out /= np.linalg.norm(out)
+        return (stack,)
 
-    sing = _stacked_singular_values(fill, samples, (d_a, d_b), workers)
+    (sing,) = _stacked_singular_values(fill, samples, (d_a, d_b))
     deviations = np.max(np.abs(sing**2 * d_a - 1.0), axis=1)
     counts = stacked_ranks(sing, rel_tol)
     return ConcentrationReport(tuple(deviations.tolist()), tuple(counts.tolist()))

@@ -13,15 +13,25 @@ estimates the normalized trace Tr(U)/2^n.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
-from .randomness import Circuit, LazyUnitary, SeedSpec, check_dense_size, evolve_basis_columns
+from .randomness import (
+    Circuit,
+    LazyUnitary,
+    SeedSpec,
+    check_dense_size,
+    column_buffers,
+    evolve_basis_columns,
+)
 from .tensor_core import DenseOperator, PureState
 
 UnitarySource = Union[DenseOperator, LazyUnitary, Circuit]
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 # The register limit for every path that builds 2^n amplitudes: a state, a
 # column block, a Haar sample, and the streamed trace over 2^n columns.
@@ -41,6 +51,23 @@ COLUMN_BLOCK_ENTRIES = 2**16
 # trace of modulus at most 1, and from about 1e-308 down it overflowed to
 # inf.  Smaller polarizations are refused, at the truncation floor's value.
 TRACE_MIN_TAU = 1e-6
+
+
+def parallel_map(
+    fn: Callable[[_T], _R], items: Sequence[_T], workers: int = 1
+) -> list[_R]:
+    """Order-preserving map, on a pool of min(workers, len(items)) threads.
+
+    Results are merged by item index, so output is identical for any
+    worker count.  Threads suffice because the heavy kernels release the
+    interpreter lock inside the linear-algebra backend.  Every pool of
+    the package is this one: rank-scaling's lanes and the column lanes
+    of the circuit trace and bound-scan.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -154,6 +181,7 @@ def probe_stack(
     columns: np.ndarray,
     probes: Sequence[tuple[int, tuple[int, ...], int]],
     out: np.ndarray,
+    unit: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Write the nonzero rows of :func:`apply_to_product`'s probes, one per slot of ``out``.
 
@@ -173,7 +201,10 @@ def probe_stack(
     whole stack and its register rows are multiplied once by
     tau 2^-(n+1), which has the bits of (tau R) / 2^{n+1} unless an entry
     falls into the subnormal range (for unit-scale amplitudes, tau below
-    about 1e-280).
+    about 1e-280).  An array ``unit`` of out's shape receives the same
+    probes at tau = 1: the unscaled stack is copied into it before each
+    of the two is multiplied by its own factor, so both hold the bits
+    of a stack written alone.
     """
     n = columns.shape[0].bit_length() - 1
     scale = 2.0 ** -(n + 1)
@@ -183,28 +214,49 @@ def probe_stack(
         slot[...] = qubits[c].transpose(axes)
     out[:, 0] = 0.0
     out[np.arange(len(out)), 0, [j for _c, _axes, j in probes]] = scale
+    if unit is not None:
+        np.copyto(unit, out)
+        unit[:, 1:] *= scale
     out[:, 1:] *= tau * scale
     return out
 
 
-def normalized_trace(unitary: UnitarySource) -> complex:
+def normalized_trace(unitary: UnitarySource, workers: int = 1) -> complex:
     """Exact Tr(U)/2^n.
 
-    The diagonal is gathered over blocks of columns, so a circuit's unitary
-    is never materialized; that costs O(4^n * gates) time for a circuit.
+    A matrix's diagonal is read off it.  A circuit's is gathered over
+    blocks of columns, so its unitary is never materialized; that costs
+    O(4^n * gates) time.  The blocks run on min(workers, blocks) lanes
+    of :func:`parallel_map`, lane k taking blocks k, k + lanes, ... in
+    two work buffers of its own, made here with the circuit's fused
+    blocks before the lanes start.  Each block writes its entries of the
+    diagonal by index, and the diagonal is summed once, so the result
+    does not depend on ``workers``.
     """
     n = unitary.num_qubits
     if n > STREAM_LIMIT:
         raise ValueError(f"register of {n} qubits exceeds streaming limit {STREAM_LIMIT}")
     dim = 2**n
+    if not isinstance(unitary, Circuit):
+        return complex(np.trace(unitary.matrix) / dim)
     diag = np.empty(dim, dtype=np.complex128)
-    for xs, block in column_blocks(unitary, np.arange(dim), adjoint=False):
-        diag[xs] = block[xs, np.arange(xs.size)]
+    step = min(dim, max(1, COLUMN_BLOCK_ENTRIES >> n))
+    starts = range(0, dim, step)
+    lanes = min(workers, len(starts))
+    unitary.fused_blocks  # built once, on this thread
+    buffers = [column_buffers(n, step) for _ in range(lanes)]
+
+    def lane(k: int) -> None:
+        for start in starts[k::lanes]:
+            xs = np.arange(start, start + step)
+            diag[xs] = evolve_basis_columns(unitary, xs, False, buffers[k])[xs, np.arange(step)]
+
+    parallel_map(lane, range(lanes), workers)
     return complex(diag.sum() / dim)
 
 
 def simulate_trace_estimation(
-    config: Dqc1Config, shots: int, seed: SeedSpec
+    config: Dqc1Config, shots: int, seed: SeedSpec, workers: int = 1
 ) -> TraceEstimate:
     """Simulate top-qubit X/Y measurement statistics for the trace.
 
@@ -213,13 +265,14 @@ def simulate_trace_estimation(
     t = Tr(U)/2^n is computed exactly, then inverts both affine maps.  The
     estimator is unbiased; the returned errors are the binomial standard
     errors of each component.  A polarization below TRACE_MIN_TAU is refused.
+    ``workers`` goes to :func:`normalized_trace`.
     """
     if not 1 <= shots < 2**63:  # Generator.binomial takes a signed 64-bit count
         raise ValueError("shots must lie in [1, 2^63 - 1]")
     tau = config.polarization
     if tau < TRACE_MIN_TAU:
         raise ValueError(f"polarization below {TRACE_MIN_TAU} cannot be resolved")
-    t = normalized_trace(config.unitary)
+    t = normalized_trace(config.unitary, workers)
     # A unitary accepted within UNITARY_TOL can have |t| slightly above 1.
     p_x = min(max((1.0 + tau * t.real) / 2.0, 0.0), 1.0)
     p_y = min(max((1.0 - tau * t.imag) / 2.0, 0.0), 1.0)

@@ -377,11 +377,17 @@ def _block_matrix(width: int, steps: Sequence[tuple[tuple[int, int], np.ndarray]
     return np.asfortranarray(matrix) if in_order else np.ascontiguousarray(matrix)
 
 
+def column_buffers(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two flat work buffers of 2^n k amplitudes that :func:`_apply_blocks` works in."""
+    return np.empty(2**n * k, dtype=np.complex128), np.empty(2**n * k, dtype=np.complex128)
+
+
 def _apply_blocks(
     blocks: Sequence[tuple[tuple[int, ...], np.ndarray]],
     t: np.ndarray,
     n: int,
-    xs: Optional[np.ndarray] = None,
+    xs: Optional[np.ndarray],
+    buffers: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Apply (qubits, matrix) blocks in order to k columns; return them as (2^n, k).
 
@@ -391,6 +397,13 @@ def _apply_blocks(
     one-hot at that bit, straight into the operand of the first block that
     touches it, or into the output if none does.  With every qubit carried,
     ``xs`` is not read.
+
+    The call works in ``buffers``, two flat arrays of at least 2^n k
+    amplitudes (:func:`column_buffers`): each operand, and last the
+    output, is staged in the first, and each product is written to the
+    second, so the returned columns are a view of the first.  Fresh
+    arrays per block cost page faults, and made a circuit_scan session
+    about 10% slower.
 
     A block of width w on c carried qubits is one matrix product over
     R = 2^(c - w) entries of each column, laid out by
@@ -404,11 +417,7 @@ def _apply_blocks(
     for qubits, _ in reversed(blocks):
         soonest.append(dict(upcoming))
         upcoming.update((q, len(blocks) - len(soonest)) for q in qubits)
-    # Each operand, and last the output, is staged in stage, and each product
-    # is written to result: two allocations per call, and the returned
-    # columns hold only stage.  Fresh arrays per block cost page faults, and
-    # made a circuit_scan session about 10% slower.
-    stage, result = (np.empty(2**n * k, dtype=np.complex128) for _ in range(2))
+    stage, result = buffers
     for (qubits, matrix), after in zip(blocks, reversed(soonest)):
         target, shape = _product_layout(qubits, axes, lambda q: after.get(q, len(blocks)))
         operand = _stage(t, axes, target, xs, n, stage)
@@ -418,7 +427,10 @@ def _apply_blocks(
 
 
 def evolve_basis_columns(
-    circuit: Circuit, xs: Sequence[int], adjoint: bool = False
+    circuit: Circuit,
+    xs: Sequence[int],
+    adjoint: bool = False,
+    buffers: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """C|x> (or C-dagger|x>) for every listed basis index x, as a (2^n, k) block.
 
@@ -428,13 +440,15 @@ def evolve_basis_columns(
     qubits no block touches enter into the output.  The touched set depends
     only on the circuit and the direction, so column j is bit for bit that
     column evolved alone.  C-dagger runs :attr:`Circuit.adjoint_blocks`.
-    The call works in two buffers of 2^n k amplitudes, and the returned
-    block is one of them.  Each x must lie in 0..2^n - 1, which
-    :func:`register_columns` checks.
+    The call works in ``buffers``, or in two of :func:`column_buffers`
+    made for it, and the returned block is a view of the first.  Each x
+    must lie in 0..2^n - 1, which :func:`register_columns` checks.
     """
     xs = np.asarray(xs, dtype=np.intp)
+    n = circuit.num_qubits
     blocks = circuit.adjoint_blocks if adjoint else circuit.fused_blocks
-    return _apply_blocks(blocks, np.ones(xs.size, dtype=np.complex128), circuit.num_qubits, xs)
+    t = np.ones(xs.size, dtype=np.complex128)
+    return _apply_blocks(blocks, t, n, xs, buffers or column_buffers(n, xs.size))
 
 
 def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
@@ -446,7 +460,8 @@ def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
     n = circuit.num_qubits
     # Every qubit carried: a general state has no light cone to follow.
     t = state.amplitudes.reshape((1,) + (2,) * n)
-    return PureState(n, _apply_blocks(circuit.fused_blocks, t, n)[:, 0])
+    columns = _apply_blocks(circuit.fused_blocks, t, n, None, column_buffers(n, 1))
+    return PureState(n, columns[:, 0])
 
 
 def circuit_unitary(circuit: Circuit) -> DenseOperator:

@@ -27,7 +27,8 @@ both ways, and one at n = 14 with 4 gates, whose untouched qubits enter
 the columns only after the last block), and of the circuit-file
 unitarity check (c4.circ with one entry of its third gate moved by
 5e-10, which is accepted, and by 1e-7, which is refused with exit code
-3).  Input files are
+3).  Last come the column lanes: an n = 12 randomized-index circuit scan
+and the 11-qubit trace at 1 and 2 workers.  Input files are
 written to a scratch directory and named by relative paths, so
 ``meta.source`` is the same for every checkout; two checkouts are then
 compared with one ``diff`` of their outputs.
@@ -103,6 +104,15 @@ EDGE_CASES = [
      "--randomize-index"],
     *(["trace-estimate", "--circuit", f"c4_off{eps}.circ", "--circuit-qubits", "4"]
       for eps in ("5e-10", "1e-7")),
+]
+
+# Run after the workloads, so that these lines follow every older one.  At
+# two workers the scan's blocks and the trace's run on two lanes.
+LANE_CASES = [
+    *(argv + ["--workers", w] for w in ("1", "2") for argv in (
+        ["bound-scan", "--unitary", "circuit", "--n", "12", "--cuts", "50", "--randomize-index"],
+        ["trace-estimate", "--circuit", "c11.circ", "--circuit-qubits", "11"],
+    )),
 ]
 
 
@@ -226,6 +236,8 @@ def corpus(workdir: Path) -> Iterator[str]:
                 for job in session.jobs:
                     yield run(list(job.argv))
                 os.chdir(workdir)
+            for argv in LANE_CASES:
+                yield run(argv)
     finally:
         os.chdir(home)
 

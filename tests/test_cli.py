@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dqc1kit
-from dqc1kit import SeedSpec, haar_unitary, write_cmat, write_circuit
+from dqc1kit import SeedSpec, haar_unitary, read_circuit, write_cmat, write_circuit
 from dqc1kit import random_two_qubit_circuit
 from dqc1kit import cli, correlation_analysis, dqc1_model, randomness
 from dqc1kit.cli import main
@@ -457,18 +458,164 @@ def test_workers_must_be_positive(capsys):
 
 
 def test_bound_scan_and_tree_edge_run_serially_at_any_worker_count(capsys, monkeypatch):
-    # Their items are one SVD or one small tree each, and a pool of them lost
-    # to serial; only the stacks of rank-scaling and concentration use it.
+    # Only rank-scaling's stacks and a circuit's column blocks take lanes.  A
+    # dense or lazy bound-scan evolves no circuit, tree-edge is Python work
+    # per tree, and concentration's stacks never paid on a pool.
     def pool(*_args, **_kwargs):
         raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr(correlation_analysis, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(dqc1_model, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(8)), raising=False)
     for argv in (
         ["bound-scan", "--n", "6", "--cuts", "8", "--workers", "4"],
+        ["bound-scan", "--n", "9", "--cuts", "20", "--randomize-index", "--workers", "4"],
         ["tree-edge", "--leaves", "8", "--trees", "5", "--workers", "4"],
+        ["concentration", "--na", "6", "--nb", "6", "--samples", "40", "--workers", "4"],
     ):
         code, _out, err = run(capsys, argv)
         assert (code, err) == (0, ""), argv
+
+
+class _SerialPool:
+    """A ThreadPoolExecutor stand-in that records its size and maps on the calling thread."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _record_pools(monkeypatch, cpus):
+    """Pool sizes of the runs that follow, with ``cpus`` usable CPUs and no thread started."""
+    sizes = []
+    monkeypatch.setattr(dqc1_model, "ThreadPoolExecutor",
+                        lambda max_workers: _SerialPool(sizes, max_workers))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
+    return sizes
+
+
+def test_workers_default_to_and_stop_at_the_usable_cpus(capsys, monkeypatch, tmp_path):
+    # rank-scaling at n = 16 holds one cut per stack, so its six stacks ask for
+    # five lanes, and the n = 10 trace has sixteen column blocks.
+    threads = threading.active_count()
+    write_circuit(tmp_path / "c10.circ", random_two_qubit_circuit(10, 40, SeedSpec(5)))
+    commands = [
+        ["rank-scaling", "--n-list", "16", "--seeds", "1", "--partition-cap", "6"],
+        ["trace-estimate", "--circuit", str(tmp_path / "c10.circ"), "--circuit-qubits", "10"],
+    ]
+    outputs = {}
+    for cpus, workers in ((3, []), (3, ["--workers", "1000"]), (1, ["--workers", "4"])):
+        sizes = _record_pools(monkeypatch, cpus)
+        for argv in commands:
+            code, out, err = run(capsys, argv + workers)
+            assert (code, err) == (0, ""), argv
+            outputs.setdefault(tuple(argv), set()).add(out)
+        assert sizes == ([] if cpus == 1 else [3, 3]), (cpus, workers)
+    # Where the process has no affinity call, the CPU count is the default and the cap.
+    sizes = _record_pools(monkeypatch, 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for argv in commands:
+        code, out, _err = run(capsys, argv + ["--workers", "1000"])
+        outputs[tuple(argv)].add(out)
+    assert sizes == [2, 2]
+    assert all(len(seen) == 1 for seen in outputs.values())
+    assert threading.active_count() == threads
+
+
+def test_circuit_scan_lanes_stop_at_the_usable_cpus(capsys, monkeypatch):
+    # The scan's lanes must run at once, so they take real threads: the threads
+    # that evolve its four column blocks are counted instead.
+    argv = ["bound-scan", "--unitary", "circuit", "--n", "12", "--cuts", "50", "--randomize-index"]
+    apply_blocks, evolving = randomness._apply_blocks, set()
+
+    def recorded(*args):
+        evolving.add(threading.get_ident())
+        return apply_blocks(*args)
+
+    monkeypatch.setattr(randomness, "_apply_blocks", recorded)
+    outputs = set()
+    for cpus, workers, lanes in ((3, [], 3), (3, ["--workers", "1000"], 3), (1, [], 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)),
+                            raising=False)
+        evolving.clear()
+        code, out, _err = run(capsys, argv + workers)
+        assert code == 0
+        outputs.add(out)
+        assert len(evolving) == lanes and (lanes > 1) != (threading.get_ident() in evolving)
+    assert len(outputs) == 1
+
+
+def _reports_at_workers(capsys, monkeypatch, argv, workers):
+    """The report of ``argv`` at each worker count, with four usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(4)), raising=False)
+    reports = []
+    for w in workers:
+        code, out, err = run(capsys, argv + ["--workers", w])
+        assert (code, err) == (0, ""), (argv, w)
+        reports.append(out)
+    return reports
+
+
+@pytest.mark.parametrize("extra", [[], ["--randomize-index"]])
+def test_circuit_bound_scan_bytes_do_not_depend_on_workers(capsys, monkeypatch, extra):
+    # 50 randomized cuts at n = 12 fill two blocks of 16 columns or fewer in
+    # each direction, so 2 and 3 workers run two and three lanes; the default
+    # index evolves one column, on the calling thread.
+    argv = ["bound-scan", "--unitary", "circuit", "--n", "12", "--cuts", "50", *extra]
+    reports = _reports_at_workers(capsys, monkeypatch, argv, ["1", "2", "3"])
+    assert reports[0] == reports[1] == reports[2]
+    assert len(json.loads(reports[0])["rows"]) == 50
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_circuit_trace_bytes_do_not_depend_on_workers(capsys, monkeypatch, tmp_path, n):
+    circuit = random_two_qubit_circuit(n, 4 * n, SeedSpec(90 + n))
+    write_circuit(tmp_path / "c.circ", circuit)
+    argv = ["trace-estimate", "--circuit", str(tmp_path / "c.circ"), "--circuit-qubits", str(n)]
+    reports = _reports_at_workers(capsys, monkeypatch, argv, ["1", "2", "3"])
+    assert reports[0] == reports[1] == reports[2]
+    if n <= 11:  # the dense unitary of n = 12 takes 256 MiB
+        row = json.loads(reports[0])["rows"][0]
+        dense = dqc1_model.normalized_trace(randomness.circuit_unitary(read_circuit(
+            tmp_path / "c.circ", n)))
+        assert complex(row["exact_re"], row["exact_im"]) == dense
+
+
+def test_lanes_build_each_fused_block_once(monkeypatch):
+    # The fused and adjoint blocks are built on the calling thread before the
+    # lanes start, so no lane builds a block matrix again.
+    built, lanes = [], set()
+    block_matrix, apply_blocks = randomness._block_matrix, randomness._apply_blocks
+
+    def counting_build(*args):
+        built.append(threading.get_ident())
+        return block_matrix(*args)
+
+    def lane_apply(*args):
+        lanes.add(threading.get_ident())
+        return apply_blocks(*args)
+
+    monkeypatch.setattr(randomness, "_block_matrix", counting_build)
+    monkeypatch.setattr(randomness, "_apply_blocks", lane_apply)
+    for n, run_on_lanes in (
+        (12, lambda config: correlation_analysis.rank_bound_scan(
+            config, 50, seed=SeedSpec(3), randomize_index=True, workers=2)),
+        (10, lambda config: dqc1_model.normalized_trace(config.unitary, workers=2)),
+    ):
+        built.clear()
+        lanes.clear()
+        circuit = random_two_qubit_circuit(n, 4 * n, SeedSpec(n))
+        run_on_lanes(dqc1_model.Dqc1Config(1.0, circuit))
+        assert len(built) == len(circuit.fused_blocks) and set(built) == {threading.get_ident()}
+        assert len(lanes) == 2
 
 
 @pytest.mark.parametrize("tol", ["0", "1", "1.5", "nan"])

@@ -24,8 +24,9 @@ from .dqc1_model import (
     STREAM_LIMIT,
     Dqc1Config,
     UnitarySource,
-    column_blocks,
     final_state,
+    lane_count,
+    lane_map,
     parallel_map,
     probe_stack,
     register_columns,
@@ -41,7 +42,7 @@ from .tensor_core import (
     stacked_ranks,
     truncation_fidelity,
 )
-from .randomness import Circuit, SeedSpec, column_buffers, evolve_basis_columns
+from .randomness import Circuit, SeedSpec, column_buffers
 
 # The truncation floor divides 1-F by tau^2, and the off-diagonal blocks hold
 # a share tau^2/(1+tau^2) of ||rho||_F^2.  Once that share nears the 2^-52
@@ -347,9 +348,13 @@ def min_equipartition_rank(
     ``workers = 1`` scans the stacks in order.  The lanes run on one
     thread pool: a pool per round of ``workers`` stacks made the
     benchmark's rank-scaling job slower (107 against 90 ms on two
-    workers).  Each lane reads m before each stack and lowers it, under a
-    lock, when its own SVDs find a smaller rank.  Every cut matrix M
-    (d x d, d = 2^(n/2)) is tested at the m its lane read.  The test matrix Y
+    workers).  That pool is :func:`parallel_map`'s, one item per lane,
+    and not :func:`lane_map` over the stacks: a lane carries its state
+    from stack to stack, and under lane_map's ordered hand-off lane 0
+    would wait for lane 1's stacks to be taken in order.  Each lane
+    reads m before each stack and lowers it, under a lock, when its own
+    SVDs find a smaller rank.  Every cut matrix M (d x d, d = 2^(n/2))
+    is tested at the m its lane read.  The test matrix Y
     is M itself while m = d (gain 1); below d it is the m x d sketch
     G1[:m] M, the one-sided randomized range finder, with real Gaussian
     G1 drawn from SKETCH_SEED (gain ||G1[:m]||_2, computed once per m).
@@ -472,7 +477,7 @@ def min_equipartition_rank(
 
     def lane(first: int) -> None:
         carried = stack_0 if first == 0 else (minimum[0], 0, in_range)
-        for start in starts[1 + first::workers]:
+        for start in starts[1 + first::len(lanes)]:
             carried = scan_stack(start, *carried, buffers[first])
 
     # Each lane refills one stack buffer and tests its cuts in three flat
@@ -481,7 +486,7 @@ def min_equipartition_rank(
     # the peak of five rounds of the dense_analysis jobs from 47.8 to 49.8 MiB.
     # The batch buffers, viewed as intp, also hold a stack's gather index:
     # a batch is at least a quarter of a stack.
-    lanes = range(min(workers, len(starts) - 1))
+    lanes = range(lane_count(workers, len(starts) - 1))
     shape = (min(per_stack, len(cuts)), d, d)
     batch = math.prod(shape)
     if d * d < GRAM_BATCH_ENTRIES:
@@ -491,7 +496,7 @@ def min_equipartition_rank(
         scratch = np.empty((3, batch), dtype=np.complex128)
         return np.empty(shape, dtype=np.complex128), scratch, scratch.reshape(-1).view(np.intp)
 
-    buffers = [lane_buffers() for _ in range(max(1, len(lanes)))]
+    buffers = [lane_buffers() for _ in lanes]
     # The shared minimum starts at cut 0's rank, from a full SVD in lane 0's
     # buffers.  Reads of minimum[0] need no lock; the lock keeps a lane from
     # raising it with a stale min().
@@ -531,22 +536,14 @@ def _evolved_blocks(
     """(adjoint, xs, W|xs>) over the listed columns of each direction, a block at a time.
 
     Each direction's columns are split into the fewest blocks of at most
-    COLUMN_BLOCK_ENTRIES amplitudes.  A circuit's blocks run on L =
-    min(workers, blocks) lanes where L >= 2; any other source, or one
-    lane, is evolved on the calling thread by :func:`column_blocks`.
-
-    On lanes the blocks have sizes that differ by at most one and go
-    largest first, so that blocks evolved at the same time have equal
-    sizes.  Block i goes to lane i mod L, which evolves it in its own two
-    work buffers, and evolves its next block only once the caller is done
-    with this one: the caller takes the blocks in order and probes each
-    while the other lanes evolve theirs.  The lanes run on
-    :func:`parallel_map`, called from a helper thread that leaves the
-    caller free; each has its own thread, so every lane runs at once.
-    The buffers, and the circuit's fused blocks of both directions, are
-    made here before any lane starts.  An error in a lane is raised
-    here, and a caller that stops early releases the lanes.  A column's
-    bits do not depend on its block (:func:`evolve_basis_columns`).
+    COLUMN_BLOCK_ENTRIES amplitudes, with sizes that differ by at most
+    one, largest first, so that blocks evolved at once have equal sizes.
+    A circuit's blocks are evolved by :func:`lane_map`, block i in lane
+    i mod min(workers, blocks)'s two work buffers, made here with the
+    fused blocks of both directions; other sources are read on the
+    calling thread.  A column's bits do not depend on its block
+    (:func:`evolve_basis_columns`), so the result does not depend on
+    ``workers``.
     """
     n = unitary.num_qubits
     step = max(1, COLUMN_BLOCK_ENTRIES >> n)
@@ -555,53 +552,17 @@ def _evolved_blocks(
          for xs in np.array_split(np.asarray(indices, dtype=np.intp), -(-len(indices) // step))),
         key=lambda block: -block[1].size,
     )
-    lanes = min(workers, len(blocks))
-    if not isinstance(unitary, Circuit) or lanes <= 1:
-        for adjoint, indices in columns.items():
-            for xs, evolved in column_blocks(unitary, indices, adjoint):
-                yield adjoint, xs, evolved
-        return
-    unitary.adjoint_blocks  # built with the fused blocks, on this thread
-    buffers = [column_buffers(n, blocks[0][1].size) for _ in range(lanes)]
-    evolved: list[Optional[np.ndarray]] = [None] * len(blocks)
-    ready = [threading.Event() for _ in blocks]
-    free = [threading.Semaphore() for _ in range(lanes)]  # the caller is done with lane k's block
-    stopped = threading.Event()
-    errors: list[BaseException] = []
+    circuit = isinstance(unitary, Circuit)
+    lanes = lane_count(workers, len(blocks) if circuit else 1)
+    if lanes > 1:
+        unitary.adjoint_blocks  # built with the fused blocks, on this thread
+    buffers = [column_buffers(n, blocks[0][1].size) if circuit else None for _ in range(lanes)]
 
-    def lane(k: int) -> None:
-        for i in range(k, len(blocks), lanes):
-            free[k].acquire()
-            if stopped.is_set():
-                return
-            adjoint, xs = blocks[i]
-            try:
-                evolved[i] = evolve_basis_columns(unitary, xs, adjoint, buffers[k])
-            finally:
-                ready[i].set()  # a block left None tells the caller its lane failed
+    def evolve(block: tuple[bool, np.ndarray], lane) -> tuple[bool, np.ndarray, np.ndarray]:
+        adjoint, xs = block
+        return adjoint, xs, register_columns(unitary, xs, adjoint, lane)
 
-    def run_lanes() -> None:
-        try:
-            parallel_map(lane, range(lanes), workers)
-        except BaseException as error:  # raised again on the calling thread
-            errors.append(error)
-
-    runner = threading.Thread(target=run_lanes)
-    runner.start()
-    try:
-        for i, (adjoint, xs) in enumerate(blocks):
-            ready[i].wait()
-            if evolved[i] is None:
-                break
-            yield adjoint, xs, evolved[i]
-            free[i % lanes].release()
-    finally:
-        stopped.set()
-        for lane_free in free:
-            lane_free.release()
-        runner.join()
-    if errors:
-        raise errors[0]
+    return lane_map(evolve, blocks, buffers)
 
 
 def rank_bound_scan(
@@ -625,13 +586,13 @@ def rank_bound_scan(
     draws each cut's t and register sides (i, j) from
     ``seed.child(task_id)``, so that mode needs a seed.
 
-    Each distinct column W|x> is evolved once, a circuit's on up to
-    ``workers`` lanes (:func:`_evolved_blocks`).  The probes run on the
-    calling thread, stacked by shape, one SVD call per
-    stack.  A rank is decided on [e_j^T ; R(W|x>)], free of tau: on the
-    tau-scaled matrix sigma_1 comes from the e_j row and the rest scale
-    with tau, so from tau ~ 1e-10 down all of them would fall below the
-    rel_tol cutoff.  At tau = 1 one stack serves both, for 0 < tau < 1 a
+    Each distinct column W|x> is evolved once (:func:`_evolved_blocks`),
+    a circuit's on up to ``workers`` lanes, which evolve the next blocks
+    while the calling thread probes the blocks it took, stacked by shape,
+    one SVD call per stack; ``workers`` below 1 is refused.  A rank is
+    decided on [e_j^T ; R(W|x>)], free of tau: on the tau-scaled matrix
+    sigma_1 comes from the e_j row and the rest scale with tau, so from
+    tau ~ 1e-10 down all of them would fall below the rel_tol cutoff.  At tau = 1 one stack serves both, for 0 < tau < 1 a
     copy of each stack at tau = 1 gives the ranks, and at tau = 0 the
     stack [e_j^T ; 0] has rank 1.  Records are filed by task id, so the
     report does not depend on ``workers``.

@@ -13,6 +13,7 @@ estimates the normalized trace Tr(U)/2^n.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
@@ -32,6 +33,7 @@ from .tensor_core import DenseOperator, PureState
 UnitarySource = Union[DenseOperator, LazyUnitary, Circuit]
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+_B = TypeVar("_B")
 
 # The register limit for every path that builds 2^n amplitudes: a state, a
 # column block, a Haar sample, and the streamed trace over 2^n columns.
@@ -53,21 +55,49 @@ COLUMN_BLOCK_ENTRIES = 2**16
 TRACE_MIN_TAU = 1e-6
 
 
+def lane_count(workers: int, count: int) -> int:
+    """min(workers, count) lanes, at least one; every lane count is taken here."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return max(1, min(workers, count))
+
+
+def lane_map(
+    fn: Callable[[_T, _B], _R], items: Sequence[_T], buffers: Sequence[_B]
+) -> Iterator[_R]:
+    """Yield fn(items[i], buffers[i mod L]) in item order, on L = len(buffers) lanes.
+
+    One lane runs on the calling thread.  Otherwise the caller starts the
+    package's one pool, of L threads (the heavy kernels release the
+    interpreter lock), and submits item i + L only once it has taken
+    item i and asked for the next, so no lane reuses its buffers while
+    the caller holds a result in them.  An item's error is raised on the
+    caller; closing the generator cancels the items not started and
+    waits for the ones running.
+    """
+    lanes = len(buffers)
+    if lanes <= 1:
+        for item in items:
+            yield fn(item, buffers[0])
+        return
+    with ThreadPoolExecutor(max_workers=lanes) as pool:
+        running = deque(pool.submit(fn, item, lane) for item, lane in zip(items, buffers))
+        try:
+            for i in range(len(items)):
+                yield running.popleft().result()
+                if i + lanes < len(items):
+                    running.append(pool.submit(fn, items[i + lanes], buffers[i % lanes]))
+        finally:
+            for future in running:
+                future.cancel()
+
+
 def parallel_map(
     fn: Callable[[_T], _R], items: Sequence[_T], workers: int = 1
 ) -> list[_R]:
-    """Order-preserving map, on a pool of min(workers, len(items)) threads.
-
-    Results are merged by item index, so output is identical for any
-    worker count.  Threads suffice because the heavy kernels release the
-    interpreter lock inside the linear-algebra backend.  Every pool of
-    the package is this one: rank-scaling's lanes and the column lanes
-    of the circuit trace and bound-scan.
-    """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    """[fn(item) for item in items] on :func:`lane_map`, one lane per item up to ``workers``."""
+    lanes = range(lane_count(workers, len(items)))
+    return list(lane_map(lambda item, _lane: fn(item), items, lanes))
 
 
 @dataclass(frozen=True)
@@ -100,15 +130,17 @@ class TraceEstimate:
 
 
 def register_columns(
-    unitary: UnitarySource, register_indices: Sequence[int], adjoint: bool
+    unitary: UnitarySource, register_indices: Sequence[int], adjoint: bool,
+    buffers: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Columns W|x> for every listed x, as a (2^n, k) block; W = U or U-dagger.
 
     The one place that tells unitary kinds apart: a circuit evolves all k
     basis columns in one pass over its fused blocks, each on its light cone
-    (:func:`evolve_basis_columns`), a :class:`LazyUnitary` serves U|0> from
-    its up-front column without building its matrix, and otherwise a
-    matrix's columns are sliced out.  Every kind refuses an x outside 0..2^n - 1.
+    (:func:`evolve_basis_columns`), in ``buffers`` where a lane passes its
+    own, a :class:`LazyUnitary` serves U|0> from its up-front column
+    without building its matrix, and otherwise a matrix's columns are
+    sliced out.  Every kind refuses an x outside 0..2^n - 1.
     """
     try:
         indices = np.asarray(register_indices, dtype=np.intp)
@@ -118,27 +150,12 @@ def register_columns(
     if not in_range:
         raise ValueError(f"basis indices must lie in 0..{2**unitary.num_qubits - 1}")
     if isinstance(unitary, Circuit):
-        return evolve_basis_columns(unitary, indices, adjoint)
+        return evolve_basis_columns(unitary, indices, adjoint, buffers)
     if isinstance(unitary, LazyUnitary) and not adjoint and not indices.any():
         return np.repeat(unitary.first_column[:, np.newaxis], indices.size, axis=1)
     if adjoint:
         return unitary.matrix[indices, :].conj().T
     return unitary.matrix[:, indices]
-
-
-def column_blocks(
-    unitary: UnitarySource, register_indices: Sequence[int], adjoint: bool
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (xs, W|xs>) over the listed indices, a block of columns at a time.
-
-    Each block holds at most COLUMN_BLOCK_ENTRIES amplitudes, and at least
-    one column.
-    """
-    indices = np.asarray(register_indices, dtype=np.intp)
-    step = max(1, COLUMN_BLOCK_ENTRIES >> unitary.num_qubits)
-    for start in range(0, indices.size, step):
-        xs = indices[start : start + step]
-        yield xs, register_columns(unitary, xs, adjoint)
 
 
 def final_state(config: Dqc1Config) -> DenseOperator:
@@ -225,33 +242,26 @@ def normalized_trace(unitary: UnitarySource, workers: int = 1) -> complex:
     """Exact Tr(U)/2^n.
 
     A matrix's diagonal is read off it.  A circuit's is gathered over
-    blocks of columns, so its unitary is never materialized; that costs
-    O(4^n * gates) time.  The blocks run on min(workers, blocks) lanes
-    of :func:`parallel_map`, lane k taking blocks k, k + lanes, ... in
-    two work buffers of its own, made here with the circuit's fused
-    blocks before the lanes start.  Each block writes its entries of the
-    diagonal by index, and the diagonal is summed once, so the result
-    does not depend on ``workers``.
+    equal blocks of columns, so its unitary is never materialized; that
+    costs O(4^n * gates) time.  Block i is evolved by :func:`lane_map` in
+    lane i mod min(workers, blocks)'s two work buffers, made here with the
+    circuit's fused blocks; the calling thread gathers the diagonal in
+    order and sums it once, so the result does not depend on ``workers``.
     """
     n = unitary.num_qubits
     if n > STREAM_LIMIT:
         raise ValueError(f"register of {n} qubits exceeds streaming limit {STREAM_LIMIT}")
     dim = 2**n
+    step = min(dim, max(1, COLUMN_BLOCK_ENTRIES >> n))
+    lanes = lane_count(workers, dim // step)
     if not isinstance(unitary, Circuit):
         return complex(np.trace(unitary.matrix) / dim)
-    diag = np.empty(dim, dtype=np.complex128)
-    step = min(dim, max(1, COLUMN_BLOCK_ENTRIES >> n))
-    starts = range(0, dim, step)
-    lanes = min(workers, len(starts))
+    blocks = np.arange(dim).reshape(-1, step)
     unitary.fused_blocks  # built once, on this thread
     buffers = [column_buffers(n, step) for _ in range(lanes)]
-
-    def lane(k: int) -> None:
-        for start in starts[k::lanes]:
-            xs = np.arange(start, start + step)
-            diag[xs] = evolve_basis_columns(unitary, xs, False, buffers[k])[xs, np.arange(step)]
-
-    parallel_map(lane, range(lanes), workers)
+    evolved = lane_map(lambda xs, lane: evolve_basis_columns(unitary, xs, False, lane),
+                       blocks, buffers)
+    diag = np.concatenate([columns[xs, np.arange(step)] for columns, xs in zip(evolved, blocks)])
     return complex(diag.sum() / dim)
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -477,7 +478,7 @@ def test_bound_scan_and_tree_edge_run_serially_at_any_worker_count(capsys, monke
 
 
 class _SerialPool:
-    """A ThreadPoolExecutor stand-in that records its size and maps on the calling thread."""
+    """A ThreadPoolExecutor stand-in that records its size and runs each task as it is submitted."""
 
     def __init__(self, sizes, max_workers):
         sizes.append(max_workers)
@@ -488,8 +489,10 @@ class _SerialPool:
     def __exit__(self, *_exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def _record_pools(monkeypatch, cpus):
@@ -551,6 +554,30 @@ def test_circuit_scan_lanes_stop_at_the_usable_cpus(capsys, monkeypatch):
         outputs.add(out)
         assert len(evolving) == lanes and (lanes > 1) != (threading.get_ident() in evolving)
     assert len(outputs) == 1
+
+
+def test_every_pool_starts_on_the_calling_thread(capsys, monkeypatch, tmp_path):
+    # The scan's lanes, the trace's and rank-scaling's: each pool is made by
+    # the thread that runs the command, so nothing runs on a helper thread.
+    made = []
+
+    class RecordingPool(dqc1_model.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(threading.get_ident())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dqc1_model, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(4)), raising=False)
+    write_circuit(tmp_path / "c10.circ", random_two_qubit_circuit(10, 40, SeedSpec(5)))
+    for argv in (
+        ["bound-scan", "--unitary", "circuit", "--n", "12", "--cuts", "50", "--randomize-index"],
+        ["trace-estimate", "--circuit", str(tmp_path / "c10.circ"), "--circuit-qubits", "10"],
+        ["rank-scaling", "--n-list", "12", "--seeds", "1", "--partition-cap", "37"],
+    ):
+        made.clear()
+        code, _out, err = run(capsys, argv + ["--workers", "2"])
+        assert (code, err) == (0, ""), argv
+        assert made and set(made) == {threading.get_ident()}, argv
 
 
 def _reports_at_workers(capsys, monkeypatch, argv, workers):

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import zlib
 from itertools import combinations, count
@@ -40,7 +41,7 @@ from dqc1kit import (
     truncation_fidelity,
 )
 from dqc1kit.cli import main as cli_main
-from dqc1kit import correlation_analysis
+from dqc1kit import correlation_analysis, dqc1_model
 from dqc1kit.correlation_analysis import (
     TRUNCATION_MIN_TAU,
     _sample_cuts,
@@ -148,6 +149,54 @@ def test_parallel_map_preserves_order():
     items = list(range(37))
     assert parallel_map(lambda x: x * x, items, workers=1) == [x * x for x in items]
     assert parallel_map(lambda x: x * x, items, workers=4) == [x * x for x in items]
+    # lane_map, under parallel_map: item i takes buffers[i mod L], results
+    # come in item order, and item i + L starts only after the caller took
+    # item i and came back for the next, so at most L items are in flight.
+    caller = threading.get_ident()
+    for lanes in (1, 2, 3):
+        events, buffers = [], [f"lane {k}" for k in range(lanes)]
+
+        def item(i, buffer):
+            events.append(("start", i))
+            assert buffer == buffers[i % lanes]
+            assert (threading.get_ident() == caller) == (lanes == 1)
+            time.sleep(0.002)
+            return i * i
+
+        results = dqc1_model.lane_map(item, range(11), buffers)
+        for i in range(11):
+            assert next(results) == i * i
+            events.append(("took", i))
+            time.sleep(0.005)  # time for an item submitted too early to start
+            events.append(("back", i))
+        assert next(results, None) is None
+        at = {event: k for k, event in enumerate(events)}
+        for i in range(lanes, 11):
+            assert at["back", i - lanes] < at["start", i], (lanes, i)
+        for k, (kind, i) in enumerate(events):
+            if kind == "start":
+                held = {j for kind, j in events[:k] if kind == "start"}
+                held -= {j for kind, j in events[:k] if kind == "took"}
+                assert len(held) < lanes, (lanes, i)
+
+    def close_early():
+        results = dqc1_model.lane_map(lambda i, _buffer: time.sleep(0.05), range(9), [0, 1, 2])
+        next(results)
+        results.close()
+
+    assert _settles(close_early)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_a_worker_count_below_one_is_refused(workers):
+    circuit = random_two_qubit_circuit(12, 24, SeedSpec(106))
+    config = Dqc1Config(1.0, circuit)
+    with pytest.raises(ValueError, match="workers"):
+        rank_bound_scan(config, 50, seed=SeedSpec(3), randomize_index=True, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        min_equipartition_rank(_u0(circuit), workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        normalized_trace(random_two_qubit_circuit(9, 36, SeedSpec(3)), workers=workers)
 
 
 def test_min_rank_product_state_is_one():
@@ -798,32 +847,33 @@ def probe_scan_cases(draw):
 def test_scan_stacks_hold_the_per_probe_writer_bits(case):
     # Every matrix the scan hands to its SVDs, against the per-probe writer
     # (oracles.probe_matrix) fed the very column the scan evolved: the same
-    # multiset of (shape, bytes).  At 0 < tau < 1 each probe is filled twice,
-    # once at tau and once at tau = 1 for the rank.
+    # multiset of (shape, bytes).  At 0 < tau < 1 each probe is filled once
+    # and copied, and the stack and its copy are scaled to tau and to 1 (the
+    # copy gives the rank), so both matrices are handed over.
     n, kind, tau, randomize, num_cuts, seed_value = case
     seed = SeedSpec(seed_value)
     unitary = _UNITARY_BUILDERS[kind](n, seed)
     columns, filled, stack_sizes = {}, [], set()
-    blocks, svd = correlation_analysis.column_blocks, correlation_analysis.singular_values
+    blocks, svd = correlation_analysis.register_columns, correlation_analysis.singular_values
 
-    def recorded_blocks(source, xs, adjoint):
-        for block_xs, block in blocks(source, xs, adjoint):
-            for c, x in enumerate(block_xs.tolist()):
-                columns[adjoint, x] = block[:, c].copy()
-            yield block_xs, block
+    def recorded_blocks(source, xs, adjoint, buffers=None):
+        block = blocks(source, xs, adjoint, buffers)
+        for c, x in enumerate(xs.tolist()):
+            columns[adjoint, x] = block[:, c].copy()
+        return block
 
     def recorded_svd(stack):
         stack_sizes.add(len(stack))
         filled.extend((m.shape, m.tobytes()) for m in stack)
         return svd(stack)
 
-    correlation_analysis.column_blocks = recorded_blocks
+    correlation_analysis.register_columns = recorded_blocks
     correlation_analysis.singular_values = recorded_svd
     try:
         report = rank_bound_scan(Dqc1Config(tau, unitary), num_cuts, seed=seed,
                                  randomize_index=randomize)
     finally:
-        correlation_analysis.column_blocks = blocks
+        correlation_analysis.register_columns = blocks
         correlation_analysis.singular_values = svd
     want = []
     for task_id, record in enumerate(report.records):
@@ -851,16 +901,18 @@ def _settles(action, seconds=120):
 @pytest.mark.parametrize("where", ["evolve_basis_columns", "_probe_spectra"])
 def test_an_error_in_a_lane_or_in_the_probes_ends_every_lane(monkeypatch, where):
     # 60 randomized cuts at n = 12 fill two blocks of at most 16 columns in
-    # each direction; the third evolution, or the third probe stack, fails
-    # while the lanes still have blocks to evolve.
-    kernel, calls = getattr(correlation_analysis, where), count()
+    # each direction; the third evolution, which a lane runs through
+    # register_columns, or the third probe stack, fails while the lanes
+    # still have blocks to evolve.
+    module = dqc1_model if where == "evolve_basis_columns" else correlation_analysis
+    kernel, calls = getattr(module, where), count()
 
     def third_fails(*args):
         if next(calls) == 2:
             raise ArithmeticError(where)
         return kernel(*args)
 
-    monkeypatch.setattr(correlation_analysis, where, third_fails)
+    monkeypatch.setattr(module, where, third_fails)
     config = Dqc1Config(1.0, random_two_qubit_circuit(12, 48, SeedSpec(80)))
     raised = []
 
@@ -888,14 +940,12 @@ def test_a_caller_that_stops_early_releases_the_lanes():
 
 
 def test_default_index_circuit_scan_evolves_one_column(monkeypatch):
-    from dqc1kit import dqc1_model
-
     evolved = []
     kernel = dqc1_model.evolve_basis_columns
 
-    def counting(circuit, xs, adjoint=False):
+    def counting(circuit, xs, adjoint=False, buffers=None):
         evolved.append(len(xs))
-        return kernel(circuit, xs, adjoint)
+        return kernel(circuit, xs, adjoint, buffers)
 
     monkeypatch.setattr(dqc1_model, "evolve_basis_columns", counting)
     config = Dqc1Config(1.0, random_two_qubit_circuit(10, 40, SeedSpec(71)))
@@ -915,7 +965,7 @@ def test_default_index_circuit_scan_evolves_one_column(monkeypatch):
 
 
 def test_fused_plan_is_built_once_per_circuit(monkeypatch):
-    from dqc1kit import dqc1_model, randomness
+    from dqc1kit import randomness
 
     planned = []
     planner = randomness.plan_blocks
